@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .clustering import (
 from .critical import CriticalScale
 from .dataset import load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
-from .errors import DepconError
+from .errors import DepconError, NonFiniteValueError, NonNumericCellError, RaggedRowsError
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
 from .kernel import gram_matrix
@@ -97,13 +96,31 @@ def _load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = json.loads(path.read_text())
-        return np.asarray(payload["values"], dtype=np.float64)
-    rows = []
+        return _parse_matrix(payload["values"])
     with open(path, "r", newline="") as handle:
-        for row in csv.reader(handle):
-            if row:
-                rows.append([float(cell) for cell in row])
-    return np.asarray(rows, dtype=np.float64)
+        return _parse_matrix(row for row in csv.reader(handle) if row)
+
+
+def _parse_matrix(rows) -> np.ndarray:
+    """Float matrix from rows of cells; bad cells, ragged rows and non-finite entries raise."""
+    parsed = []
+    for r, row in enumerate(rows):
+        try:
+            values = [float(cell) for cell in row]
+        except (TypeError, ValueError):
+            for col, cell in enumerate(row):  # find the cell that failed
+                try:
+                    float(cell)
+                except (TypeError, ValueError):
+                    raise NonNumericCellError(r, col, str(cell).strip()) from None
+        if parsed and len(values) != len(parsed[0]):
+            raise RaggedRowsError(r, len(parsed[0]), len(values))
+        parsed.append(values)
+    matrix = np.asarray(parsed, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        bad = np.argwhere(~np.isfinite(matrix))[0]
+        raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
+    return matrix
 
 
 def _load_labels(path) -> np.ndarray:
@@ -123,20 +140,13 @@ def _load_labels(path) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _resolve_threads(args):
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("DEPCON_THREADS")
-    return int(env) if env else None
-
-
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
     gram = gram_matrix(
         data,
         alpha=args.alpha,
         convention=args.convention,
-        threads=_resolve_threads(args),
+        threads=args.threads,
         block_rows=args.block_rows,
     )
     prov = _provenance("gram", vars(args))
@@ -150,7 +160,7 @@ def cmd_gram(args) -> int:
 def cmd_indep(args) -> int:
     data = _load_any_dataset(args.data)
     result = independence_test(
-        data, alpha=args.alpha, convention=args.convention, threads=_resolve_threads(args)
+        data, alpha=args.alpha, convention=args.convention, threads=args.threads
     )
     payload = {
         "alpha": result.alpha,
@@ -176,16 +186,15 @@ def _comparison_payload(data_a, data_b, alpha, convention, threads):
 def cmd_test(args) -> int:
     data_a = _load_any_dataset(args.data_a)
     data_b = _load_any_dataset(args.data_b)
-    threads = _resolve_threads(args)
     if args.both_conventions:
         payload = {
             convention.value: _comparison_payload(
-                data_a, data_b, args.alpha, convention, threads
+                data_a, data_b, args.alpha, convention, args.threads
             )
             for convention in CriticalScale
         }
     else:
-        payload = _comparison_payload(data_a, data_b, args.alpha, args.convention, threads)
+        payload = _comparison_payload(data_a, data_b, args.alpha, args.convention, args.threads)
     payload["alpha"] = args.alpha
     payload["provenance"] = _provenance("test", vars(args))
     _write_json(args.output, payload)
@@ -349,7 +358,9 @@ def _add_common(parser, threads=True):
         parser.add_argument("--threads", type=int, default=None,
                             help="worker threads (default: DEPCON_THREADS or 1)")
         parser.add_argument("--block-rows", type=int, default=None,
-                            help="rows per feature block (memory budget control)")
+                            help="rows per feature block (default: about 1 MiB of "
+                                 "scratch per block); changes speed and memory, "
+                                 "never the output")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -142,8 +142,9 @@ def _kernel_kmeans_once(gram, k, init, max_iter, rng, init_labels=None):
     trace = []
     converged = False
     iterations = 0
+    # distances to the means of the current labels, carried from the last step
+    dist, _, _, _ = _distances_to_means(gram, labels, k)
     for iterations in range(1, max_iter + 1):
-        dist, _, _, _ = _distances_to_means(gram, labels, k)
         new_labels = np.argmin(dist, axis=1)
         new_labels, moves = _repair_empty(gram, new_labels, k, angles)
         repairs += moves
@@ -160,7 +161,7 @@ def _kernel_kmeans_once(gram, k, init, max_iter, rng, init_labels=None):
             converged = True
             labels = new_labels
             break
-        labels = new_labels
+        labels, dist = new_labels, new_dist
     return ClusterAssignment(
         labels=labels,
         k=k,

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalScale, critical_matrix
+from .critical import CriticalScale
 from .dataset import Dataset
 from .errors import DimensionMismatchError, SmallSampleWarning
-from .kernel import contribution_features, gram_matrix
+from .kernel import _features_with_critical, _gram_from_features
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +65,11 @@ def aggregate_statistic(
     threads=None,
 ) -> np.ndarray:
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
-    values = _as_values(data)
-    n, m = values.shape
-    critical = critical_matrix(m, n, alpha, convention)
-    feats = contribution_features(values, threads=threads)
-    return feats.sum(axis=0) - n * critical.values
+    return _aggregate(*_features_with_critical(_as_values(data), alpha, convention, threads))
+
+
+def _aggregate(feats, critical) -> np.ndarray:
+    return feats.sum(axis=0) - feats.shape[0] * critical.values
 
 
 def independence_test(
@@ -122,6 +122,9 @@ def structure_difference_score(
     sign between the datasets, and it is non-empty exactly when the
     sign-level sample-set distance is positive, i.e. when the estimated
     structures lie at a positive graph distance.
+
+    Each dataset's contribution features are built once; the cross Gram
+    and both aggregate statistics are derived from those two stacks.
     """
     values_a = _as_values(data_a)
     values_b = _as_values(data_b)
@@ -129,10 +132,11 @@ def structure_difference_score(
         raise DimensionMismatchError(
             f"feature counts differ: {values_a.shape[1]} vs {values_b.shape[1]}"
         )
-    cross = gram_matrix(values_a, values_b, alpha=alpha, convention=convention, threads=threads)
-    score = float(cross.values.sum())
-    stat_a = aggregate_statistic(values_a, alpha=alpha, convention=convention, threads=threads)
-    stat_b = aggregate_statistic(values_b, alpha=alpha, convention=convention, threads=threads)
+    feats_a, crit_a = _features_with_critical(values_a, alpha, convention, threads)
+    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads)
+    score = float(_gram_from_features(feats_a, crit_a, feats_b, crit_b).values.sum())
+    stat_a = _aggregate(feats_a, crit_a)
+    stat_b = _aggregate(feats_b, crit_b)
     m = values_a.shape[1]
     witnesses = tuple(
         (j, j2)

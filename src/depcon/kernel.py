@@ -12,7 +12,11 @@ The central objects, for a dataset ``S`` of n samples by m features:
 
 Gram computation never materializes the n x n x m tensor: per-sample
 m x m products are built in row blocks (compiled kernel when available)
-and contracted with one BLAS call.
+and contracted with one BLAS call. The NumPy path makes five elementwise
+passes over each block before its matrix product, so blocks are sized to
+stay in cache rather than to fill memory. Every sample's product is
+computed on its own, so results are bit-identical for any block size and
+any thread count.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ from .errors import (
 #: ||phi||^2 below this counts as a zero direction; kappa is defined as 0 there.
 DEGENERATE_SQ_NORM = 1e-24
 
-#: Default cap on the per-block scratch the NumPy backend may allocate.
-DEFAULT_BLOCK_BYTES = 128 * 2**20
+#: Default size of one row block's scratch (rows x n x m doubles). About
+#: 1 MiB keeps a block in cache across the elementwise passes that build it;
+#: 128 MiB blocks ran twice as slow at n=1500, m=20. The block size never
+#: changes a result bit, only speed and peak memory.
+DEFAULT_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +100,11 @@ class GramMatrix:
 
 def _resolve_threads(threads):
     if threads is None:
-        threads = int(os.environ.get("DEPCON_THREADS", "1"))
+        env = os.environ.get("DEPCON_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise OutOfRangeError(f"DEPCON_THREADS={env!r} is not an integer") from None
     return max(1, int(threads))
 
 
@@ -153,16 +164,17 @@ def _block_rows(n: int, m: int, block_rows=None) -> int:
 def contribution_features(data, standardize=True, threads=None, block_rows=None) -> np.ndarray:
     """(n, m, m) stack of per-sample products Z_i^T Z_i (C_i^T C_i when unstandardized).
 
-    Row blocks are fixed independently of the thread count, so results are
-    bit-identical however many workers run them.
+    Row blocks are fixed independently of the thread count and each
+    sample's product is computed on its own, so results are bit-identical
+    for any ``block_rows`` and however many workers run the blocks.
     """
+    threads = _resolve_threads(threads)
     values = _values(data)
     n, m = values.shape
     row_mean, grand_mean = distance_moments(values)
     out = np.empty((n, m, m), dtype=np.float64)
     step = _block_rows(n, m, block_rows)
     spans = [(start, min(start + step, n)) for start in range(0, n, step)]
-    threads = _resolve_threads(threads)
 
     def run(span):
         start, stop = span
@@ -267,13 +279,12 @@ def _off_diag_sums(flat_feats: np.ndarray, m: int) -> np.ndarray:
     return flat_feats.sum(axis=1) - flat_feats[:, diag_idx].sum(axis=1)
 
 
-def _feature_stats(data, alpha, convention, threads, block_rows):
+def _features_with_critical(data, alpha, convention, threads=None, block_rows=None):
+    """One dataset's (n, m, m) contribution features and its critical matrix."""
     values = _values(data)
     n, m = values.shape
     critical = critical_matrix(m, n, alpha, convention)
-    feats = contribution_features(values, threads=threads, block_rows=block_rows)
-    flat = feats.reshape(n, m * m)
-    return flat, _off_diag_sums(flat, m), critical
+    return contribution_features(values, threads=threads, block_rows=block_rows), critical
 
 
 def gram_matrix(
@@ -290,19 +301,29 @@ def gram_matrix(
     The square single-dataset Gram is exactly symmetric with unit diagonal
     (0 on degenerate samples); the cross case is n x n'.
     """
-    values_a = _values(data_a)
-    m = values_a.shape[1]
-    flat_a, off_a, crit_a = _feature_stats(data_a, alpha, convention, threads, block_rows)
-    t_a = crit_a.off_diagonal
+    feats_a, crit_a = _features_with_critical(data_a, alpha, convention, threads, block_rows)
     if data_b is None:
+        return _gram_from_features(feats_a, crit_a)
+    m = feats_a.shape[1]
+    values_b = _values(data_b)
+    if values_b.shape[1] != m:
+        raise DimensionMismatchError(f"feature counts differ: {m} vs {values_b.shape[1]}")
+    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads, block_rows)
+    return _gram_from_features(feats_a, crit_a, feats_b, crit_b)
+
+
+def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
+    """Kappa Gram from feature stacks: square over one stack, n x n' across two."""
+    n_a, m = feats_a.shape[:2]
+    flat_a = feats_a.reshape(n_a, m * m)
+    off_a = _off_diag_sums(flat_a, m)
+    t_a = crit_a.off_diagonal
+    square = feats_b is None
+    if square:
         flat_b, off_b, t_b = flat_a, off_a, t_a
     else:
-        values_b = _values(data_b)
-        if values_b.shape[1] != m:
-            raise DimensionMismatchError(
-                f"feature counts differ: {m} vs {values_b.shape[1]}"
-            )
-        flat_b, off_b, crit_b = _feature_stats(data_b, alpha, convention, threads, block_rows)
+        flat_b = feats_b.reshape(feats_b.shape[0], m * m)
+        off_b = _off_diag_sums(flat_b, m)
         t_b = crit_b.off_diagonal
     cross_tt = m * (m - 1) * t_a * t_b
 
@@ -311,7 +332,7 @@ def gram_matrix(
     gamma -= t_a * off_b[None, :]
     gamma += cross_tt
 
-    if data_b is None:
+    if square:
         gamma = 0.5 * (gamma + gamma.T)
         self_a = self_b = np.maximum(np.diagonal(gamma).copy(), 0.0)
     else:
@@ -335,7 +356,7 @@ def gram_matrix(
             "dataset contains samples with (near-)zero contribution norm; "
             "their kernel rows are set to 0",
             DegenerateSampleWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = gamma / (np.sqrt(self_a)[:, None] * np.sqrt(self_b)[None, :])
@@ -362,10 +383,7 @@ def mean_contribution(
     threads=None,
 ) -> np.ndarray:
     """Mean of the contribution matrices over all samples: mean_i(phi_i)."""
-    values = _values(data)
-    n, m = values.shape
-    critical = critical_matrix(m, n, alpha, convention)
-    feats = contribution_features(values, threads=threads)
+    feats, critical = _features_with_critical(data, alpha, convention, threads)
     return feats.mean(axis=0) - critical.values
 
 

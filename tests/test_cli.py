@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from depcon.cli import main
-from depcon.errors import ConstantFeatureError, DimensionMismatchError
+from depcon.errors import (
+    ConstantFeatureError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+    NonNumericCellError,
+    OutOfRangeError,
+    RaggedRowsError,
+)
 
 
 def run(*argv):
@@ -201,3 +208,31 @@ def test_header_csv_accepted_via_sniffing(tmp_path):
     out = tmp_path / "gram.csv"
     assert run("gram", data, "-o", out) == 0
     assert np.loadtxt(out, delimiter=",").shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1.0,0.5\n0.5,abc\n", NonNumericCellError),
+        ("1.0,0.5\n0.5\n", RaggedRowsError),
+        ("1.0,0.5\n0.5,nan\n", NonFiniteValueError),
+        ("1.0,inf\n0.5,1.0\n", NonFiniteValueError),
+    ],
+)
+@pytest.mark.parametrize("command", ["cluster", "kpca"])
+def test_bad_gram_file_exit_codes(tmp_path, capsys, command, text, error):
+    gram = tmp_path / "gram.csv"
+    gram.write_text(text)
+    extra = ["-k", "2"] if command == "cluster" else []
+    out = tmp_path / "out.csv"
+    assert run(command, gram, "-o", out, *extra) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch):
+    monkeypatch.setenv("DEPCON_THREADS", "abc")
+    out = tmp_path / "gram.csv"
+    assert run("gram", bench, "-o", out) == OutOfRangeError.exit_code
+    monkeypatch.setenv("DEPCON_THREADS", "2")
+    assert run("gram", bench, "-o", out) == 0

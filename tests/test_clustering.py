@@ -92,6 +92,25 @@ def test_objective_nonincreasing_trace():
     assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
+def test_distances_to_means_computed_once_per_iteration(monkeypatch):
+    # the distances after each assignment step are reused by the next step
+    from depcon import clustering
+
+    calls = []
+    original = clustering._distances_to_means
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(clustering, "_distances_to_means", counted)
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((60, 3))
+    result = kernel_kmeans(points @ points.T, 4, seed=9, restarts=1)
+    assert result.iterations > 2
+    assert len(calls) == result.iterations + 1
+
+
 def test_determinism_and_restart_selection():
     gram, _ = separated_gram([8, 8], within=0.7, cross=0.3)
     a = kernel_kmeans(gram, 2, seed=42)

@@ -8,6 +8,7 @@ from depcon.inference import (
     independence_test,
     structure_difference_score,
 )
+from depcon.kernel import gram_matrix
 
 
 def test_duplicated_feature_rejected():
@@ -127,3 +128,41 @@ def test_structure_dimension_mismatch():
     rng = np.random.default_rng(8)
     with pytest.raises(DimensionMismatchError):
         structure_difference_score(rng.standard_normal((20, 2)), rng.standard_normal((20, 3)))
+
+
+def _structure_pair():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((80, 3))
+    xb = rng.standard_normal(80)
+    b = np.column_stack([xb, np.cos(2 * xb) + 0.1 * rng.standard_normal(80),
+                         rng.standard_normal(80)])
+    return a, b
+
+
+def test_structure_builds_features_once_per_dataset(monkeypatch):
+    from depcon import kernel
+
+    calls = []
+    original = kernel.contribution_features
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "contribution_features", counted)
+    structure_difference_score(*_structure_pair())
+    assert len(calls) == 2
+
+
+def test_structure_parts_match_standalone_results():
+    a, b = _structure_pair()
+    for convention in CriticalScale:
+        result = structure_difference_score(a, b, alpha=0.1, convention=convention)
+        assert np.array_equal(
+            result.statistic_a, independence_test(a, convention=convention).statistic
+        )
+        assert np.array_equal(
+            result.statistic_b, independence_test(b, convention=convention).statistic
+        )
+        cross = gram_matrix(a, b, alpha=0.1, convention=convention)
+        assert result.score == float(cross.values.sum())

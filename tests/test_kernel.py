@@ -11,7 +11,9 @@ from depcon.errors import (
     OutOfRangeError,
 )
 from depcon.kernel import (
+    DEFAULT_BLOCK_BYTES,
     CenteredDistanceTensor,
+    _block_rows,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
@@ -352,6 +354,28 @@ def test_gram_block_and_thread_determinism():
         assert np.array_equal(base, other)
 
 
+def test_features_block_and_thread_invariant():
+    # at n=200, m=4 the default block budget splits the rows into two blocks
+    rng = np.random.default_rng(137)
+    x = random_dataset(rng, 200, 4)
+    assert _block_rows(200, 4) < 200
+    for standardize in (True, False):
+        base = contribution_features(x, standardize=standardize, threads=1)
+        for block_rows in (1, 3, 200, None):
+            for threads in (1, 2):
+                other = contribution_features(
+                    x, standardize=standardize, threads=threads, block_rows=block_rows
+                )
+                assert np.array_equal(base, other)
+
+
+def test_default_block_rows_at_least_one():
+    # one row of scratch (n * m doubles) larger than the whole budget
+    n = DEFAULT_BLOCK_BYTES // 8 + 1
+    assert _block_rows(n, 2) == 1
+    assert _block_rows(3, 2) == 3
+
+
 # ---------------------------------------------------------------- distances
 
 
@@ -456,3 +480,9 @@ def test_threads_default_comes_from_environment(monkeypatch):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("DEPCON_THREADS")
     assert _resolve_threads(None) == 1
+    monkeypatch.setenv("DEPCON_THREADS", "")
+    assert _resolve_threads(None) == 1
+    monkeypatch.setenv("DEPCON_THREADS", "abc")
+    with pytest.raises(OutOfRangeError):
+        _resolve_threads(None)
+    assert _resolve_threads(2) == 2
