@@ -30,7 +30,14 @@ from .clustering import (
 from .critical import CriticalScale
 from .dataset import load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
-from .errors import DepconError, NonFiniteValueError, NonNumericCellError, RaggedRowsError
+from .errors import (
+    DepconError,
+    LengthMismatchError,
+    NonFiniteValueError,
+    NonNumericCellError,
+    NotSquareError,
+    RaggedRowsError,
+)
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
 from .kernel import gram_matrix
@@ -65,12 +72,29 @@ def _write_json(path, payload: dict):
     Path(path).write_text(text)
 
 
+# reprs are made this many at a time, so no list of all of them is held
+_REPR_CHUNK = 1 << 15
+
+
 def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in np.atleast_2d(matrix):
-        writer.writerow([_fmt(v) for v in row])
-    Path(path).write_text(buf.getvalue())
+    """One row per line, each cell the shortest round-trip repr of its float64.
+
+    ``repr`` runs once per distinct bit pattern (a Gram is symmetric, so about
+    half its cells repeat; ``-0.0`` and ``0.0`` stay distinct), into a
+    fixed-width array: 24 ASCII characters hold any float64 repr, such as
+    ``-2.2250738585072014e-308``. Rows are streamed to the file.
+    """
+    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.uint64).ravel(), return_inverse=True)
+    inverse = inverse.reshape(matrix.shape)
+    values = bits.view(np.float64)
+    cells = np.empty(values.size, dtype="S24")
+    for start in range(0, values.size, _REPR_CHUNK):
+        chunk = values[start:start + _REPR_CHUNK].tolist()
+        cells[start:start + len(chunk)] = [repr(v) for v in chunk]
+    with open(path, "wb") as handle:
+        for row in inverse:
+            handle.write(b",".join(cells[row].tolist()) + b"\n")
     _write_json(str(path) + ".provenance.json", provenance)
 
 
@@ -95,16 +119,33 @@ def _sniff_header(path) -> bool:
 def _load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        return _parse_matrix(payload["values"])
+        try:
+            payload = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise NotSquareError(f"{path.name}: not valid JSON ({exc})") from None
+        rows = payload.get("values") if isinstance(payload, dict) else None
+        if not isinstance(rows, list):
+            raise NotSquareError(f'{path.name}: no "values" list of rows')
+        return _check_finite(_parse_matrix(rows))
     with open(path, "r", newline="") as handle:
-        return _parse_matrix(row for row in csv.reader(handle) if row)
+        if not any(line.strip("\r\n") for line in handle):
+            raise NotSquareError(f"{path.name}: no data rows")
+    try:
+        matrix = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        # locate the bad cell or row; float() also takes a few spellings
+        # loadtxt refuses (digit underscores, non-ASCII digits), parsed as before
+        with open(path, "r", newline="") as handle:
+            matrix = _parse_matrix(row for row in csv.reader(handle) if row)
+    return _check_finite(matrix)
 
 
 def _parse_matrix(rows) -> np.ndarray:
-    """Float matrix from rows of cells; bad cells, ragged rows and non-finite entries raise."""
+    """Float matrix from rows of cells; a bad cell or row, or ragged rows, raise."""
     parsed = []
     for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise NonNumericCellError(r, 0, repr(row))
         try:
             values = [float(cell) for cell in row]
         except (TypeError, ValueError):
@@ -116,7 +157,10 @@ def _parse_matrix(rows) -> np.ndarray:
         if parsed and len(values) != len(parsed[0]):
             raise RaggedRowsError(r, len(parsed[0]), len(values))
         parsed.append(values)
-    matrix = np.asarray(parsed, dtype=np.float64)
+    return np.asarray(parsed, dtype=np.float64)
+
+
+def _check_finite(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(matrix).all():
         bad = np.argwhere(~np.isfinite(matrix))[0]
         raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
@@ -124,19 +168,26 @@ def _parse_matrix(rows) -> np.ndarray:
 
 
 def _load_labels(path) -> np.ndarray:
+    """Integer labels: a JSON ``labels`` list, or the first cell of each CSV row.
+
+    Only the first CSV row may be a non-numeric header.
+    """
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = json.loads(path.read_text())
         return np.asarray(payload["labels"], dtype=np.int64)
     values = []
+    first = True
     with open(path, "r", newline="") as handle:
-        for row in csv.reader(handle):
+        for r, row in enumerate(csv.reader(handle)):
             if not row or row[0].strip() == "":
                 continue
             try:
                 values.append(int(float(row[0])))
-            except ValueError:
-                continue  # header row
+            except (ValueError, OverflowError):
+                if not first:
+                    raise NonNumericCellError(r, 0, row[0].strip()) from None
+            first = False
     return np.asarray(values, dtype=np.int64)
 
 
@@ -277,9 +328,11 @@ def cmd_cluster(args) -> int:
 
 def cmd_kpca(args) -> int:
     gram = _load_matrix(args.gram)
+    labels = _load_labels(args.labels) if args.labels else None
+    if labels is not None and labels.size != gram.shape[0]:
+        raise LengthMismatchError(f"{labels.size} labels for a Gram of {gram.shape[0]} samples")
     model = kpca_fit(gram, args.components)
     coords = kpca_transform(model)
-    labels = _load_labels(args.labels) if args.labels else None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [f"component_{i}" for i in range(coords.shape[1])]
@@ -331,8 +384,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_graphdist(args) -> int:
-    graph_a = graph_from_json(json.loads(Path(args.graph_a).read_text()))
-    graph_b = graph_from_json(json.loads(Path(args.graph_b).read_text()))
+    graph_a = graph_from_json(Path(args.graph_a).read_text())
+    graph_b = graph_from_json(Path(args.graph_b).read_text())
     rep_a = representative(graph_a)
     rep_b = representative(graph_b)
     payload = {

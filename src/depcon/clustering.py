@@ -152,10 +152,9 @@ def _kernel_kmeans_once(gram, k, init, max_iter, rng, init_labels=None):
         objective = float(
             np.maximum(new_dist[np.arange(n), new_labels], 0.0).sum()
         )
-        if trace and not moves:  # reseeding an empty cluster may raise the objective
-            assert objective <= trace[-1] + 1e-9 * max(1.0, abs(trace[-1])), (
-                "kernel k-means objective increased on a pure assignment step"
-            )
+        # reseeding an empty cluster may raise the objective; assignment alone may not
+        if trace and not moves and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
+            raise RuntimeError("kernel k-means objective increased on a pure assignment step")
         trace.append(objective)
         if np.array_equal(new_labels, labels):
             converged = True

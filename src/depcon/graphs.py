@@ -290,11 +290,30 @@ def graph_to_json(graph: MixedGraph) -> dict:
 
 
 def graph_from_json(payload) -> MixedGraph:
+    """Graph from ``{"vertices": m, "edges": [[j, k, type], ...]}`` or its JSON text.
+
+    Text that is not JSON, a missing ``vertices`` count and ``edges`` that are
+    not a list of ``[j, k, type]`` raise InvalidGraphError.
+    """
     if isinstance(payload, str):
-        payload = json.loads(payload)
-    m = int(payload["vertices"])
+        try:
+            payload = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise InvalidGraphError(f"graph is not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise InvalidGraphError("graph JSON must be an object with a 'vertices' count")
+    try:
+        m = int(payload["vertices"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise InvalidGraphError("graph JSON needs an integer 'vertices' count") from None
+    entries = payload.get("edges", [])
+    if not isinstance(entries, list):
+        raise InvalidGraphError("graph JSON 'edges' must be a list of [j, k, type]")
     edges = {}
-    for entry in payload.get("edges", []):
-        j, k, etype = entry
-        edges[(int(j), int(k))] = str(etype)
+    for entry in entries:
+        try:
+            j, k, etype = entry
+            edges[(int(j), int(k))] = str(etype)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidGraphError(f"edge entry {entry!r} is not [j, k, type]") from None
     return MixedGraph(m, edges)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -5,12 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from depcon.cli import main
+from depcon.cli import _load_matrix, _write_matrix_csv, main
 from depcon.errors import (
     ConstantFeatureError,
     DimensionMismatchError,
+    InvalidGraphError,
+    LengthMismatchError,
     NonFiniteValueError,
     NonNumericCellError,
+    NotSquareError,
     OutOfRangeError,
     RaggedRowsError,
 )
@@ -167,6 +172,27 @@ def test_graphdist_command(tmp_path):
     assert payload["distance"] == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        '{"edges": []}',
+        '{"vertices": 1e999}',
+        '{"vertices": 2, "edges": [[0, 1]]}',
+        '{"vertices": 2, "edges": [[0, "b", "->"]]}',
+        '{"vertices": 2, "edges": 5}',
+        "[2]",
+    ],
+)
+def test_graphdist_malformed_graph_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "dist.json"
+    assert run("graphdist", bad, bad, "-o", out) == InvalidGraphError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_csv_format(bench, tmp_path):
     gram = tmp_path / "gram.csv"
     labels = tmp_path / "labels.csv"
@@ -217,17 +243,90 @@ def test_header_csv_accepted_via_sniffing(tmp_path):
         ("1.0,0.5\n0.5\n", RaggedRowsError),
         ("1.0,0.5\n0.5,nan\n", NonFiniteValueError),
         ("1.0,inf\n0.5,1.0\n", NonFiniteValueError),
+        ("", NotSquareError),
+        ("\n\n", NotSquareError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
-def test_bad_gram_file_exit_codes(tmp_path, capsys, command, text, error):
-    gram = tmp_path / "gram.csv"
+def test_bad_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, error):
+    _assert_gram_rejected(tmp_path, capsys, recwarn, command, "gram.csv", text, error)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"values": [1.0, 2.0]}', NonNumericCellError),
+        ('{"rows": [[1.0, 0.5], [0.5, 1.0]]}', NotSquareError),
+        ("[[1.0, 0.5], [0.5, 1.0]]", NotSquareError),
+        ("{", NotSquareError),
+    ],
+)
+@pytest.mark.parametrize("command", ["cluster", "kpca"])
+def test_bad_json_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, error):
+    _assert_gram_rejected(tmp_path, capsys, recwarn, command, "gram.json", text, error)
+
+
+def _assert_gram_rejected(tmp_path, capsys, recwarn, command, name, text, error):
+    gram = tmp_path / name
     gram.write_text(text)
     extra = ["-k", "2"] if command == "cluster" else []
     out = tmp_path / "out.csv"
     assert run(command, gram, "-o", out, *extra) == error.exit_code
     assert "Traceback" not in capsys.readouterr().err
+    assert not recwarn.list
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"1","0.5"\n"0.5","1"\n',
+        "1,0.5\r\n0.5,1\r\n",
+        "1, 0.5\n\n0.5 ,1",
+        "1,0.5\n0.5,1_0e-1\n",  # float() takes digit underscores
+    ],
+)
+def test_gram_csv_spellings_parse(tmp_path, text):
+    gram = tmp_path / "gram.csv"
+    gram.write_bytes(text.encode())
+    assert np.array_equal(_load_matrix(gram), [[1.0, 0.5], [0.5, 1.0]])
+
+
+def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
+    specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5,
+                np.nextafter(1.0, 2.0), 1e300, -1.5, 1.0]
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((7, 9))
+    matrix.flat[: len(specials)] = specials
+    matrix[3, 4] = matrix[4, 3] = matrix[0, 0]  # repeated values
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in matrix:
+        writer.writerow([repr(float(v)) for v in row])
+    path = tmp_path / "m.csv"
+    _write_matrix_csv(path, matrix, {"command": "test"})
+    assert path.read_bytes() == buf.getvalue().encode()
+    back = _load_matrix(path)
+    assert back.shape == matrix.shape
+    assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
+
+
+def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):
+    gram = tmp_path / "gram.csv"
+    gram.write_text("1.0,0.5,0.2\n0.5,1.0,0.3\n0.2,0.3,1.0\n")
+    labels = tmp_path / "labels.csv"
+    out = tmp_path / "coords.csv"
+    labels.write_text("0\nx\n1\n")
+    assert run("kpca", gram, "-o", out, "--labels", labels) == NonNumericCellError.exit_code
+    labels.write_text("label\n0\n1\n")
+    assert run("kpca", gram, "-o", out, "--labels", labels) == LengthMismatchError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    labels.write_text("label\n0\n1\n1\n")
+    assert run("kpca", gram, "-o", out, "-d", "1", "--labels", labels) == 0
+    rows = out.read_text().split()
+    assert rows[0] == "component_0,label"
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["0", "1", "1"]
 
 
 def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch):

@@ -266,3 +266,23 @@ def test_ari_against_reference_implementation():
 def test_ari_length_mismatch():
     with pytest.raises(LengthMismatchError):
         adjusted_rand_index([0, 1], [0, 1, 2])
+
+
+def test_objective_rise_on_assignment_step_raises(monkeypatch):
+    # the guard is an explicit check, so it also holds under python -O
+    from depcon import clustering
+
+    original = clustering._distances_to_means
+    calls = []
+
+    def rising(*args):
+        calls.append(1)
+        dist, counts, ptc, within = original(*args)
+        return dist + len(calls), counts, ptc, within  # same argmin, higher objective
+
+    monkeypatch.setattr(clustering, "_distances_to_means", rising)
+    gram, _ = separated_gram([6, 6], within=0.9, cross=0.1)
+    start = np.repeat([0, 1], 6)
+    start[0] = 1  # one point in the wrong cluster, so a second assignment step runs
+    with pytest.raises(RuntimeError, match="objective increased"):
+        kernel_kmeans(gram, 2, init_labels=start)
