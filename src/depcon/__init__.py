@@ -6,7 +6,6 @@ kernel, independence and two-sample structure tests, graph-space
 utilities, synthetic benchmarks, kernel k-means, and kernel PCA.
 """
 
-from .backend import BACKEND_NAME, available_backends
 from .clustering import (
     ClusterAssignment,
     SelectKResult,
@@ -43,6 +42,7 @@ from .inference import (
     structure_difference_score,
 )
 from .kernel import (
+    BACKEND_NAME,
     CenteredDistanceTensor,
     DepConMatrix,
     DistanceCovMatrix,

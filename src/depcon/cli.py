@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backend import BACKEND_NAME
 from .clustering import (
     adjusted_rand_index,
     kernel_kmeans,
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
-from .kernel import gram_matrix
+from .kernel import BACKEND_NAME, gram_matrix
 from .synth import BenchmarkConfig, build_benchmark, model_descriptor
 
 EXIT_FILE_NOT_FOUND = 2
@@ -170,12 +169,23 @@ def _check_finite(matrix: np.ndarray) -> np.ndarray:
 def _load_labels(path) -> np.ndarray:
     """Integer labels: a JSON ``labels`` list, or the first cell of each CSV row.
 
-    Only the first CSV row may be a non-numeric header.
+    Only the first CSV row may be a non-numeric header. A JSON file that is
+    not JSON or has no ``labels`` list holds no labels at all.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        return np.asarray(payload["labels"], dtype=np.int64)
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:  # undecodable bytes or JSON
+            raise LengthMismatchError(f"{path}: not valid JSON: {exc}") from None
+        labels = payload.get("labels") if isinstance(payload, dict) else None
+        if not isinstance(labels, list):
+            raise LengthMismatchError(f"{path}: no 'labels' list")
+        for r, value in enumerate(labels):
+            integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+            if isinstance(value, bool) or not integral or not -(2**63) <= value < 2**63:
+                raise NonNumericCellError(r, 0, repr(value))
+        return np.asarray(labels, dtype=np.int64)
     values = []
     first = True
     with open(path, "r", newline="") as handle:

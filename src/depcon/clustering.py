@@ -57,6 +57,18 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _check_init_labels(init_labels, n, k) -> np.ndarray:
+    """Starting labels as an array of n integers in [0, k)."""
+    labels = np.asarray(init_labels)
+    if labels.shape != (n,):
+        raise LengthMismatchError(f"expected {n} initial labels, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise OutOfRangeError(f"initial labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise OutOfRangeError(f"initial labels must lie in [0, {k})")
+    return labels
+
+
 def _cluster_sums(gram, labels, k):
     n = gram.shape[0]
     onehot = np.zeros((n, k))
@@ -184,8 +196,8 @@ def kernel_kmeans(
 ) -> ClusterAssignment:
     """Unweighted kernel k-means; best of ``restarts`` runs by objective.
 
-    ``init_labels`` bypasses seeding (one run) so a run can be compared
-    against coordinate-space k-means from the same start.
+    ``init_labels`` (n integers in [0, k)) bypasses seeding (one run) so a
+    run can be compared against coordinate-space k-means from the same start.
     """
     gram = _gram_values(gram)
     n = gram.shape[0]
@@ -194,7 +206,8 @@ def kernel_kmeans(
     if k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
     if init_labels is not None:
-        return _kernel_kmeans_once(gram, k, init, max_iter, None, init_labels=init_labels)
+        labels = _check_init_labels(init_labels, n, k)
+        return _kernel_kmeans_once(gram, k, init, max_iter, None, init_labels=labels)
     best = None
     for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
         result = _kernel_kmeans_once(gram, k, init, max_iter, np.random.default_rng(child))
@@ -284,7 +297,7 @@ def lloyd_kmeans(
         )
 
     if init_labels is not None:
-        return run_once(None, start_labels=init_labels)
+        return run_once(None, start_labels=_check_init_labels(init_labels, n, k))
     best = None
     for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
         result = run_once(np.random.default_rng(child))

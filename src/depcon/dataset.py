@@ -108,13 +108,27 @@ def load_dataset(source, has_header: bool = False) -> Dataset:
 
 
 def load_dataset_json(source) -> Dataset:
-    """Parse ``{"feature_names": [...], "rows": [[...], ...]}`` into a Dataset."""
+    """Parse ``{"feature_names": [...], "rows": [[...], ...]}`` into a Dataset.
+
+    Text that is not JSON, or JSON without a ``rows`` list, counts as a
+    dataset with no rows.
+    """
     with _open_text(source) as handle:
-        payload = json.load(handle)
-    rows = payload.get("rows")
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # undecodable bytes or JSON
+            raise TooFewSamplesError(f"JSON dataset is not valid JSON: {exc}") from None
+    rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not rows:
         raise TooFewSamplesError("JSON dataset has no rows")
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise NonNumericCellError(r, 0, repr(row))
+    if len(rows) < 2:
+        raise TooFewSamplesError(f"need at least 2 samples, got {len(rows)}")
     width = len(rows[0])
+    if width < 2:
+        raise TooFewFeaturesError(f"need at least 2 features, got {width}")
     values = np.empty((len(rows), width), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != width:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareError, OutOfRangeError, RankDeficientWarning
-from .kernel import GramMatrix
+from .clustering import _gram_values
+from .errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,13 +32,6 @@ class KpcaModel:
     @property
     def n(self) -> int:
         return self.centered_gram.shape[0]
-
-
-def _gram_values(gram) -> np.ndarray:
-    values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise NotSquareError(f"Gram matrix must be square, got shape {values.shape}")
-    return values
 
 
 def kpca_fit(gram, d: int) -> KpcaModel:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalScale
-from .dataset import Dataset
 from .errors import DimensionMismatchError, SmallSampleWarning
-from .kernel import _features_with_critical, _gram_from_features
+from .kernel import _features_with_critical, _gram_from_features, _values
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +52,6 @@ class StructureComparison:
     statistic_b: np.ndarray
 
 
-def _as_values(data):
-    return data.values if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-
-
 def aggregate_statistic(
     data,
     *,
@@ -65,7 +60,7 @@ def aggregate_statistic(
     threads=None,
 ) -> np.ndarray:
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
-    return _aggregate(*_features_with_critical(_as_values(data), alpha, convention, threads))
+    return _aggregate(*_features_with_critical(_values(data), alpha, convention, threads))
 
 
 def _aggregate(feats, critical) -> np.ndarray:
@@ -84,7 +79,7 @@ def independence_test(
     Rejects (j, j') when the aggregate statistic entry is strictly
     positive. Consistent against any type of dependence.
     """
-    values = _as_values(data)
+    values = _values(data)
     if values.shape[0] < 10:
         warnings.warn(
             f"independence test with n={values.shape[0]} < 10 samples is unreliable",
@@ -126,8 +121,8 @@ def structure_difference_score(
     Each dataset's contribution features are built once; the cross Gram
     and both aggregate statistics are derived from those two stacks.
     """
-    values_a = _as_values(data_a)
-    values_b = _as_values(data_b)
+    values_a = _values(data_a)
+    values_b = _values(data_b)
     if values_a.shape[1] != values_b.shape[1]:
         raise DimensionMismatchError(
             f"feature counts differ: {values_a.shape[1]} vs {values_b.shape[1]}"

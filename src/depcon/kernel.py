@@ -11,12 +11,11 @@ The central objects, for a dataset ``S`` of n samples by m features:
   and its Gram matrix over one or two datasets.
 
 Gram computation never materializes the n x n x m tensor: per-sample
-m x m products are built in row blocks (compiled kernel when available)
-and contracted with one BLAS call. The NumPy path makes five elementwise
-passes over each block before its matrix product, so blocks are sized to
-stay in cache rather than to fill memory. Every sample's product is
-computed on its own, so results are bit-identical for any block size and
-any thread count.
+m x m products are built in row blocks and contracted with one BLAS call.
+Each block takes five elementwise passes before its matrix product, so
+blocks are sized to stay in cache rather than to fill memory. Every
+sample's product is computed on its own, so results are bit-identical for
+any block size and any thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
 from .critical import CriticalMatrix, CriticalScale, critical_matrix
 from .dataset import Dataset
 from .errors import (
@@ -39,6 +37,9 @@ from .errors import (
     IndexOutOfBoundsError,
     OutOfRangeError,
 )
+
+#: Name of the feature builder, recorded in every CLI provenance block.
+BACKEND_NAME = "numpy"
 
 #: ||phi||^2 below this counts as a zero direction; kappa is defined as 0 there.
 DEGENERATE_SQ_NORM = 1e-24
@@ -161,6 +162,17 @@ def _block_rows(n: int, m: int, block_rows=None) -> int:
     return max(1, min(n, DEFAULT_BLOCK_BYTES // max(per_row, 1)))
 
 
+def _phi_feature_block(x, row_mean, grand_mean, start, stop, standardize, out):
+    """Fill ``out`` with Z_i^T Z_i (C_i^T C_i) for each sample i in [start, stop)."""
+    block = np.abs(x[start:stop, None, :] - x[None, :, :])
+    block -= row_mean[start:stop, None, :]
+    block -= row_mean[None, :, :]
+    block += grand_mean
+    if standardize:
+        block /= grand_mean
+    np.matmul(block.transpose(0, 2, 1), block, out=out)
+
+
 def contribution_features(data, standardize=True, threads=None, block_rows=None) -> np.ndarray:
     """(n, m, m) stack of per-sample products Z_i^T Z_i (C_i^T C_i when unstandardized).
 
@@ -178,7 +190,7 @@ def contribution_features(data, standardize=True, threads=None, block_rows=None)
 
     def run(span):
         start, stop = span
-        backend.phi_feature_block(
+        _phi_feature_block(
             values, row_mean, grand_mean, start, stop, standardize, out[start:stop]
         )
 

@@ -12,18 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clustering import _as_seed_sequence
 from .dataset import Dataset
 from .errors import AdjacentPairError, OddModelCountError, OutOfRangeError
 from .graphs import MixedGraph
 
 #: E[cos(Z)] for standard normal Z; subtracted so the mechanism is centered.
 _COS_MEAN = math.exp(-0.5)
-
-
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True, eq=False)

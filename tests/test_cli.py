@@ -18,6 +18,8 @@ from depcon.errors import (
     NotSquareError,
     OutOfRangeError,
     RaggedRowsError,
+    TooFewFeaturesError,
+    TooFewSamplesError,
 )
 
 
@@ -327,6 +329,74 @@ def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):
     rows = out.read_text().split()
     assert rows[0] == "component_0,label"
     assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["0", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("{", LengthMismatchError),
+        (b"\xff\xfe", LengthMismatchError),
+        ('{"x": 1}', LengthMismatchError),
+        ("[0, 1, 1]", LengthMismatchError),
+        ('{"labels": 3}', LengthMismatchError),
+        ('{"labels": [0, 1, "x"]}', NonNumericCellError),
+        ('{"labels": [0, 0.5, 1]}', NonNumericCellError),
+        ('{"labels": [0, true, 1]}', NonNumericCellError),
+        ('{"labels": [0, 1e300, 1]}', NonNumericCellError),
+        ('{"labels": [0, 1180591620717411303424, 1]}', NonNumericCellError),
+    ],
+)
+@pytest.mark.parametrize("command", ["kpca", "eval"])
+def test_bad_json_labels_exit_codes(tmp_path, capsys, command, text, error):
+    gram = tmp_path / "gram.csv"
+    gram.write_text("1.0,0.5,0.2\n0.5,1.0,0.3\n0.2,0.3,1.0\n")
+    labels = tmp_path / "labels.json"
+    labels.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out.csv"
+    if command == "kpca":
+        argv = ("kpca", gram, "-o", out, "-d", "1", "--labels", labels)
+    else:
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0\n1\n1\n")
+        argv = ("eval", pred, "--truth", labels, "-o", out)
+    assert run(*argv) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_labels_accept_integral_numbers(tmp_path):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("0\n1\n1\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"labels": [0, 1.0, 1]}')
+    out = tmp_path / "eval.json"
+    assert run("eval", pred, "--truth", truth, "-o", out) == 0
+    assert json.loads(out.read_text())["per_input"][0]["ari"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("{", TooFewSamplesError),
+        (b"\xff\xfe", TooFewSamplesError),
+        ("[1, 2]", TooFewSamplesError),
+        ('{"x": 1}', TooFewSamplesError),
+        ('{"rows": []}', TooFewSamplesError),
+        ('{"rows": [1, 2]}', NonNumericCellError),
+        ('{"rows": [[1.0, 2.0], 3]}', NonNumericCellError),
+        ('{"rows": [[1.0, 2.0], [1.5, "x"]]}', NonNumericCellError),
+        ('{"rows": [[1.0, 2.0]]}', TooFewSamplesError),
+        ('{"rows": [[1.0], [2.0], [3.0]]}', TooFewFeaturesError),
+        ('{"rows": [[1.0, 2.0], [1.5]]}', RaggedRowsError),
+    ],
+)
+def test_bad_json_dataset_exit_codes(tmp_path, capsys, text, error):
+    data = tmp_path / "bad.json"
+    data.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "gram.csv"
+    assert run("gram", data, "-o", out) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch):

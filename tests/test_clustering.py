@@ -286,3 +286,20 @@ def test_objective_rise_on_assignment_step_raises(monkeypatch):
     start[0] = 1  # one point in the wrong cluster, so a second assignment step runs
     with pytest.raises(RuntimeError, match="objective increased"):
         kernel_kmeans(gram, 2, init_labels=start)
+
+
+@pytest.mark.parametrize(
+    "start, error",
+    [
+        ([0, 5, 1, 1], OutOfRangeError),
+        ([0, 1, 1], LengthMismatchError),
+        ([0, -1, 1, 1], OutOfRangeError),
+        ([0.5, 1, 0, 1], OutOfRangeError),
+    ],
+)
+def test_init_labels_validated(start, error):
+    gram = np.eye(4) * 0.5 + 0.5
+    with pytest.raises(error):
+        kernel_kmeans(gram, 2, init_labels=start)
+    with pytest.raises(error):
+        lloyd_kmeans(gram, 2, init_labels=start)

@@ -456,22 +456,6 @@ def test_kernel_distance_accepts_arrays():
     assert result[1, 0] == pytest.approx(np.pi)
 
 
-def test_gram_numpy_vs_default_backend_agree():
-    from depcon import backend
-
-    rng = np.random.default_rng(131)
-    x = random_dataset(rng, 30, 4)
-    base = gram_matrix(x).values
-    _, numpy_impl = backend.get_backend("numpy")
-    original = backend._impl
-    backend._impl = numpy_impl
-    try:
-        fallback = gram_matrix(x).values
-    finally:
-        backend._impl = original
-    assert np.abs(base - fallback).max() < 1e-12
-
-
 def test_threads_default_comes_from_environment(monkeypatch):
     from depcon.kernel import _resolve_threads
 
