@@ -105,7 +105,8 @@ def _load_any_dataset(path):
 
 
 def _sniff_header(path) -> bool:
-    with open(path, "r", newline="") as handle:
+    # undecodable bytes are left for load_dataset to report
+    with open(path, "r", newline="", encoding="utf-8", errors="replace") as handle:
         first = handle.readline()
     for cell in first.strip().split(","):
         try:
@@ -119,22 +120,25 @@ def _load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or JSON
             raise NotSquareError(f"{path.name}: not valid JSON ({exc})") from None
         rows = payload.get("values") if isinstance(payload, dict) else None
         if not isinstance(rows, list):
             raise NotSquareError(f'{path.name}: no "values" list of rows')
         return _check_finite(_parse_matrix(rows))
-    with open(path, "r", newline="") as handle:
-        if not any(line.strip("\r\n") for line in handle):
-            raise NotSquareError(f"{path.name}: no data rows")
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as handle:
+            if not any(line.strip("\r\n") for line in handle):
+                raise NotSquareError(f"{path.name}: no data rows")
+    except UnicodeDecodeError as exc:
+        raise NotSquareError(f"{path.name}: not UTF-8 text ({exc})") from None
     try:
         matrix = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         # locate the bad cell or row; float() also takes a few spellings
         # loadtxt refuses (digit underscores, non-ASCII digits), parsed as before
-        with open(path, "r", newline="") as handle:
+        with open(path, "r", newline="", encoding="utf-8") as handle:
             matrix = _parse_matrix(row for row in csv.reader(handle) if row)
     return _check_finite(matrix)
 
@@ -175,7 +179,7 @@ def _load_labels(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # undecodable bytes or JSON
             raise LengthMismatchError(f"{path}: not valid JSON: {exc}") from None
         labels = payload.get("labels") if isinstance(payload, dict) else None
@@ -186,18 +190,22 @@ def _load_labels(path) -> np.ndarray:
             if isinstance(value, bool) or not integral or not -(2**63) <= value < 2**63:
                 raise NonNumericCellError(r, 0, repr(value))
         return np.asarray(labels, dtype=np.int64)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise LengthMismatchError(f"{path}: not UTF-8 text ({exc})") from None
     values = []
     first = True
-    with open(path, "r", newline="") as handle:
-        for r, row in enumerate(csv.reader(handle)):
-            if not row or row[0].strip() == "":
-                continue
-            try:
-                values.append(int(float(row[0])))
-            except (ValueError, OverflowError):
-                if not first:
-                    raise NonNumericCellError(r, 0, row[0].strip()) from None
-            first = False
+    for r, row in enumerate(csv.reader(io.StringIO(text))):
+        if not row or row[0].strip() == "":
+            continue
+        try:
+            values.append(int(float(row[0])))
+        except (ValueError, OverflowError):
+            if not first:
+                raise NonNumericCellError(r, 0, row[0].strip()) from None
+        first = False
     return np.asarray(values, dtype=np.int64)
 
 

@@ -1,9 +1,15 @@
 """Kernel k-means over precomputed Gram matrices, plus selection and scoring.
 
-The kernel algorithms never touch coordinates: distances to implicit
-cluster means are expressed through Gram sums. Plain (Lloyd's) k-means and
-an explicit-coordinates Calinski-Harabasz are provided as the
-coordinate-space counterparts for baselines and cross-checking.
+Kernel k-means is Lloyd's algorithm on any factor K = Y diag(s) Y^T
+(Dhillon, Guan & Kulis, KDD 2004). ``kernel_kmeans`` and ``select_k``
+factor the Gram once per call by a symmetric eigendecomposition, keeping
+the sign of each eigenvalue, so indefinite Grams are clustered in their
+pseudo-Euclidean embedding with the same distances the Gram sums give.
+Plain (Lloyd's) k-means runs the same core on the points with s = 1, so
+both share one loop, one seeding and one empty-cluster repair. The
+Variance Ratio Criterion and the silhouette are still computed from Gram
+sums; an explicit-coordinates Calinski-Harabasz is the baseline
+counterpart.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import numpy as np
 
 from .errors import (
     DegenerateLabelsError,
-    DimensionMismatchError,
     EmptyClusterError,
     KTooLargeError,
     LengthMismatchError,
     NotSquareError,
+    NotSymmetricError,
     OutOfRangeError,
 )
 from .kernel import GramMatrix
@@ -48,6 +54,11 @@ def _gram_values(gram) -> np.ndarray:
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise NotSquareError(f"Gram matrix must be square, got shape {values.shape}")
+    if not np.array_equal(values, values.T):
+        asymmetry = float(np.abs(values - values.T).max())
+        scale = max(1.0, float(np.abs(values).max()))
+        if asymmetry > values.shape[0] * np.finfo(np.float64).eps * scale:
+            raise NotSymmetricError(f"Gram matrix is not symmetric: max |K - K^T| = {asymmetry:.3g}")
     return values
 
 
@@ -69,32 +80,41 @@ def _check_init_labels(init_labels, n, k) -> np.ndarray:
     return labels
 
 
-def _cluster_sums(gram, labels, k):
-    n = gram.shape[0]
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    counts = onehot.sum(axis=0)
-    point_to_cluster = gram @ onehot          # (n, k): sum_{j in c} K_ij
-    within = (onehot * point_to_cluster).sum(axis=0)  # (k,): sum_{j,l in c} K_jl
-    return onehot, counts, point_to_cluster, within
+def _factor(gram):
+    """Coordinates ``y`` (n x r) and signs ``s`` with ``gram = y diag(s) y^T``.
+
+    One symmetric eigendecomposition; components with |eigenvalue| at most
+    n * eps * max|eigenvalue| (the ``numpy.linalg.matrix_rank`` rule) are
+    dropped. Negative eigenvalues keep their sign in ``s``, so an indefinite
+    Gram becomes a pseudo-Euclidean embedding in which every Gram-sum
+    distance of kernel k-means is reproduced exactly.
+    """
+    values, vectors = np.linalg.eigh(gram)
+    size = np.abs(values)
+    keep = size > gram.shape[0] * np.finfo(np.float64).eps * size.max()
+    return vectors[:, keep] * np.sqrt(size[keep]), np.sign(values[keep])
 
 
-def _distances_to_means(gram, labels, k):
-    _, counts, ptc, within = _cluster_sums(gram, labels, k)
-    diag = np.diagonal(gram)
-    return diag[:, None] - 2.0 * ptc / counts + within / counts**2, counts, ptc, within
+def _onehot(labels, k):
+    onehot = np.zeros((labels.shape[0], k))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return onehot
 
 
-def _center_angles(gram, labels, k):
-    """arccos of the cosine between each point and its own cluster mean."""
-    _, counts, ptc, within = _cluster_sums(gram, labels, k)
-    diag = np.maximum(np.diagonal(gram), 0.0)
-    own_dot = ptc[np.arange(gram.shape[0]), labels] / counts[labels]
-    own_norm = np.sqrt(np.maximum(within[labels], 0.0)) / counts[labels]
-    denom = np.sqrt(diag) * own_norm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.where(denom > 0, own_dot / denom, 0.0)
-    return np.arccos(np.clip(cos, -1.0, 1.0))
+def _label_means(points, labels, k):
+    onehot = _onehot(labels, k)
+    return (onehot.T @ points) / np.maximum(onehot.sum(axis=0), 1.0)[:, None]
+
+
+def _sq_distances(y, s, norms, centers):
+    """Squared distances ``|y_i - c_j|^2_s`` (n x len(centers)); ``norms`` is ``|y_i|^2_s``."""
+    signed = centers * s
+    return norms[:, None] - 2.0 * (y @ signed.T) + (centers * signed).sum(axis=1)
+
+
+def _label_distances(y, s, norms, labels, k):
+    """Squared distances of every point to the k means of ``labels``."""
+    return _sq_distances(y, s, norms, _label_means(y, labels, k))
 
 
 def _plusplus_seeds(sq_dist_fn, n, k, rng):
@@ -113,64 +133,59 @@ def _plusplus_seeds(sq_dist_fn, n, k, rng):
     return seeds
 
 
-def _kernel_init(gram, k, init, rng):
-    n = gram.shape[0]
-    diag = np.diagonal(gram)
-    point_sq_dist = lambda j: diag + diag[j] - 2.0 * gram[:, j]
-    if init == "random":
-        seeds = rng.choice(n, size=k, replace=False)
-    elif init == "plusplus":
-        seeds = _plusplus_seeds(point_sq_dist, n, k, rng)
-    else:
-        raise OutOfRangeError(f"unknown init {init!r}")
-    dist = np.stack([point_sq_dist(j) for j in seeds], axis=1)
-    return np.argmin(dist, axis=1)
+def _repair_empty(y, s, labels, k):
+    """Fill each empty cluster with the point farthest from its own cluster mean.
 
-
-def _repair_empty(gram, labels, k, angles_fn):
-    """Move the point farthest from its own center into each empty cluster."""
+    Only points of clusters with at least two members move, and the means
+    are recomputed after every move, so each move empties no cluster.
+    """
     moves = 0
-    for _ in range(gram.shape[0]):
-        counts = np.bincount(labels, minlength=k)
-        empty = np.nonzero(counts == 0)[0]
-        if empty.size == 0:
-            return labels, moves
-        angles = angles_fn(labels)
-        movable = counts[labels] >= 2
-        if not movable.any():
-            raise EmptyClusterError(f"cannot repopulate cluster {empty[0]}")
-        candidate_angles = np.where(movable, angles, -np.inf)
+    counts = np.bincount(labels, minlength=k)
+    while (counts == 0).any():
+        residual = ((y - _label_means(y, labels, k)[labels]) ** 2) @ s
+        residual[counts[labels] < 2] = -np.inf
+        empty = int(np.flatnonzero(counts == 0)[0])
+        if not np.isfinite(residual).any():
+            raise EmptyClusterError(f"cannot repopulate cluster {empty}")
         labels = labels.copy()
-        labels[int(np.argmax(candidate_angles))] = empty[0]
+        labels[int(np.argmax(residual))] = empty
+        counts = np.bincount(labels, minlength=k)
         moves += 1
-    raise EmptyClusterError("empty-cluster repair did not terminate")
+    return labels, moves
 
 
-def _kernel_kmeans_once(gram, k, init, max_iter, rng, init_labels=None):
-    n = gram.shape[0]
-    labels = np.asarray(init_labels) if init_labels is not None else _kernel_init(gram, k, init, rng)
-    angles = lambda lab: _center_angles(gram, lab, k)
-    labels, repairs = _repair_empty(gram, labels, k, angles)
+def _kmeans_once(y, s, k, init, max_iter, rng, init_labels=None):
+    """One k-means run on coordinates ``y`` under the signed inner product ``s``."""
+    n = y.shape[0]
+    norms = (y * y) @ s
+    if init_labels is not None:
+        labels = init_labels
+    else:
+        if init == "random":
+            seeds = rng.choice(n, size=k, replace=False)
+        elif init == "plusplus":
+            point_sq_dist = lambda j: _sq_distances(y, s, norms, y[j:j + 1])[:, 0]
+            seeds = _plusplus_seeds(point_sq_dist, n, k, rng)
+        else:
+            raise OutOfRangeError(f"unknown init {init!r}")
+        labels = np.argmin(_sq_distances(y, s, norms, y[seeds]), axis=1)
+    labels, repairs = _repair_empty(y, s, labels, k)
     trace = []
     converged = False
     iterations = 0
     # distances to the means of the current labels, carried from the last step
-    dist, _, _, _ = _distances_to_means(gram, labels, k)
+    dist = _label_distances(y, s, norms, labels, k)
     for iterations in range(1, max_iter + 1):
-        new_labels = np.argmin(dist, axis=1)
-        new_labels, moves = _repair_empty(gram, new_labels, k, angles)
+        new_labels, moves = _repair_empty(y, s, np.argmin(dist, axis=1), k)
         repairs += moves
-        new_dist, _, _, _ = _distances_to_means(gram, new_labels, k)
-        objective = float(
-            np.maximum(new_dist[np.arange(n), new_labels], 0.0).sum()
-        )
+        new_dist = _label_distances(y, s, norms, new_labels, k)
+        objective = float(np.maximum(new_dist[np.arange(n), new_labels], 0.0).sum())
         # reseeding an empty cluster may raise the objective; assignment alone may not
         if trace and not moves and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
-            raise RuntimeError("kernel k-means objective increased on a pure assignment step")
+            raise RuntimeError("k-means objective increased on a pure assignment step")
         trace.append(objective)
         if np.array_equal(new_labels, labels):
             converged = True
-            labels = new_labels
             break
         labels, dist = new_labels, new_dist
     return ClusterAssignment(
@@ -182,6 +197,28 @@ def _kernel_kmeans_once(gram, k, init, max_iter, rng, init_labels=None):
         objective_trace=tuple(trace),
         repairs=repairs,
     )
+
+
+def _check_k(k, n):
+    if k > n:
+        raise KTooLargeError(f"k={k} exceeds sample count {n}")
+    if k < 2:
+        raise OutOfRangeError(f"need k >= 2, got {k}")
+
+
+def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None):
+    # distances depend only on differences; centring keeps the expanded
+    # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
+    y = y - y.mean(axis=0)
+    if init_labels is not None:
+        labels = _check_init_labels(init_labels, y.shape[0], k)
+        return _kmeans_once(y, s, k, init, max_iter, None, init_labels=labels)
+    best = None
+    for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
+        result = _kmeans_once(y, s, k, init, max_iter, np.random.default_rng(child))
+        if best is None or result.objective < best.objective - 1e-12:
+            best = result
+    return best
 
 
 def kernel_kmeans(
@@ -200,20 +237,9 @@ def kernel_kmeans(
     run can be compared against coordinate-space k-means from the same start.
     """
     gram = _gram_values(gram)
-    n = gram.shape[0]
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds sample count {n}")
-    if k < 2:
-        raise OutOfRangeError(f"need k >= 2, got {k}")
-    if init_labels is not None:
-        labels = _check_init_labels(init_labels, n, k)
-        return _kernel_kmeans_once(gram, k, init, max_iter, None, init_labels=labels)
-    best = None
-    for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
-        result = _kernel_kmeans_once(gram, k, init, max_iter, np.random.default_rng(child))
-        if best is None or result.objective < best.objective - 1e-12:
-            best = result
-    return best
+    _check_k(k, gram.shape[0])
+    y, s = _factor(gram)
+    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels)
 
 
 def lloyd_kmeans(
@@ -228,88 +254,10 @@ def lloyd_kmeans(
 ) -> ClusterAssignment:
     """Plain coordinate-space k-means with the same conventions as kernel_kmeans."""
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds sample count {n}")
-    if k < 2:
-        raise OutOfRangeError(f"need k >= 2, got {k}")
-
-    def run_once(rng, start_labels=None):
-        if start_labels is None:
-            sq_dist = lambda j: np.sum((points - points[j]) ** 2, axis=1)
-            if init == "random":
-                seeds = rng.choice(n, size=k, replace=False)
-            elif init == "plusplus":
-                seeds = _plusplus_seeds(sq_dist, n, k, rng)
-            else:
-                raise OutOfRangeError(f"unknown init {init!r}")
-            centers = points[np.asarray(seeds)]
-            labels = np.argmin(
-                ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1
-            )
-        else:
-            labels = np.asarray(start_labels)
-        trace = []
-        converged = False
-        iterations = 0
-        repairs = 0
-        for iterations in range(1, max_iter + 1):
-            counts = np.bincount(labels, minlength=k)
-            while (counts == 0).any():
-                empty = np.nonzero(counts == 0)[0][0]
-                centers = _label_means(points, labels, k, counts)
-                residual = np.sum((points - centers[labels]) ** 2, axis=1)
-                residual[counts[labels] < 2] = -np.inf
-                if not np.isfinite(residual).any():
-                    raise EmptyClusterError(f"cannot repopulate cluster {empty}")
-                labels = labels.copy()
-                labels[int(np.argmax(residual))] = empty
-                counts = np.bincount(labels, minlength=k)
-                repairs += 1
-            centers = _label_means(points, labels, k, counts)
-            dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = np.argmin(dist, axis=1)
-            new_counts = np.bincount(new_labels, minlength=k)
-            if (new_counts == 0).any():
-                # repair against the distances to the freshly updated means
-                for empty in np.nonzero(new_counts == 0)[0]:
-                    residual = dist[np.arange(n), new_labels].copy()
-                    residual[new_counts[new_labels] < 2] = -np.inf
-                    new_labels = new_labels.copy()
-                    new_labels[int(np.argmax(residual))] = empty
-                    new_counts = np.bincount(new_labels, minlength=k)
-                    repairs += 1
-            new_centers = _label_means(points, new_labels, k, new_counts)
-            objective = float(np.sum((points - new_centers[new_labels]) ** 2))
-            trace.append(objective)
-            if np.array_equal(new_labels, labels):
-                converged = True
-                break
-            labels = new_labels
-        return ClusterAssignment(
-            labels=labels,
-            k=k,
-            objective=trace[-1],
-            iterations=iterations,
-            converged=converged,
-            objective_trace=tuple(trace),
-            repairs=repairs,
-        )
-
-    if init_labels is not None:
-        return run_once(None, start_labels=_check_init_labels(init_labels, n, k))
-    best = None
-    for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
-        result = run_once(np.random.default_rng(child))
-        if best is None or result.objective < best.objective - 1e-12:
-            best = result
-    return best
-
-
-def _label_means(points, labels, k, counts):
-    centers = np.zeros((k, points.shape[1]))
-    np.add.at(centers, labels, points)
-    return centers / np.maximum(counts, 1)[:, None]
+    _check_k(k, points.shape[0])
+    return _best_of_restarts(
+        points, np.ones(points.shape[1]), k, init, max_iter, restarts, seed, init_labels
+    )
 
 
 def _check_labels(n, labels):
@@ -335,7 +283,8 @@ def variance_ratio_criterion(gram, labels) -> float:
     if k >= n:
         raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
     diag_total = float(np.diagonal(gram).sum())
-    _, _, _, within_sums = _cluster_sums(gram, labels, k)
+    onehot = _onehot(labels, k)
+    within_sums = (onehot * (gram @ onehot)).sum(axis=0)  # sum_{j,l in c} K_jl
     within = diag_total - float((within_sums / counts).sum())
     total = diag_total - float(gram.sum()) / n
     between = max(total - within, 0.0)
@@ -352,7 +301,7 @@ def calinski_harabasz(points, labels) -> float:
     if k >= n:
         raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
     grand = points.mean(axis=0)
-    centers = _label_means(points, labels, k, counts)
+    centers = _label_means(points, labels, k)
     within = float(np.sum((points - centers[labels]) ** 2))
     between = float(np.sum(counts[:, None] * (centers - grand) ** 2))
     if within <= 0.0:
@@ -365,8 +314,7 @@ def silhouette_from_distances(dist, labels) -> float:
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     labels, k, counts = _check_labels(n, labels)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
+    onehot = _onehot(labels, k)
     cluster_dist = dist @ onehot  # (n, k): total distance to each cluster
     own_count = counts[labels]
     own_total = cluster_dist[np.arange(n), labels] - np.diagonal(dist)
@@ -398,8 +346,8 @@ def select_k(
 ) -> SelectKResult:
     """Run kernel k-means across ``k_range`` and keep the criterion argmax.
 
-    Ties break toward smaller k. The criterion is evaluated in kernel
-    space (no coordinates are ever formed).
+    Ties break toward smaller k. The Gram is factored once for all k; the
+    criterion is evaluated from Gram sums.
     """
     gram = _gram_values(gram)
     ks = sorted(set(int(k) for k in k_range))
@@ -410,12 +358,11 @@ def select_k(
     scorer = {"vrc": variance_ratio_criterion, "silhouette": silhouette_score}.get(criterion)
     if scorer is None:
         raise OutOfRangeError(f"unknown criterion {criterion!r}")
+    y, s = _factor(gram)
     scores = {}
     assignments = {}
     for k, child in zip(ks, _as_seed_sequence(seed).spawn(len(ks))):
-        assignment = kernel_kmeans(
-            gram, k, init=init, max_iter=max_iter, restarts=restarts, seed=child
-        )
+        assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, child)
         assignments[k] = assignment
         scores[k] = scorer(gram, assignment.labels)
     best_k = ks[0]

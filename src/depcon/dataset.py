@@ -64,7 +64,7 @@ def _open_text(source):
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return io.StringIO(data)
-    return open(Path(source), "r", newline="")
+    return open(Path(source), "r", newline="", encoding="utf-8")
 
 
 def load_dataset(source, has_header: bool = False) -> Dataset:
@@ -74,32 +74,33 @@ def load_dataset(source, has_header: bool = False) -> Dataset:
     """
     names = None
     rows = []
-    with _open_text(source) as handle:
-        reader = csv.reader(handle)
-        width = None
-        for line_no, row in enumerate(reader):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if has_header and names is None and not rows:
-                names = [cell.strip() for cell in row]
-                width = len(names)
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise RaggedRowsError(len(rows), width, len(row))
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericCellError(len(rows), col, cell.strip()) from None
-                if not math.isfinite(value):
-                    raise NonFiniteValueError(
-                        f"non-finite value at ({len(rows)}, {col})"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+    try:
+        with _open_text(source) as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise TooFewSamplesError(f"CSV dataset is not UTF-8 text: {exc}") from None
+    width = None
+    for row in csv.reader(io.StringIO(text)):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue
+        if has_header and names is None and not rows:
+            names = [cell.strip() for cell in row]
+            width = len(names)
+            continue
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise RaggedRowsError(len(rows), width, len(row))
+        parsed = []
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(len(rows), col, cell.strip()) from None
+            if not math.isfinite(value):
+                raise NonFiniteValueError(f"non-finite value at ({len(rows)}, {col})")
+            parsed.append(value)
+        rows.append(parsed)
     if len(rows) < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {len(rows)}")
     if width is None or width < 2:
@@ -140,6 +141,8 @@ def load_dataset_json(source) -> Dataset:
                 raise NonFiniteValueError(f"non-finite value at ({r}, {c})")
             values[r, c] = float(cell)
     names = payload.get("feature_names")
+    if names is not None and not isinstance(names, list):
+        raise RaggedRowsError("header", width, type(names).__name__)
     return Dataset(values, tuple(names) if names else None)
 
 

@@ -81,6 +81,10 @@ class NotSquareError(DepconError):
     exit_code = 21
 
 
+class NotSymmetricError(NotSquareError):
+    """A Gram matrix differs from its transpose beyond rounding."""
+
+
 class LengthMismatchError(DepconError):
     exit_code = 22
 

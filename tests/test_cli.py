@@ -16,6 +16,7 @@ from depcon.errors import (
     NonFiniteValueError,
     NonNumericCellError,
     NotSquareError,
+    NotSymmetricError,
     OutOfRangeError,
     RaggedRowsError,
     TooFewFeaturesError,
@@ -247,6 +248,7 @@ def test_header_csv_accepted_via_sniffing(tmp_path):
         ("1.0,inf\n0.5,1.0\n", NonFiniteValueError),
         ("", NotSquareError),
         ("\n\n", NotSquareError),
+        ("1.0,0.5\n0.9,1.0\n", NotSymmetricError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
@@ -261,6 +263,7 @@ def test_bad_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, erro
         ('{"rows": [[1.0, 0.5], [0.5, 1.0]]}', NotSquareError),
         ("[[1.0, 0.5], [0.5, 1.0]]", NotSquareError),
         ("{", NotSquareError),
+        (b"\xff\xfe", NotSquareError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
@@ -270,7 +273,7 @@ def test_bad_json_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text,
 
 def _assert_gram_rejected(tmp_path, capsys, recwarn, command, name, text, error):
     gram = tmp_path / name
-    gram.write_text(text)
+    gram.write_bytes(text if isinstance(text, bytes) else text.encode())
     extra = ["-k", "2"] if command == "cluster" else []
     out = tmp_path / "out.csv"
     assert run(command, gram, "-o", out, *extra) == error.exit_code
@@ -388,6 +391,9 @@ def test_json_labels_accept_integral_numbers(tmp_path):
         ('{"rows": [[1.0, 2.0]]}', TooFewSamplesError),
         ('{"rows": [[1.0], [2.0], [3.0]]}', TooFewFeaturesError),
         ('{"rows": [[1.0, 2.0], [1.5]]}', RaggedRowsError),
+        ('{"feature_names": 5, "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
+        ('{"feature_names": "ab", "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
+        ('{"feature_names": {"a": 1}, "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
     ],
 )
 def test_bad_json_dataset_exit_codes(tmp_path, capsys, text, error):
@@ -395,6 +401,34 @@ def test_bad_json_dataset_exit_codes(tmp_path, capsys, text, error):
     data.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "gram.csv"
     assert run("gram", data, "-o", out) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("gram", TooFewSamplesError),
+        ("cluster", NotSquareError),
+        ("kpca", LengthMismatchError),
+        ("eval", LengthMismatchError),
+    ],
+)
+def test_csv_not_utf8_exit_codes(tmp_path, capsys, command, error):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1,0\n0,1\n")
+    gram = tmp_path / "gram.csv"
+    gram.write_text("1.0,0.5\n0.5,1.0\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    out = tmp_path / "out.csv"
+    argv = {
+        "gram": ("gram", bad, "-o", out),
+        "cluster": ("cluster", bad, "-o", out, "-k", "2"),
+        "kpca": ("kpca", gram, "-o", out, "-d", "1", "--labels", bad),
+        "eval": ("eval", labels, "--truth", bad, "-o", out),
+    }[command]
+    assert run(*argv) == error.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 

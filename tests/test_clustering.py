@@ -56,8 +56,8 @@ def test_k_equal_n_zero_objective():
 
 def test_kernel_kmeans_linear_gram_matches_lloyd():
     # with K = X X^T, kernel k-means follows Lloyd's exactly from a shared start;
-    # instances where an empty-cluster repair fires are excluded (the two repair
-    # policies use their native geometries and may legitimately pick different points)
+    # instances where an empty-cluster repair fires are excluded here and
+    # covered by test_kernel_kmeans_linear_gram_matches_lloyd_with_repairs
     rng = np.random.default_rng(1)
     clean = 0
     attempts = 0
@@ -81,12 +81,83 @@ def test_kernel_kmeans_linear_gram_matches_lloyd():
         assert kernel_result.objective == pytest.approx(lloyd_result.objective, rel=1e-9)
 
 
-def test_objective_nonincreasing_trace():
+def test_kernel_kmeans_linear_gram_matches_lloyd_with_repairs():
+    # a start that leaves cluster 2 empty forces a repair; both routes run the
+    # same core, so they pick the same point and end at the same labels
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        n, k = 24, 3
+        points = rng.standard_normal((n, 2)) + 3.0 * rng.integers(0, k, (n, 1))
+        init = rng.integers(0, 2, n)
+        kernel_result = kernel_kmeans(points @ points.T, k, init_labels=init, max_iter=60)
+        lloyd_result = lloyd_kmeans(points, k, init_labels=init, max_iter=60)
+        assert kernel_result.repairs >= 1
+        assert kernel_result.repairs == lloyd_result.repairs
+        assert np.array_equal(kernel_result.labels, lloyd_result.labels)
+        assert kernel_result.iterations == lloyd_result.iterations
+        assert kernel_result.objective == pytest.approx(lloyd_result.objective, rel=1e-9)
+
+
+def test_lloyd_kmeans_far_from_origin():
+    # the distance expansion |x|^2 - 2 x.c + |c|^2 must not cancel at large offsets
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((60, 2)) + 4.0 * rng.integers(0, 3, (60, 1))
+    base = lloyd_kmeans(points, 3, seed=1)
+    shifted = lloyd_kmeans(points + 1e8, 3, seed=1)
+    assert np.array_equal(shifted.labels, base.labels)
+    assert shifted.objective == pytest.approx(base.objective, rel=1e-6)
+
+
+def noisy_separated_gram():
+    """Symmetric but indefinite: the noise gives it negative eigenvalues."""
     gram, _ = separated_gram([10, 10, 10], within=0.8, cross=0.2)
     rng = np.random.default_rng(2)
     noise = 0.05 * rng.standard_normal(gram.shape)
     noisy = gram + (noise + noise.T) / 2
     np.fill_diagonal(noisy, 1.0)
+    return noisy
+
+
+def gram_sum_distances(gram, labels, k):
+    """K_ii - 2 mean_{j in c} K_ij + mean_{j,l in c} K_jl, one cluster at a time."""
+    dist = np.empty((gram.shape[0], k))
+    for c in range(k):
+        members = labels == c
+        dist[:, c] = (
+            np.diagonal(gram)
+            - 2.0 * gram[:, members].mean(axis=1)
+            + gram[np.ix_(members, members)].mean()
+        )
+    return dist
+
+
+@pytest.mark.parametrize("kind", ["psd", "rank-1", "indefinite"])
+def test_kernel_kmeans_agrees_with_gram_sums(kind):
+    from depcon.kernel import gram_matrix
+
+    ks = (2, 3)
+    if kind == "psd":
+        gram = gram_matrix(np.random.default_rng(3).standard_normal((40, 3))).values
+    elif kind == "rank-1":
+        gram = ideal_block_gram([12, 8])[0]
+        ks = (2,)  # two distinct points in feature space
+    else:
+        gram = noisy_separated_gram()
+        assert np.linalg.eigvalsh(gram).min() < 0
+    for k in ks:
+        for seed in range(5):
+            result = kernel_kmeans(gram, k, seed=seed, restarts=2)
+            assert result.converged
+            dist = gram_sum_distances(gram, result.labels, k)
+            own = dist[np.arange(gram.shape[0]), result.labels]
+            expected = np.maximum(own, 0.0).sum()
+            assert result.objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            # a fixed point: no point is closer to another cluster's mean
+            assert (own <= dist.min(axis=1) + 1e-12).all()
+
+
+def test_objective_nonincreasing_trace():
+    noisy = noisy_separated_gram()
     result = kernel_kmeans(noisy, 3, seed=3, restarts=4)
     trace = result.objective_trace
     assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -97,13 +168,13 @@ def test_distances_to_means_computed_once_per_iteration(monkeypatch):
     from depcon import clustering
 
     calls = []
-    original = clustering._distances_to_means
+    original = clustering._label_distances
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(clustering, "_distances_to_means", counted)
+    monkeypatch.setattr(clustering, "_label_distances", counted)
     rng = np.random.default_rng(5)
     points = rng.standard_normal((60, 3))
     result = kernel_kmeans(points @ points.T, 4, seed=9, restarts=1)
@@ -272,15 +343,14 @@ def test_objective_rise_on_assignment_step_raises(monkeypatch):
     # the guard is an explicit check, so it also holds under python -O
     from depcon import clustering
 
-    original = clustering._distances_to_means
+    original = clustering._label_distances
     calls = []
 
     def rising(*args):
         calls.append(1)
-        dist, counts, ptc, within = original(*args)
-        return dist + len(calls), counts, ptc, within  # same argmin, higher objective
+        return original(*args) + len(calls)  # same argmin, higher objective
 
-    monkeypatch.setattr(clustering, "_distances_to_means", rising)
+    monkeypatch.setattr(clustering, "_label_distances", rising)
     gram, _ = separated_gram([6, 6], within=0.9, cross=0.1)
     start = np.repeat([0, 1], 6)
     start[0] = 1  # one point in the wrong cluster, so a second assignment step runs
