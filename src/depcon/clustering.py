@@ -102,8 +102,8 @@ def _onehot(labels, k):
 
 
 def _label_means(points, labels, k):
-    onehot = _onehot(labels, k)
-    return (onehot.T @ points) / np.maximum(onehot.sum(axis=0), 1.0)[:, None]
+    sums = _onehot(labels, k).T @ points
+    return sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
 
 
 def _sq_distances(y, s, norms, centers):
