@@ -43,18 +43,12 @@ from .inference import (
 )
 from .kernel import (
     BACKEND_NAME,
-    CenteredDistanceTensor,
-    DepConMatrix,
     DistanceCovMatrix,
     GramMatrix,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
-    distance_tensor,
-    gamma_kernel,
-    gamma_trace_form,
     gram_matrix,
-    kappa_kernel,
     kernel_distance,
     mean_contribution,
     sample_set_distance,

@@ -31,6 +31,7 @@ from .dataset import load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
 from .errors import (
     DepconError,
+    GramRangeError,
     LengthMismatchError,
     NonFiniteValueError,
     NonNumericCellError,
@@ -141,6 +142,18 @@ def _load_matrix(path) -> np.ndarray:
         with open(path, "r", newline="", encoding="utf-8") as handle:
             matrix = _parse_matrix(row for row in csv.reader(handle) if row)
     return _check_finite(matrix)
+
+
+def _load_gram(path) -> np.ndarray:
+    """A kappa Gram file: a finite matrix with entries in [-1, 1] up to rounding."""
+    gram = _load_matrix(path)
+    outside = np.abs(gram) > 1.0 + 1e-9
+    if outside.any():
+        r, c = np.argwhere(outside)[0]
+        raise GramRangeError(
+            f"{Path(path).name}: kappa value {float(gram[r, c])!r} at ({r}, {c}) outside [-1, 1]"
+        )
+    return gram
 
 
 def _parse_matrix(rows) -> np.ndarray:
@@ -296,7 +309,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    gram = _load_matrix(args.gram)
+    gram = _load_gram(args.gram)
     if args.k is not None:
         assignment = kernel_kmeans(
             gram,
@@ -345,7 +358,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_kpca(args) -> int:
-    gram = _load_matrix(args.gram)
+    gram = _load_gram(args.gram)
     labels = _load_labels(args.labels) if args.labels else None
     if labels is not None and labels.size != gram.shape[0]:
         raise LengthMismatchError(f"{labels.size} labels for a Gram of {gram.shape[0]} samples")

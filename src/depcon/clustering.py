@@ -175,16 +175,25 @@ def _kmeans_once(y, s, k, init, max_iter, rng, init_labels=None):
     iterations = 0
     # distances to the means of the current labels, carried from the last step
     dist = _label_distances(y, s, norms, labels, k)
+    rows = np.arange(n)
+    own = dist[rows, labels]
+    # rounding scale of the expanded distances |y|^2 - 2 y.c + |c|^2
+    tol = 1e-12 * float(np.abs(norms).max())
     for iterations in range(1, max_iter + 1):
-        new_labels, moves = _repair_empty(y, s, np.argmin(dist, axis=1), k)
+        # a point leaves its cluster only for a mean closer by more than
+        # rounding; equal means (repeated points) would otherwise swap forever
+        nearest = np.argmin(dist, axis=1)
+        np.copyto(nearest, labels, where=own - dist[rows, nearest] <= tol)
+        new_labels, moves = _repair_empty(y, s, nearest, k)
         repairs += moves
         new_dist = _label_distances(y, s, norms, new_labels, k)
-        objective = float(np.maximum(new_dist[np.arange(n), new_labels], 0.0).sum())
+        own = new_dist[rows, new_labels]
+        objective = float(np.maximum(own, 0.0).sum())
         # reseeding an empty cluster may raise the objective; assignment alone may not
         if trace and not moves and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
             raise RuntimeError("k-means objective increased on a pure assignment step")
         trace.append(objective)
-        if np.array_equal(new_labels, labels):
+        if (new_labels == labels).all():
             converged = True
             break
         labels, dist = new_labels, new_dist

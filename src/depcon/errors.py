@@ -85,6 +85,10 @@ class NotSymmetricError(NotSquareError):
     """A Gram matrix differs from its transpose beyond rounding."""
 
 
+class GramRangeError(NotSquareError):
+    """A Gram file holds a kappa value outside [-1, 1] beyond rounding."""
+
+
 class LengthMismatchError(DepconError):
     exit_code = 22
 

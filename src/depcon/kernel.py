@@ -7,20 +7,18 @@ The central objects, for a dataset ``S`` of n samples by m features:
 * the per-sample contribution matrix ``phi_i = Z_i^T Z_i - T`` where
   ``Z_i`` is the n x m slice for sample i and ``T`` is the critical
   matrix;
-* the kernel ``kappa(i, i') = <phi_i, phi_i'>_F / (||phi_i|| ||phi_i'||)``
-  and its Gram matrix over one or two datasets.
+* the kernel ``kappa(i, i') = <phi_i, phi_i'>_F / (||phi_i|| ||phi_i'||)``,
+  an exact cosine kernel on the unit vectors ``u_i = vec(phi_i) / ||phi_i||``.
 
-Gram computation never materializes the n x n x m tensor: per-sample
-m x m products are built in row blocks and contracted with one BLAS call.
-Each block takes five elementwise passes before its matrix product, so
-blocks are sized to stay in cache rather than to fill memory. Every
-sample's product is computed on its own, so results are bit-identical for
-any block size and any thread count.
+Every Gram matrix, over one dataset or across two, is ``U_a U_b^T`` over
+those unit vectors, clipped to [-1, 1]; a degenerate sample's vector is 0.
+The n x n x m distance tensor is never materialized: per-sample m x m
+products are built in row blocks, each sample's on its own, so results are
+bit-identical for any block size and any thread count.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalMatrix, CriticalScale, critical_matrix
+from .critical import CriticalScale, critical_matrix
 from .dataset import Dataset
 from .errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
     DimensionMismatchError,
-    IndexOutOfBoundsError,
     OutOfRangeError,
 )
 
@@ -49,32 +46,6 @@ DEGENERATE_SQ_NORM = 1e-24
 #: 128 MiB blocks ran twice as slow at n=1500, m=20. The block size never
 #: changes a result bit, only speed and peak memory.
 DEFAULT_BLOCK_BYTES = 2**20
-
-
-@dataclass(frozen=True, eq=False)
-class CenteredDistanceTensor:
-    """Stacked per-feature distance matrices: raw, doubly-centered, standardized."""
-
-    d: np.ndarray
-    c: np.ndarray
-    z: np.ndarray
-    feature_mean_distance: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.d.shape[2]
-
-
-@dataclass(frozen=True, eq=False)
-class DepConMatrix:
-    """Image of one sample under the dependence contribution map."""
-
-    values: np.ndarray
-    sample_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +98,9 @@ def distance_moments(values: np.ndarray):
     spread = values.max(axis=0) - values.min(axis=0)
     for j in np.nonzero(spread <= 0.0)[0]:
         raise ConstantFeatureError(int(j))
+    # distances ignore a shift; centring keeps the prefix sums of a column
+    # far from 0 (offsets near 1e10) from swamping its differences
+    values = values - values.mean(axis=0)
     order = np.argsort(values, axis=0, kind="stable")
     sorted_vals = np.take_along_axis(values, order, axis=0)
     prefix = np.vstack([np.zeros((1, m)), np.cumsum(sorted_vals, axis=0)])
@@ -139,20 +113,6 @@ def distance_moments(values: np.ndarray):
     row_mean = row_sums / n
     grand_mean = row_mean.mean(axis=0)
     return row_mean, grand_mean
-
-
-def distance_tensor(data) -> CenteredDistanceTensor:
-    """Materialize the full n x n x m distance tensor (D, C, Z).
-
-    Memory is O(n^2 m); Gram computation does not need this, but the
-    per-sample operations (phi_map, gamma_kernel) work from it.
-    """
-    values = _values(data)
-    row_mean, grand_mean = distance_moments(values)
-    d = np.abs(values[:, None, :] - values[None, :, :])
-    c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
-    z = c / grand_mean
-    return CenteredDistanceTensor(d=d, c=c, z=z, feature_mean_distance=grand_mean)
 
 
 def _block_rows(n: int, m: int, block_rows=None) -> int:
@@ -203,92 +163,12 @@ def contribution_features(data, standardize=True, threads=None, block_rows=None)
     return out
 
 
-def phi_map(tensor: CenteredDistanceTensor, critical: CriticalMatrix, i: int) -> DepConMatrix:
-    """Dependence contribution matrix of sample i: Z_i^T Z_i - T."""
-    if critical.m != tensor.m:
-        raise DimensionMismatchError(
-            f"critical matrix is {critical.m}x{critical.m}, tensor has m={tensor.m}"
-        )
-    if not (0 <= i < tensor.n):
-        raise IndexOutOfBoundsError(f"sample index {i} outside [0, {tensor.n})")
-    slice_i = tensor.z[i]
-    return DepConMatrix(values=slice_i.T @ slice_i - critical.values, sample_index=i)
-
-
 def distance_cov_matrix(data) -> DistanceCovMatrix:
     """Matrix of squared sample distance covariances, (1/n^2) L^T L."""
     feats = contribution_features(data, standardize=False)
     n = feats.shape[0]
     values = feats.sum(axis=0) / (n * n)
     return DistanceCovMatrix(values=np.maximum(values, 0.0))
-
-
-def _phi_inner(p_a, p_b, critical: CriticalMatrix) -> float:
-    t = critical.values
-    return float(
-        np.sum(p_a * p_b) - np.sum(p_a * t) - np.sum(t * p_b) + critical.sq_norm
-    )
-
-
-def _check_pair(tensor_a, tensor_b, critical, i, i_prime):
-    if tensor_a.m != tensor_b.m or critical.m != tensor_a.m:
-        raise DimensionMismatchError(
-            f"feature counts differ: {tensor_a.m}, {tensor_b.m}, critical {critical.m}"
-        )
-    if not (0 <= i < tensor_a.n):
-        raise IndexOutOfBoundsError(f"index {i} outside [0, {tensor_a.n})")
-    if not (0 <= i_prime < tensor_b.n):
-        raise IndexOutOfBoundsError(f"index {i_prime} outside [0, {tensor_b.n})")
-
-
-def gamma_kernel(tensor_a, tensor_b, critical, i, i_prime) -> float:
-    """Frobenius inner product of the two samples' contribution matrices."""
-    _check_pair(tensor_a, tensor_b, critical, i, i_prime)
-    za, zb = tensor_a.z[i], tensor_b.z[i_prime]
-    return _phi_inner(za.T @ za, zb.T @ zb, critical)
-
-
-def gamma_trace_form(tensor_a, tensor_b, critical, i, i_prime) -> float:
-    """Alternate expansion using the squared trace inner product of Z slices.
-
-    Differs from :func:`gamma_kernel` for general inputs because
-    ``(tr Z_a^T Z_b)^2 != ||Z_a Z_b^T||_F^2``; kept only for comparison.
-    """
-    _check_pair(tensor_a, tensor_b, critical, i, i_prime)
-    za, zb = tensor_a.z[i], tensor_b.z[i_prime]
-    if za.shape != zb.shape:
-        raise DimensionMismatchError(
-            "trace form needs equal sample counts; "
-            f"got slices {za.shape} and {zb.shape}"
-        )
-    first = float(np.sum(za * zb)) ** 2
-    t = critical.values
-    return (
-        first
-        - float(np.sum((za.T @ za) * t))
-        - float(np.sum(t * (zb.T @ zb)))
-        + critical.sq_norm
-    )
-
-
-def kappa_kernel(tensor_a, tensor_b, critical, i, i_prime) -> float:
-    """Cosine-normalized gamma, clamped to [-1, 1]; 0 for degenerate samples."""
-    value = gamma_kernel(tensor_a, tensor_b, critical, i, i_prime)
-    self_a = max(gamma_kernel(tensor_a, tensor_a, critical, i, i), 0.0)
-    self_b = max(gamma_kernel(tensor_b, tensor_b, critical, i_prime, i_prime), 0.0)
-    if self_a < DEGENERATE_SQ_NORM or self_b < DEGENERATE_SQ_NORM:
-        warnings.warn(
-            "sample with (near-)zero contribution norm; kappa set to 0",
-            DegenerateSampleWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return float(np.clip(value / math.sqrt(self_a * self_b), -1.0, 1.0))
-
-
-def _off_diag_sums(flat_feats: np.ndarray, m: int) -> np.ndarray:
-    diag_idx = np.arange(m) * (m + 1)
-    return flat_feats.sum(axis=1) - flat_feats[:, diag_idx].sum(axis=1)
 
 
 def _features_with_critical(data, alpha, convention, threads=None, block_rows=None):
@@ -311,7 +191,7 @@ def gram_matrix(
     """Kernel matrix of kappa values over one dataset or across two.
 
     The square single-dataset Gram is exactly symmetric with unit diagonal
-    (0 on degenerate samples); the cross case is n x n'.
+    up to rounding (0 on degenerate samples); the cross case is n x n'.
     """
     feats_a, crit_a = _features_with_critical(data_a, alpha, convention, threads, block_rows)
     if data_b is None:
@@ -324,58 +204,40 @@ def gram_matrix(
     return _gram_from_features(feats_a, crit_a, feats_b, crit_b)
 
 
-def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
-    """Kappa Gram from feature stacks: square over one stack, n x n' across two."""
-    n_a, m = feats_a.shape[:2]
-    flat_a = feats_a.reshape(n_a, m * m)
-    off_a = _off_diag_sums(flat_a, m)
-    t_a = crit_a.off_diagonal
-    square = feats_b is None
-    if square:
-        flat_b, off_b, t_b = flat_a, off_a, t_a
-    else:
-        flat_b = feats_b.reshape(feats_b.shape[0], m * m)
-        off_b = _off_diag_sums(flat_b, m)
-        t_b = crit_b.off_diagonal
-    cross_tt = m * (m - 1) * t_a * t_b
-
-    gamma = flat_a @ flat_b.T
-    gamma -= t_b * off_a[:, None]
-    gamma -= t_a * off_b[None, :]
-    gamma += cross_tt
-
-    if square:
-        gamma = 0.5 * (gamma + gamma.T)
-        self_a = self_b = np.maximum(np.diagonal(gamma).copy(), 0.0)
-    else:
-        self_a = np.maximum(
-            np.einsum("ij,ij->i", flat_a, flat_a)
-            - 2.0 * t_a * off_a
-            + m * (m - 1) * t_a * t_a,
-            0.0,
-        )
-        self_b = np.maximum(
-            np.einsum("ij,ij->i", flat_b, flat_b)
-            - 2.0 * t_b * off_b
-            + m * (m - 1) * t_b * t_b,
-            0.0,
-        )
-
-    degenerate_a = self_a < DEGENERATE_SQ_NORM
-    degenerate_b = self_b < DEGENERATE_SQ_NORM
-    if degenerate_a.any() or degenerate_b.any():
+def _unit_vectors(feats, critical):
+    """Rows ``vec(phi_i) / ||phi_i||`` (0 for degenerate samples) and the norms ``||phi_i||``."""
+    n = feats.shape[0]
+    phi = feats.reshape(n, -1) - critical.values.reshape(-1)
+    sq_norms = np.einsum("ij,ij->i", phi, phi)
+    degenerate = sq_norms < DEGENERATE_SQ_NORM
+    if degenerate.any():
+        index = np.flatnonzero(degenerate)
+        shown = ", ".join(str(i) for i in index[:10]) + (", ..." if index.size > 10 else "")
         warnings.warn(
-            "dataset contains samples with (near-)zero contribution norm; "
-            "their kernel rows are set to 0",
+            f"{index.size} of {n} samples have (near-)zero contribution norm; "
+            f"their kernel rows are set to 0: {shown}",
             DegenerateSampleWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+    norms = np.sqrt(sq_norms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = gamma / (np.sqrt(self_a)[:, None] * np.sqrt(self_b)[None, :])
-    kappa[degenerate_a, :] = 0.0
-    kappa[:, degenerate_b] = 0.0
+        phi /= norms[:, None]
+    phi[degenerate] = 0.0
+    return phi, norms
+
+
+def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
+    """Kappa Gram ``U_a U_b^T`` from feature stacks: square over one stack, n x n' across two."""
+    u_a, norms_a = _unit_vectors(feats_a, crit_a)
+    if feats_b is None:
+        u_b, norms_b = u_a, norms_a
+    else:
+        u_b, norms_b = _unit_vectors(feats_b, crit_b)
+    # NumPy runs a product of one buffer with its own transpose as BLAS syrk
+    # and mirrors the triangle, so the square Gram is exactly symmetric
+    kappa = u_a @ u_b.T
     np.clip(kappa, -1.0, 1.0, out=kappa)
-    return GramMatrix(values=kappa, self_norms=(np.sqrt(self_a), np.sqrt(self_b)))
+    return GramMatrix(values=kappa, self_norms=(norms_a, norms_b))
 
 
 def kernel_distance(kappa_value):
@@ -421,15 +283,12 @@ def sample_set_distance(
     *,
     alpha: float = 0.1,
     convention: CriticalScale | str = CriticalScale.SZEKELY,
-    printed_form: bool = False,
     threads=None,
 ) -> float:
     """Distance between two sample sets in contribution space.
 
-    Default form: (m^2 - mean_{i,i'} gamma) / 2, which matches the graph
-    distance exactly when both mean contribution matrices are sign
-    matrices. ``printed_form`` selects m^2 - sum(gamma) / (2 n^2) instead,
-    for comparison.
+    (m^2 - mean_{i,i'} gamma) / 2, which matches the graph distance exactly
+    when both mean contribution matrices are sign matrices.
     """
     values_a = _values(data_a)
     values_b = _values(data_b)
@@ -440,8 +299,4 @@ def sample_set_distance(
     m = values_a.shape[1]
     mean_a = mean_contribution(values_a, alpha=alpha, convention=convention, threads=threads)
     mean_b = mean_contribution(values_b, alpha=alpha, convention=convention, threads=threads)
-    mean_gamma = float(np.sum(mean_a * mean_b))
-    if printed_form:
-        n_a, n_b = values_a.shape[0], values_b.shape[0]
-        return m * m - (n_a * n_b * mean_gamma) / (2.0 * n_a * n_a)
-    return 0.5 * (m * m - mean_gamma)
+    return 0.5 * (m * m - float(np.sum(mean_a * mean_b)))

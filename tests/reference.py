@@ -1,0 +1,152 @@
+"""Brute-force reference for the kernel, used only by the tests.
+
+Everything here materializes the full n x n x m distance tensor and works
+one sample pair at a time, straight from the definitions, so the fast paths
+in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
+
+from depcon.critical import CriticalMatrix, CriticalScale
+from depcon.errors import (
+    ConstantFeatureError,
+    DegenerateSampleWarning,
+    DimensionMismatchError,
+    IndexOutOfBoundsError,
+)
+from depcon.kernel import DEGENERATE_SQ_NORM, mean_contribution
+
+
+@dataclass(frozen=True, eq=False)
+class CenteredDistanceTensor:
+    """Stacked per-feature distance matrices: raw, doubly-centered, standardized."""
+
+    d: np.ndarray
+    c: np.ndarray
+    z: np.ndarray
+    feature_mean_distance: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.d.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.d.shape[2]
+
+
+def distance_tensor(data) -> CenteredDistanceTensor:
+    """The full n x n x m distance tensor (D, C, Z), means taken directly from D."""
+    values = np.asarray(data, dtype=np.float64)
+    d = np.abs(values[:, None, :] - values[None, :, :])
+    row_mean = d.mean(axis=1)
+    grand_mean = d.mean(axis=(0, 1))
+    for j in np.nonzero(grand_mean <= 0.0)[0]:
+        raise ConstantFeatureError(int(j))
+    c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
+    z = c / grand_mean
+    return CenteredDistanceTensor(d=d, c=c, z=z, feature_mean_distance=grand_mean)
+
+
+def phi_map(tensor: CenteredDistanceTensor, critical: CriticalMatrix, i: int):
+    """Dependence contribution matrix of sample i, ``Z_i^T Z_i - T``, as ``.values``."""
+    if critical.m != tensor.m:
+        raise DimensionMismatchError(
+            f"critical matrix is {critical.m}x{critical.m}, tensor has m={tensor.m}"
+        )
+    if not (0 <= i < tensor.n):
+        raise IndexOutOfBoundsError(f"sample index {i} outside [0, {tensor.n})")
+    slice_i = tensor.z[i]
+    return SimpleNamespace(values=slice_i.T @ slice_i - critical.values, sample_index=i)
+
+
+def _phi_inner(p_a, p_b, critical: CriticalMatrix) -> float:
+    t = critical.values
+    return float(
+        np.sum(p_a * p_b) - np.sum(p_a * t) - np.sum(t * p_b) + critical.sq_norm
+    )
+
+
+def _check_pair(tensor_a, tensor_b, critical, i, i_prime):
+    if tensor_a.m != tensor_b.m or critical.m != tensor_a.m:
+        raise DimensionMismatchError(
+            f"feature counts differ: {tensor_a.m}, {tensor_b.m}, critical {critical.m}"
+        )
+    if not (0 <= i < tensor_a.n):
+        raise IndexOutOfBoundsError(f"index {i} outside [0, {tensor_a.n})")
+    if not (0 <= i_prime < tensor_b.n):
+        raise IndexOutOfBoundsError(f"index {i_prime} outside [0, {tensor_b.n})")
+
+
+def gamma_kernel(tensor_a, tensor_b, critical, i, i_prime) -> float:
+    """Frobenius inner product of the two samples' contribution matrices."""
+    _check_pair(tensor_a, tensor_b, critical, i, i_prime)
+    za, zb = tensor_a.z[i], tensor_b.z[i_prime]
+    return _phi_inner(za.T @ za, zb.T @ zb, critical)
+
+
+def gamma_trace_form(tensor_a, tensor_b, critical, i, i_prime) -> float:
+    """Alternate expansion using the squared trace inner product of Z slices.
+
+    Differs from :func:`gamma_kernel` for general inputs because
+    ``(tr Z_a^T Z_b)^2 != ||Z_a Z_b^T||_F^2``; kept only for comparison.
+    """
+    _check_pair(tensor_a, tensor_b, critical, i, i_prime)
+    za, zb = tensor_a.z[i], tensor_b.z[i_prime]
+    if za.shape != zb.shape:
+        raise DimensionMismatchError(
+            "trace form needs equal sample counts; "
+            f"got slices {za.shape} and {zb.shape}"
+        )
+    first = float(np.sum(za * zb)) ** 2
+    t = critical.values
+    return (
+        first
+        - float(np.sum((za.T @ za) * t))
+        - float(np.sum(t * (zb.T @ zb)))
+        + critical.sq_norm
+    )
+
+
+def kappa_kernel(tensor_a, tensor_b, critical, i, i_prime) -> float:
+    """Cosine-normalized gamma, clamped to [-1, 1]; 0 for degenerate samples."""
+    value = gamma_kernel(tensor_a, tensor_b, critical, i, i_prime)
+    self_a = max(gamma_kernel(tensor_a, tensor_a, critical, i, i), 0.0)
+    self_b = max(gamma_kernel(tensor_b, tensor_b, critical, i_prime, i_prime), 0.0)
+    if self_a < DEGENERATE_SQ_NORM or self_b < DEGENERATE_SQ_NORM:
+        warnings.warn(
+            "sample with (near-)zero contribution norm; kappa set to 0",
+            DegenerateSampleWarning,
+            stacklevel=2,
+        )
+        return 0.0
+    return float(np.clip(value / math.sqrt(self_a * self_b), -1.0, 1.0))
+
+
+def printed_sample_set_distance(
+    data_a,
+    data_b,
+    *,
+    alpha: float = 0.1,
+    convention: CriticalScale | str = CriticalScale.SZEKELY,
+) -> float:
+    """The paper's printed form m^2 - sum(gamma) / (2 n^2), for comparison.
+
+    ``depcon.kernel.sample_set_distance`` uses (m^2 - mean gamma) / 2
+    instead, which matches the graph distance on sign matrices.
+    """
+    values_a = np.asarray(data_a, dtype=np.float64)
+    values_b = np.asarray(data_b, dtype=np.float64)
+    m = values_a.shape[1]
+    mean_a = mean_contribution(values_a, alpha=alpha, convention=convention)
+    mean_b = mean_contribution(values_b, alpha=alpha, convention=convention)
+    mean_gamma = float(np.sum(mean_a * mean_b))
+    n_a, n_b = values_a.shape[0], values_b.shape[0]
+    return m * m - (n_a * n_b * mean_gamma) / (2.0 * n_a * n_a)

@@ -11,6 +11,7 @@ from depcon.cli import _load_matrix, _write_matrix_csv, main
 from depcon.errors import (
     ConstantFeatureError,
     DimensionMismatchError,
+    GramRangeError,
     InvalidGraphError,
     LengthMismatchError,
     NonFiniteValueError,
@@ -249,6 +250,7 @@ def test_header_csv_accepted_via_sniffing(tmp_path):
         ("", NotSquareError),
         ("\n\n", NotSquareError),
         ("1.0,0.5\n0.9,1.0\n", NotSymmetricError),
+        ("1.0,5.0\n5.0,1.0\n", GramRangeError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
@@ -264,6 +266,7 @@ def test_bad_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, erro
         ("[[1.0, 0.5], [0.5, 1.0]]", NotSquareError),
         ("{", NotSquareError),
         (b"\xff\xfe", NotSquareError),
+        ('{"values": [[1.0, -1.5], [-1.5, 1.0]]}', GramRangeError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])

@@ -44,6 +44,14 @@ def test_ideal_two_blocks_perfect_split():
     assert result.converged
 
 
+def test_kmeans_converges_with_more_clusters_than_distinct_points():
+    # two distinct points, k=3: two means land on one point and their
+    # distances tie up to rounding, which must not move points back and forth
+    gram, _ = ideal_block_gram([12, 8])
+    for seed in range(15):
+        assert kernel_kmeans(gram, 3, seed=seed, restarts=2).converged
+
+
 def test_k_equal_n_zero_objective():
     rng = np.random.default_rng(0)
     from depcon.kernel import gram_matrix

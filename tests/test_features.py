@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from depcon.kernel import contribution_features, distance_tensor
+from depcon.kernel import contribution_features
+from reference import distance_tensor
 
 
 def _random(rng):

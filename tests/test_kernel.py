@@ -12,21 +12,24 @@ from depcon.errors import (
 )
 from depcon.kernel import (
     DEFAULT_BLOCK_BYTES,
-    CenteredDistanceTensor,
     _block_rows,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
     distance_moments,
+    gram_matrix,
+    kernel_distance,
+    mean_contribution,
+    sample_set_distance,
+)
+from reference import (
+    CenteredDistanceTensor,
     distance_tensor,
     gamma_kernel,
     gamma_trace_form,
-    gram_matrix,
     kappa_kernel,
-    kernel_distance,
-    mean_contribution,
     phi_map,
-    sample_set_distance,
+    printed_sample_set_distance,
 )
 
 
@@ -409,7 +412,7 @@ def test_sample_set_distance_printed_form_offset():
     a = random_dataset(rng, 12, 3)
     b = random_dataset(rng, 12, 3)
     halved = sample_set_distance(a, b)
-    printed = sample_set_distance(a, b, printed_form=True)
+    printed = printed_sample_set_distance(a, b)
     # printed form: m^2 - mean_gamma / 2 versus (m^2 - mean_gamma) / 2
     assert printed - halved == pytest.approx(9.0 / 2.0, abs=1e-9)
 
