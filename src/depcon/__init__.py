@@ -6,6 +6,8 @@ kernel, independence and two-sample structure tests, graph-space
 utilities, synthetic benchmarks, kernel k-means, and kernel PCA.
 """
 
+from types import ModuleType as _ModuleType
+
 from .clustering import (
     ClusterAssignment,
     SelectKResult,
@@ -71,4 +73,8 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -1,15 +1,15 @@
 """Kernel k-means over precomputed Gram matrices, plus selection and scoring.
 
-Kernel k-means is Lloyd's algorithm on any factor K = Y diag(s) Y^T
-(Dhillon, Guan & Kulis, KDD 2004). ``kernel_kmeans`` and ``select_k``
-factor the Gram once per call by a symmetric eigendecomposition, keeping
-the sign of each eigenvalue, so indefinite Grams are clustered in their
-pseudo-Euclidean embedding with the same distances the Gram sums give.
-Plain (Lloyd's) k-means runs the same core on the points with s = 1, so
-both share one loop, one seeding and one empty-cluster repair. The
-Variance Ratio Criterion and the silhouette are still computed from Gram
-sums; an explicit-coordinates Calinski-Harabasz is the baseline
-counterpart.
+Kernel k-means is Lloyd's algorithm on any factor of the Gram (Dhillon,
+Guan & Kulis, KDD 2004). One symmetric eigendecomposition of the
+double-centred Gram HKH, H = I - 11^T/n (``_centered_eigh``), serves
+``kernel_kmeans``, ``select_k`` and ``depcon.embedding.kpca_fit``:
+centring changes no Gram-sum distance. k-means keeps each eigenvalue's
+sign, so an indefinite Gram is clustered in its pseudo-Euclidean embedding
+with the distances the Gram sums give. Plain (Lloyd's) k-means runs the
+same core on the points with s = 1. The Variance Ratio Criterion and the
+silhouette are computed from Gram sums; an explicit-coordinates
+Calinski-Harabasz is the baseline counterpart.
 """
 
 from __future__ import annotations
@@ -80,16 +80,27 @@ def _check_init_labels(init_labels, n, k) -> np.ndarray:
     return labels
 
 
-def _factor(gram):
-    """Coordinates ``y`` (n x r) and signs ``s`` with ``gram = y diag(s) y^T``.
+def _centered_eigh(values):
+    """Ascending eigenpairs of the double-centred Gram HKH, H = I - 11^T/n.
 
-    One symmetric eigendecomposition; components with |eigenvalue| at most
-    n * eps * max|eigenvalue| (the ``numpy.linalg.matrix_rank`` rule) are
-    dropped. Negative eigenvalues keep their sign in ``s``, so an indefinite
-    Gram becomes a pseudo-Euclidean embedding in which every Gram-sum
-    distance of kernel k-means is reproduced exactly.
+    K + a 1^T + 1 a^T leaves every Gram-sum distance of k-means unchanged,
+    so HKH serves k-means as well as K, and kernel PCA is defined on it.
+    ``eigh`` reads one triangle, so no symmetrising pass is needed.
     """
-    values, vectors = np.linalg.eigh(gram)
+    col_means = values.mean(axis=0)
+    return np.linalg.eigh(values - col_means[None, :] - col_means[:, None] + values.mean())
+
+
+def _factor(gram):
+    """Coordinates ``y`` (n x r) and signs ``s`` with ``HKH = y diag(s) y^T``.
+
+    Components with |eigenvalue| at most n * eps * max|eigenvalue| (the
+    ``numpy.linalg.matrix_rank`` rule) are dropped. Negative eigenvalues keep
+    their sign in ``s``, so an indefinite Gram becomes a pseudo-Euclidean
+    embedding in which every Gram-sum distance of kernel k-means is
+    reproduced exactly.
+    """
+    values, vectors = _centered_eigh(gram)
     size = np.abs(values)
     keep = size > gram.shape[0] * np.finfo(np.float64).eps * size.max()
     return vectors[:, keep] * np.sqrt(size[keep]), np.sign(values[keep])
@@ -216,9 +227,6 @@ def _check_k(k, n):
 
 
 def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None):
-    # distances depend only on differences; centring keeps the expanded
-    # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
-    y = y - y.mean(axis=0)
     if init_labels is not None:
         labels = _check_init_labels(init_labels, y.shape[0], k)
         return _kmeans_once(y, s, k, init, max_iter, None, init_labels=labels)
@@ -264,6 +272,10 @@ def lloyd_kmeans(
     """Plain coordinate-space k-means with the same conventions as kernel_kmeans."""
     points = np.asarray(points, dtype=np.float64)
     _check_k(k, points.shape[0])
+    # distances depend only on differences; centring keeps the expanded
+    # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
+    # (kernel k-means needs no such step: the factor of HKH is centred)
+    points = points - points.mean(axis=0)
     return _best_of_restarts(
         points, np.ones(points.shape[1]), k, init, max_iter, restarts, seed, init_labels
     )
@@ -286,7 +298,10 @@ def variance_ratio_criterion(gram, labels) -> float:
     Between/within dispersions are the implicit feature-space squared
     distances to cluster means and to the global mean.
     """
-    gram = _gram_values(gram)
+    return _variance_ratio(_gram_values(gram), labels)
+
+
+def _variance_ratio(gram, labels) -> float:
     n = gram.shape[0]
     labels, k, counts = _check_labels(n, labels)
     if k >= n:
@@ -339,7 +354,10 @@ def silhouette_from_distances(dist, labels) -> float:
 
 def silhouette_score(gram, labels) -> float:
     """Mean silhouette under the angular kernel distance arccos(kappa)."""
-    gram = _gram_values(gram)
+    return _silhouette(_gram_values(gram), labels)
+
+
+def _silhouette(gram, labels) -> float:
     return silhouette_from_distances(np.arccos(np.clip(gram, -1.0, 1.0)), labels)
 
 
@@ -355,8 +373,8 @@ def select_k(
 ) -> SelectKResult:
     """Run kernel k-means across ``k_range`` and keep the criterion argmax.
 
-    Ties break toward smaller k. The Gram is factored once for all k; the
-    criterion is evaluated from Gram sums.
+    Ties break toward smaller k. The Gram is validated and factored once
+    for all k; the criterion is evaluated from Gram sums.
     """
     gram = _gram_values(gram)
     ks = sorted(set(int(k) for k in k_range))
@@ -364,7 +382,7 @@ def select_k(
         raise OutOfRangeError("empty k range")
     if ks[0] < 2 or ks[-1] >= gram.shape[0]:
         raise OutOfRangeError(f"k range must be within [2, n-1], got {ks[0]}..{ks[-1]}")
-    scorer = {"vrc": variance_ratio_criterion, "silhouette": silhouette_score}.get(criterion)
+    scorer = {"vrc": _variance_ratio, "silhouette": _silhouette}.get(criterion)
     if scorer is None:
         raise OutOfRangeError(f"unknown criterion {criterion!r}")
     y, s = _factor(gram)

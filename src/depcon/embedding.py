@@ -1,9 +1,11 @@
 """Kernel PCA over contribution-kernel Gram matrices.
 
-Double-centers the Gram, eigendecomposes, and scales eigenvectors by
-inverse square-root eigenvalues so projections carry the component
-variances. A deterministic sign convention (largest-magnitude coefficient
-positive) makes outputs reproducible.
+Keeps the top eigenpairs of the double-centred Gram HKH from the
+decomposition kernel k-means also uses (``clustering._centered_eigh``) and
+scales eigenvectors by inverse square-root eigenvalues, so projections
+carry the component variances. Indefinite Grams are accepted; only
+eigenvalues above the rank tolerance become components. Signs are fixed
+(largest-magnitude coefficient positive) so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _gram_values
+from .clustering import _centered_eigh, _gram_values
 from .errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
 
 
 @dataclass(frozen=True, eq=False)
 class KpcaModel:
-    centered_gram: np.ndarray
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     col_means: np.ndarray
@@ -31,7 +32,7 @@ class KpcaModel:
 
     @property
     def n(self) -> int:
-        return self.centered_gram.shape[0]
+        return self.coefficients.shape[0]
 
 
 def kpca_fit(gram, d: int) -> KpcaModel:
@@ -44,14 +45,9 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     n = values.shape[0]
     if not (1 <= d < n):
         raise OutOfRangeError(f"need 1 <= d < n, got d={d}, n={n}")
-    col_means = values.mean(axis=0)
-    grand_mean = float(values.mean())
-    centered = values - col_means[None, :] - col_means[:, None] + grand_mean
-    centered = 0.5 * (centered + centered.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(centered)
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
+    eigenvalues, eigenvectors = _centered_eigh(values)
+    # eigh sorts ascending; the components are the largest pairs, last first
+    eigenvalues = eigenvalues[::-1]
     tol = 1e-10 * max(eigenvalues[0], 0.0)
     usable = int(np.sum(eigenvalues > tol))
     if usable < d:
@@ -62,22 +58,21 @@ def kpca_fit(gram, d: int) -> KpcaModel:
         )
         d = max(usable, 1)
     eigenvalues = eigenvalues[:d].copy()
-    coefficients = eigenvectors[:, :d] / np.sqrt(eigenvalues)[None, :]
+    coefficients = eigenvectors[:, ::-1][:, :d] / np.sqrt(eigenvalues)[None, :]
     # fix signs: the largest-magnitude coefficient of each component is positive
     flips = np.sign(coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)])
     coefficients = coefficients * flips[None, :]
     return KpcaModel(
-        centered_gram=centered,
         eigenvalues=eigenvalues,
         coefficients=coefficients,
-        col_means=col_means,
-        grand_mean=grand_mean,
+        col_means=values.mean(axis=0),
+        grand_mean=float(values.mean()),
     )
 
 
 def kpca_transform(model: KpcaModel) -> np.ndarray:
-    """Training-sample scores, (n, d)."""
-    return model.centered_gram @ model.coefficients
+    """Training-sample scores, (n, d): HKH v / sqrt(lambda) = v sqrt(lambda)."""
+    return model.coefficients * model.eigenvalues
 
 
 def kpca_project(model: KpcaModel, cross_gram) -> np.ndarray:

@@ -86,12 +86,6 @@ class MixedGraph:
             elif k == v:
                 yield j, (_ARROW_AT[etype][1], _ARROW_AT[etype][0])
 
-    def parents(self, v: int):
-        return [j for j in range(self.m) if self.edge_type(j, v) == "->"]
-
-    def spouses(self, v: int):
-        return [j for j in range(self.m) if self.edge_type(j, v) == "<->"]
-
 
 def _ancestor_sets(graph: MixedGraph):
     """Strict-ancestor sets via directed edges only."""

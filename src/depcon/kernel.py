@@ -62,13 +62,6 @@ class GramMatrix:
     values: np.ndarray
     self_norms: tuple[np.ndarray, np.ndarray]
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def is_square(self) -> bool:
-        return self.values.shape[0] == self.values.shape[1]
-
 
 def _resolve_threads(threads):
     if threads is None:
@@ -296,7 +289,6 @@ def sample_set_distance(
         raise DimensionMismatchError(
             f"feature counts differ: {values_a.shape[1]} vs {values_b.shape[1]}"
         )
-    m = values_a.shape[1]
     mean_a = mean_contribution(values_a, alpha=alpha, convention=convention, threads=threads)
     mean_b = mean_contribution(values_b, alpha=alpha, convention=convention, threads=threads)
-    return 0.5 * (m * m - float(np.sum(mean_a * mean_b)))
+    return contribution_mean_distance(mean_a, mean_b)

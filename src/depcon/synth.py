@@ -8,7 +8,7 @@ the injected dependence carries no linear correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -171,16 +171,7 @@ class BenchmarkConfig:
     max_pairs: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "num_models": self.num_models,
-            "samples_per_model": self.samples_per_model,
-            "num_features": self.num_features,
-            "edge_probability": self.edge_probability,
-            "nonlinear": self.nonlinear,
-            "seed": self.seed,
-            "amplitude": self.amplitude,
-            "max_pairs": self.max_pairs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,6 +190,26 @@ def test_distances_to_means_computed_once_per_iteration(monkeypatch):
     assert len(calls) == result.iterations + 1
 
 
+def test_labels_unchanged_by_adding_a_one_plus_one_a_to_the_gram():
+    # K + a 1^T + 1 a^T cancels in every Gram-sum distance, which is why one
+    # factor of the double-centred Gram serves k-means on either matrix
+    rng = np.random.default_rng(9)
+    points = rng.standard_normal((45, 3)) + 4.0 * np.repeat(np.eye(3), 15, axis=0)
+    for gram in (points @ points.T, noisy_separated_gram()):
+        a = rng.uniform(-1.0, 1.0, gram.shape[0]) * np.abs(gram).max()
+        shifted = gram + (a[:, None] + a[None, :])
+        for seed in range(3):
+            base = kernel_kmeans(gram, 3, seed=seed, restarts=2)
+            moved = kernel_kmeans(shifted, 3, seed=seed, restarts=2)
+            assert np.array_equal(moved.labels, base.labels)
+            assert moved.iterations == base.iterations
+        base = select_k(gram, range(2, 6), "vrc", seed=4, restarts=3)
+        moved = select_k(shifted, range(2, 6), "vrc", seed=4, restarts=3)
+        assert moved.best_k == base.best_k
+        for k, assignment in base.assignments.items():
+            assert np.array_equal(moved.assignments[k].labels, assignment.labels)
+
+
 def test_determinism_and_restart_selection():
     gram, _ = separated_gram([8, 8], within=0.7, cross=0.3)
     a = kernel_kmeans(gram, 2, seed=42)
@@ -305,6 +325,28 @@ def test_select_k_objective_nonincreasing_in_k():
     result = select_k(gram, range(2, 7), "vrc", seed=2, restarts=8)
     objectives = [result.assignments[k].objective for k in sorted(result.assignments)]
     assert all(a >= b - 1e-9 for a, b in zip(objectives, objectives[1:]))
+
+
+@pytest.mark.parametrize("criterion", ["vrc", "silhouette"])
+def test_select_k_validates_the_gram_once(monkeypatch, criterion):
+    from depcon import clustering
+
+    calls = []
+    original = clustering._gram_values
+
+    def counted(gram):
+        calls.append(1)
+        return original(gram)
+
+    monkeypatch.setattr(clustering, "_gram_values", counted)
+    gram, _ = separated_gram([8, 8, 8], within=0.9, cross=0.1)
+    result = select_k(gram, range(2, 6), criterion, seed=3, restarts=2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the scores are bit-identical to the public scorers'
+    scorer = variance_ratio_criterion if criterion == "vrc" else silhouette_score
+    for k, assignment in result.assignments.items():
+        assert result.scores[k] == scorer(gram, assignment.labels)
 
 
 def test_select_k_range_validation():

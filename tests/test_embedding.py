@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,33 @@ def test_sign_convention_deterministic():
     for comp in range(2):
         column = model.coefficients[:, comp]
         assert column[np.argmax(np.abs(column))] > 0
+
+
+def test_model_holds_no_n_by_n_array():
+    # training scores come from the eigenpairs, so the model keeps only the
+    # n x d coefficients, the n column means and the d eigenvalues
+    rng = np.random.default_rng(8)
+    from depcon.kernel import gram_matrix
+
+    n, d = 40, 3
+    model = kpca_fit(gram_matrix(rng.standard_normal((n, 4))), d)
+    arrays = [getattr(model, f.name) for f in fields(model)]
+    arrays = [value for value in arrays if isinstance(value, np.ndarray)]
+    assert all(value.size < n * n for value in arrays)
+    assert sum(value.size for value in arrays) <= n * (d + 1) + d
+
+
+def test_indefinite_gram_keeps_positive_components():
+    # a symmetric Gram with negative eigenvalues is accepted; only the
+    # positive eigenvalues above the rank tolerance become components
+    rng = np.random.default_rng(9)
+    noise = rng.standard_normal((20, 20))
+    gram = np.eye(20) + 0.3 * (noise + noise.T)
+    assert np.linalg.eigvalsh(gram).min() < 0
+    model = kpca_fit(gram, 4)
+    assert (model.eigenvalues > 0).all()
+    assert np.all(np.diff(model.eigenvalues) <= 0)
+    assert np.abs(kpca_project(model, gram) - kpca_transform(model)).max() < 1e-9
 
 
 def test_fit_validation():
