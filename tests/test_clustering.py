@@ -190,7 +190,7 @@ def test_distances_to_means_computed_once_per_iteration(monkeypatch):
     assert len(calls) == result.iterations + 1
 
 
-def test_labels_unchanged_by_adding_a_one_plus_one_a_to_the_gram():
+def test_labels_invariant_to_row_and_column_offsets():
     # K + a 1^T + 1 a^T cancels in every Gram-sum distance, which is why one
     # factor of the double-centred Gram serves k-means on either matrix
     rng = np.random.default_rng(9)
