@@ -27,16 +27,14 @@ from .clustering import (
     variance_ratio_criterion,
 )
 from .critical import CriticalScale
-from .dataset import load_dataset, load_dataset_json
+from .dataset import _filled_rows, _read_table, load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
 from .errors import (
     DepconError,
     GramRangeError,
     LengthMismatchError,
-    NonFiniteValueError,
     NonNumericCellError,
     NotSquareError,
-    RaggedRowsError,
 )
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
@@ -106,42 +104,25 @@ def _load_any_dataset(path):
 
 
 def _sniff_header(path) -> bool:
-    # undecodable bytes are left for load_dataset to report
-    with open(path, "r", newline="", encoding="utf-8", errors="replace") as handle:
-        first = handle.readline()
-    for cell in first.strip().split(","):
-        try:
-            float(cell)
-        except ValueError:
-            return True
+    """Whether the first filled row, the one ``load_dataset`` would take as
+    the header, has a cell that is not a number."""
+    # undecodable bytes and unreadable CSV are left for load_dataset to report
+    try:
+        with open(path, "r", newline="", encoding="utf-8", errors="replace") as handle:
+            first = next(_filled_rows(csv.reader(handle)), [])
+    except csv.Error:
+        return False
+    try:
+        [float(cell) for cell in first]
+    except ValueError:
+        return True
     return False
 
 
 def _load_matrix(path) -> np.ndarray:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # undecodable bytes or JSON
-            raise NotSquareError(f"{path.name}: not valid JSON ({exc})") from None
-        rows = payload.get("values") if isinstance(payload, dict) else None
-        if not isinstance(rows, list):
-            raise NotSquareError(f'{path.name}: no "values" list of rows')
-        return _check_finite(_parse_matrix(rows))
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            if not any(line.strip("\r\n") for line in handle):
-                raise NotSquareError(f"{path.name}: no data rows")
-    except UnicodeDecodeError as exc:
-        raise NotSquareError(f"{path.name}: not UTF-8 text ({exc})") from None
-    try:
-        matrix = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except ValueError:
-        # locate the bad cell or row; float() also takes a few spellings
-        # loadtxt refuses (digit underscores, non-ASCII digits), parsed as before
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            matrix = _parse_matrix(row for row in csv.reader(handle) if row)
-    return _check_finite(matrix)
+    """A Gram file's finite matrix: CSV, or JSON ``{"values": rows}`` by extension."""
+    json_key = "values" if Path(path).suffix.lower() == ".json" else None
+    return _read_table(path, NotSquareError, json_key=json_key)[1]
 
 
 def _load_gram(path) -> np.ndarray:
@@ -156,31 +137,12 @@ def _load_gram(path) -> np.ndarray:
     return gram
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    """Float matrix from rows of cells; a bad cell or row, or ragged rows, raise."""
-    parsed = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise NonNumericCellError(r, 0, repr(row))
-        try:
-            values = [float(cell) for cell in row]
-        except (TypeError, ValueError):
-            for col, cell in enumerate(row):  # find the cell that failed
-                try:
-                    float(cell)
-                except (TypeError, ValueError):
-                    raise NonNumericCellError(r, col, str(cell).strip()) from None
-        if parsed and len(values) != len(parsed[0]):
-            raise RaggedRowsError(r, len(parsed[0]), len(values))
-        parsed.append(values)
-    return np.asarray(parsed, dtype=np.float64)
-
-
-def _check_finite(matrix: np.ndarray) -> np.ndarray:
-    if not np.isfinite(matrix).all():
-        bad = np.argwhere(~np.isfinite(matrix))[0]
-        raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
-    return matrix
+def _label(r, value) -> int:
+    """``value`` as a label: an integral number within the int64 range."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or not -(2**63) <= value < 2**63:
+        raise NonNumericCellError(r, 0, repr(value))
+    return int(value)
 
 
 def _load_labels(path) -> np.ndarray:
@@ -198,26 +160,24 @@ def _load_labels(path) -> np.ndarray:
         labels = payload.get("labels") if isinstance(payload, dict) else None
         if not isinstance(labels, list):
             raise LengthMismatchError(f"{path}: no 'labels' list")
-        for r, value in enumerate(labels):
-            integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-            if isinstance(value, bool) or not integral or not -(2**63) <= value < 2**63:
-                raise NonNumericCellError(r, 0, repr(value))
-        return np.asarray(labels, dtype=np.int64)
+        return np.asarray([_label(r, value) for r, value in enumerate(labels)], dtype=np.int64)
     try:
         with open(path, "r", newline="", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise LengthMismatchError(f"{path}: not UTF-8 text ({exc})") from None
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
+        raise LengthMismatchError(f"{path}: unreadable text ({exc})") from None
     values = []
     first = True
-    for r, row in enumerate(csv.reader(io.StringIO(text))):
+    for r, row in enumerate(rows):
         if not row or row[0].strip() == "":
             continue
         try:
-            values.append(int(float(row[0])))
-        except (ValueError, OverflowError):
+            value = float(row[0])
+        except ValueError:
             if not first:
                 raise NonNumericCellError(r, 0, row[0].strip()) from None
+        else:
+            values.append(_label(r, value))
         first = False
     return np.asarray(values, dtype=np.int64)
 

@@ -354,11 +354,11 @@ def silhouette_from_distances(dist, labels) -> float:
 
 def silhouette_score(gram, labels) -> float:
     """Mean silhouette under the angular kernel distance arccos(kappa)."""
-    return _silhouette(_gram_values(gram), labels)
+    return silhouette_from_distances(_angles(_gram_values(gram)), labels)
 
 
-def _silhouette(gram, labels) -> float:
-    return silhouette_from_distances(np.arccos(np.clip(gram, -1.0, 1.0)), labels)
+def _angles(gram) -> np.ndarray:
+    return np.arccos(np.clip(gram, -1.0, 1.0))
 
 
 def select_k(
@@ -374,7 +374,8 @@ def select_k(
     """Run kernel k-means across ``k_range`` and keep the criterion argmax.
 
     Ties break toward smaller k. The Gram is validated and factored once
-    for all k; the criterion is evaluated from Gram sums.
+    for all k, and so is silhouette's angular distance matrix; VRC is
+    evaluated from Gram sums.
     """
     gram = _gram_values(gram)
     ks = sorted(set(int(k) for k in k_range))
@@ -382,8 +383,11 @@ def select_k(
         raise OutOfRangeError("empty k range")
     if ks[0] < 2 or ks[-1] >= gram.shape[0]:
         raise OutOfRangeError(f"k range must be within [2, n-1], got {ks[0]}..{ks[-1]}")
-    scorer = {"vrc": _variance_ratio, "silhouette": _silhouette}.get(criterion)
-    if scorer is None:
+    if criterion == "vrc":
+        scored, scorer = gram, _variance_ratio
+    elif criterion == "silhouette":
+        scored, scorer = _angles(gram), silhouette_from_distances
+    else:
         raise OutOfRangeError(f"unknown criterion {criterion!r}")
     y, s = _factor(gram)
     scores = {}
@@ -391,7 +395,7 @@ def select_k(
     for k, child in zip(ks, _as_seed_sequence(seed).spawn(len(ks))):
         assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, child)
         assignments[k] = assignment
-        scores[k] = scorer(gram, assignment.labels)
+        scores[k] = scorer(scored, assignment.labels)
     best_k = ks[0]
     for k in ks[1:]:
         if scores[k] > scores[best_k]:

@@ -1,14 +1,16 @@
-"""Dataset container and CSV/JSON loading.
+"""Dataset container and the one reader of numeric input tables.
 
 A dataset is an n x m real matrix: rows are samples, columns are features.
+``_read_table`` parses every numeric table the package reads (CSV and JSON
+datasets, and the CLI's Gram files), so the input rules live in one place.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +41,7 @@ class Dataset:
             raise TooFewSamplesError(f"need at least 2 samples, got {n}")
         if m < 2:
             raise TooFewFeaturesError(f"need at least 2 features, got {m}")
-        if not np.isfinite(values).all():
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
+        _check_finite(values)
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != m:
@@ -58,54 +58,116 @@ class Dataset:
         return self.values.shape[1]
 
 
-def _open_text(source):
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    return open(Path(source), "r", newline="", encoding="utf-8")
+def _check_finite(matrix: np.ndarray) -> np.ndarray:
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
+    return matrix
+
+
+def _filled_rows(reader):
+    """The rows of a ``csv.reader`` that are not blank or whitespace-only."""
+    return (row for row in reader if len(row) > 1 or (row and row[0].strip()))
+
+
+def _read_table(source, empty, *, json_key=None, has_header=False):
+    """``(header or JSON payload, finite float matrix)`` from a path or stream.
+
+    With ``json_key`` the source is a JSON object whose ``json_key`` entry
+    is a list of equal-length rows of JSON numbers; the whole object is
+    returned with the matrix. Otherwise it is comma-separated text: blank
+    and whitespace-only lines are skipped and, when ``has_header``, the
+    first filled row is returned as the header (cells stripped). A source
+    that is not UTF-8, not such a JSON object, not readable as CSV, or holds
+    no data row raises ``empty``, the caller's error class. Non-numeric
+    cells are reported before non-finite ones.
+    """
+    stream = hasattr(source, "read")
+    name = "input" if stream else Path(source).name
+    try:
+        text = source.read() if stream else None
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        if json_key is None:
+            head, matrix = _read_csv(source, text, name, empty, has_header)
+        else:
+            try:
+                head = json.loads(Path(source).read_text(encoding="utf-8") if text is None else text)
+            except (ValueError, RecursionError) as exc:
+                raise empty(f"{name}: not valid JSON ({exc})") from None
+            rows = head.get(json_key) if isinstance(head, dict) else None
+            if not isinstance(rows, list) or not rows:
+                raise empty(f'{name}: no "{json_key}" list of rows')
+            matrix = _json_matrix(rows)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
+        raise empty(f"{name}: unreadable text ({exc})") from None
+    return head, _check_finite(matrix)
+
+
+def _read_csv(path, text, name, empty, has_header):
+    """Parse ``text`` if it is given, else the file at ``path``."""
+    if text is None:
+        handle, target = open(path, "r", newline="", encoding="utf-8"), path
+    else:
+        handle, target = io.StringIO(text, newline=""), io.StringIO(text, newline="")
+    with handle:
+        reader = csv.reader(handle)
+        rows = _filled_rows(reader)
+        header = [cell.strip() for cell in next(rows, [])] if has_header else None
+        skip = reader.line_num
+        first = next(rows, None)
+        if first is None:
+            raise empty(f"{name}: no data rows")
+        try:
+            # given the path, loadtxt streams the file at C speed
+            matrix = np.loadtxt(target, delimiter=",", comments=None, quotechar='"',
+                                ndmin=2, skiprows=skip, encoding="utf-8")
+        except ValueError:
+            # locate the bad cell or row; float() also takes a few spellings
+            # loadtxt refuses (digit underscores, non-ASCII digits)
+            matrix = _parse_rows(itertools.chain([first], rows))
+    return header, matrix
+
+
+def _parse_rows(rows) -> np.ndarray:
+    parsed = []
+    for r, row in enumerate(rows):
+        if parsed and len(row) != len(parsed[0]):
+            raise RaggedRowsError(r, len(parsed[0]), len(row))
+        values = []
+        for c, cell in enumerate(row):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise NonNumericCellError(r, c, cell.strip()) from None
+        parsed.append(values)
+    return np.asarray(parsed, dtype=np.float64)
+
+
+def _json_matrix(rows) -> np.ndarray:
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise NonNumericCellError(r, 0, repr(row))
+        if len(row) != len(rows[0]):
+            raise RaggedRowsError(r, len(rows[0]), len(row))
+        for c, cell in enumerate(row):
+            if type(cell) not in (int, float):  # a JSON number; bool is not one
+                raise NonNumericCellError(r, c, repr(cell))
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float64 range
+        raise NonFiniteValueError("an integer cell exceeds the float64 range") from None
 
 
 def load_dataset(source, has_header: bool = False) -> Dataset:
     """Parse a CSV stream or path into a Dataset.
 
-    Comma-delimited, decimal-point floats, optional single header row.
+    Comma-delimited, decimal-point floats, optional single header row (the
+    first filled row); blank lines are skipped.
     """
-    names = None
-    rows = []
-    try:
-        with _open_text(source) as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise TooFewSamplesError(f"CSV dataset is not UTF-8 text: {exc}") from None
-    width = None
-    for row in csv.reader(io.StringIO(text)):
-        if not row or (len(row) == 1 and row[0].strip() == ""):
-            continue
-        if has_header and names is None and not rows:
-            names = [cell.strip() for cell in row]
-            width = len(names)
-            continue
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise RaggedRowsError(len(rows), width, len(row))
-        parsed = []
-        for col, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCellError(len(rows), col, cell.strip()) from None
-            if not math.isfinite(value):
-                raise NonFiniteValueError(f"non-finite value at ({len(rows)}, {col})")
-            parsed.append(value)
-        rows.append(parsed)
-    if len(rows) < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {len(rows)}")
-    if width is None or width < 2:
-        raise TooFewFeaturesError(f"need at least 2 features, got {width or 0}")
-    return Dataset(np.asarray(rows, dtype=np.float64), tuple(names) if names else None)
+    names, values = _read_table(source, TooFewSamplesError, has_header=has_header)
+    return Dataset(values, tuple(names) if names else None)
 
 
 def load_dataset_json(source) -> Dataset:
@@ -114,49 +176,8 @@ def load_dataset_json(source) -> Dataset:
     Text that is not JSON, or JSON without a ``rows`` list, counts as a
     dataset with no rows.
     """
-    with _open_text(source) as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # undecodable bytes or JSON
-            raise TooFewSamplesError(f"JSON dataset is not valid JSON: {exc}") from None
-    rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not rows:
-        raise TooFewSamplesError("JSON dataset has no rows")
-    for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise NonNumericCellError(r, 0, repr(row))
-    if len(rows) < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {len(rows)}")
-    width = len(rows[0])
-    if width < 2:
-        raise TooFewFeaturesError(f"need at least 2 features, got {width}")
-    values = np.empty((len(rows), width), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRowsError(r, width, len(row))
-        for c, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
-                raise NonNumericCellError(r, c, repr(cell))
-            if not math.isfinite(cell):
-                raise NonFiniteValueError(f"non-finite value at ({r}, {c})")
-            values[r, c] = float(cell)
+    payload, values = _read_table(source, TooFewSamplesError, json_key="rows")
     names = payload.get("feature_names")
     if names is not None and not isinstance(names, list):
-        raise RaggedRowsError("header", width, type(names).__name__)
+        raise RaggedRowsError("header", values.shape[1], type(names).__name__)
     return Dataset(values, tuple(names) if names else None)
-
-
-def dataset_to_json(data: Dataset) -> dict:
-    out = {"rows": data.values.tolist()}
-    if data.feature_names is not None:
-        out["feature_names"] = list(data.feature_names)
-    return out
-
-
-def dataset_to_csv(data: Dataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if data.feature_names is not None:
-        writer.writerow(data.feature_names)
-    writer.writerows(data.values.tolist())
-    return buf.getvalue()

@@ -39,7 +39,8 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     """Fit a d-component kernel PCA model from a square Gram matrix.
 
     When fewer than d eigenvalues exceed the rank tolerance, the model is
-    truncated to the achievable count with a RankDeficientWarning.
+    truncated to the achievable count with a RankDeficientWarning; when none
+    does, OutOfRangeError is raised.
     """
     values = _gram_values(gram)
     n = values.shape[0]
@@ -50,13 +51,15 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     eigenvalues = eigenvalues[::-1]
     tol = 1e-10 * max(eigenvalues[0], 0.0)
     usable = int(np.sum(eigenvalues > tol))
+    if usable == 0:
+        raise OutOfRangeError("no eigenvalue of the centred Gram exceeds the rank tolerance")
     if usable < d:
         warnings.warn(
             f"only {usable} of {d} requested components exceed the rank tolerance",
             RankDeficientWarning,
             stacklevel=2,
         )
-        d = max(usable, 1)
+        d = usable
     eigenvalues = eigenvalues[:d].copy()
     coefficients = eigenvectors[:, ::-1][:, :d] / np.sqrt(eigenvalues)[None, :]
     # fix signs: the largest-magnitude coefficient of each component is positive

@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import CriticalScale
 from .errors import DimensionMismatchError, SmallSampleWarning
-from .kernel import _features_with_critical, _gram_from_features, _values
+from .kernel import _features_with_critical, _unit_vectors, _values
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +97,11 @@ def independence_test(
     )
 
 
+def _unit_sum(feats, critical) -> np.ndarray:
+    """sum_i u_i over one dataset's unit contribution vectors."""
+    return _unit_vectors(feats, critical)[0].sum(axis=0)
+
+
 def structure_difference_score(
     data_a,
     data_b,
@@ -118,8 +123,10 @@ def structure_difference_score(
     sign-level sample-set distance is positive, i.e. when the estimated
     structures lie at a positive graph distance.
 
-    Each dataset's contribution features are built once; the cross Gram
-    and both aggregate statistics are derived from those two stacks.
+    Each dataset's contribution features are built once, and both
+    aggregate statistics are derived from those two stacks. The cross-Gram
+    total is sum_i sum_i' <u_i, u'_i'> = <sum_i u_i, sum_i' u'_i'> over the
+    unit contribution vectors, so no n x n' matrix is built.
     """
     values_a = _values(data_a)
     values_b = _values(data_b)
@@ -129,7 +136,7 @@ def structure_difference_score(
         )
     feats_a, crit_a = _features_with_critical(values_a, alpha, convention, threads)
     feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads)
-    score = float(_gram_from_features(feats_a, crit_a, feats_b, crit_b).values.sum())
+    score = float(_unit_sum(feats_a, crit_a) @ _unit_sum(feats_b, crit_b))
     stat_a = _aggregate(feats_a, crit_a)
     stat_b = _aggregate(feats_b, crit_b)
     m = values_a.shape[1]

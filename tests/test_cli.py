@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from depcon.cli import _load_matrix, _write_matrix_csv, main
+from depcon.cli import _load_any_dataset, _load_matrix, _write_matrix_csv, main
 from depcon.errors import (
     ConstantFeatureError,
     DimensionMismatchError,
@@ -240,6 +240,18 @@ def test_header_csv_accepted_via_sniffing(tmp_path):
     assert np.loadtxt(out, delimiter=",").shape == (3, 3)
 
 
+def test_header_sniffing_reads_the_first_filled_row(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("\n0,1\n1,0\n2,4\n5,1\n")  # a leading blank line is no header
+    ds = _load_any_dataset(data)
+    assert ds.n == 4 and ds.feature_names is None
+    assert np.array_equal(ds.values, [[0, 1], [1, 0], [2, 4], [5, 1]])
+    data.write_text("\n \nx,y\n\n0,1\n1,0\n")
+    ds = _load_any_dataset(data)
+    assert ds.feature_names == ("x", "y")
+    assert np.array_equal(ds.values, [[0, 1], [1, 0]])
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -267,11 +279,25 @@ def test_bad_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, erro
         ("{", NotSquareError),
         (b"\xff\xfe", NotSquareError),
         ('{"values": [[1.0, -1.5], [-1.5, 1.0]]}', GramRangeError),
+        ('{"values": [[1.0, "0.5"], [0.5, 1.0]]}', NonNumericCellError),
+        ('{"values": [[1.0, true], [true, 1.0]]}', NonNumericCellError),
+        ('{"values": [[1.0, 0.5], [0.5]]}', RaggedRowsError),
+        ('{"values": []}', NotSquareError),
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
 def test_bad_json_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, error):
     _assert_gram_rejected(tmp_path, capsys, recwarn, command, "gram.json", text, error)
+
+
+@pytest.mark.parametrize("command", ["cluster", "kpca"])
+def test_gram_csv_bad_byte_past_first_buffer_exit_code(tmp_path, capsys, recwarn, command):
+    # an identity Gram of 48 rows takes 9 KiB; its last cell holds a byte
+    # that is not UTF-8, beyond the first buffer a text reader decodes
+    text = "".join(",".join("1.0" if i == j else "0.0" for j in range(48)) + "\n" for i in range(48))
+    text = text.encode()[:-4] + b"\xff.0\n"
+    assert len(text) > 9000
+    _assert_gram_rejected(tmp_path, capsys, recwarn, command, "gram.csv", text, NotSquareError)
 
 
 def _assert_gram_rejected(tmp_path, capsys, recwarn, command, name, text, error):
@@ -292,6 +318,7 @@ def _assert_gram_rejected(tmp_path, capsys, recwarn, command, name, text, error)
         "1,0.5\r\n0.5,1\r\n",
         "1, 0.5\n\n0.5 ,1",
         "1,0.5\n0.5,1_0e-1\n",  # float() takes digit underscores
+        "\n  \n1,0.5\n \t \n0.5,1\n",  # blank and whitespace-only lines are skipped
     ],
 )
 def test_gram_csv_spellings_parse(tmp_path, text):
@@ -354,9 +381,13 @@ def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["kpca", "eval"])
 def test_bad_json_labels_exit_codes(tmp_path, capsys, command, text, error):
+    _assert_labels_rejected(tmp_path, capsys, command, "labels.json", text, error)
+
+
+def _assert_labels_rejected(tmp_path, capsys, command, name, text, error):
     gram = tmp_path / "gram.csv"
     gram.write_text("1.0,0.5,0.2\n0.5,1.0,0.3\n0.2,0.3,1.0\n")
-    labels = tmp_path / "labels.json"
+    labels = tmp_path / name
     labels.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out.csv"
     if command == "kpca":
@@ -366,6 +397,34 @@ def test_bad_json_labels_exit_codes(tmp_path, capsys, command, text, error):
         pred.write_text("0\n1\n1\n")
         argv = ("eval", pred, "--truth", labels, "-o", out)
     assert run(*argv) == error.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0\n1.5\n1\n", "0\n1e300\n1\n", "label\n0\ninf\n1\n", "-1e-300\n0\n1\n"],
+)
+@pytest.mark.parametrize("command", ["kpca", "eval"])
+def test_bad_csv_labels_exit_codes(tmp_path, capsys, command, text):
+    _assert_labels_rejected(tmp_path, capsys, command, "labels.csv", text, NonNumericCellError)
+
+
+def test_csv_labels_accept_integral_numbers(tmp_path):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("0\n1\n1\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n\n0.0\n1e0\n 1 \n")
+    out = tmp_path / "eval.json"
+    assert run("eval", pred, "--truth", truth, "-o", out) == 0
+    assert json.loads(out.read_text())["per_input"][0]["ari"] == 1.0
+
+
+def test_kpca_without_usable_component_exit_code(tmp_path, capsys):
+    gram = tmp_path / "gram.csv"
+    gram.write_text("1.0,1.0,1.0,1.0,1.0,1.0\n" * 6)  # HKH = 0
+    out = tmp_path / "coords.csv"
+    assert run("kpca", gram, "-o", out, "-d", "2") == OutOfRangeError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
@@ -418,8 +477,26 @@ def test_bad_json_dataset_exit_codes(tmp_path, capsys, text, error):
     ],
 )
 def test_csv_not_utf8_exit_codes(tmp_path, capsys, command, error):
+    _assert_csv_input_rejected(tmp_path, capsys, command, error, b"\xff\xfe1,0\n0,1\n")
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("gram", TooFewSamplesError),
+        ("cluster", NotSquareError),
+        ("kpca", LengthMismatchError),
+        ("eval", LengthMismatchError),
+    ],
+)
+def test_csv_cell_beyond_csv_size_limit_exit_codes(tmp_path, capsys, command, error):
+    _assert_csv_input_rejected(tmp_path, capsys, command, error, b"7" * 200_000 + b"\n")
+
+
+def _assert_csv_input_rejected(tmp_path, capsys, command, error, content):
+    """``content`` as the dataset, Gram, labels or truth CSV exits with ``error``'s code."""
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"\xff\xfe1,0\n0,1\n")
+    bad.write_bytes(content)
     gram = tmp_path / "gram.csv"
     gram.write_text("1.0,0.5\n0.5,1.0\n")
     labels = tmp_path / "labels.csv"

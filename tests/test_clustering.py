@@ -349,6 +349,23 @@ def test_select_k_validates_the_gram_once(monkeypatch, criterion):
         assert result.scores[k] == scorer(gram, assignment.labels)
 
 
+def test_select_k_builds_silhouette_distances_once(monkeypatch):
+    calls = []
+    original = np.arccos
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arccos", counted)
+    gram, _ = separated_gram([8, 8, 8], within=0.9, cross=0.1)
+    result = select_k(gram, range(2, 6), "silhouette", seed=3, restarts=2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for k, assignment in result.assignments.items():
+        assert result.scores[k] == silhouette_score(gram, assignment.labels)
+
+
 def test_select_k_range_validation():
     gram, _ = ideal_block_gram([4, 4])
     with pytest.raises(OutOfRangeError):

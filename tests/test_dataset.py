@@ -1,16 +1,9 @@
 import io
-import json
 
 import numpy as np
 import pytest
 
-from depcon.dataset import (
-    Dataset,
-    dataset_to_csv,
-    dataset_to_json,
-    load_dataset,
-    load_dataset_json,
-)
+from depcon.dataset import Dataset, load_dataset, load_dataset_json
 from depcon.errors import (
     NonFiniteValueError,
     NonNumericCellError,
@@ -65,13 +58,60 @@ def test_header_sniffing_not_applied_without_flag():
 
 
 def test_json_roundtrip():
-    ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), ("x", "y"))
-    again = load_dataset_json(io.StringIO(json.dumps(dataset_to_json(ds))))
+    text = '{"rows": [[1.0, 2.0], [3.0, 4.0]], "feature_names": ["x", "y"]}'
+    again = load_dataset_json(io.StringIO(text))
     assert again.feature_names == ("x", "y")
-    assert np.array_equal(again.values, ds.values)
+    assert np.array_equal(again.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_csv_roundtrip():
-    ds = Dataset(np.array([[1.5, -2.0], [0.25, 4.0], [3.0, 0.0]]), ("u", "v"))
-    again = load_dataset(io.StringIO(dataset_to_csv(ds)), has_header=True)
-    assert np.array_equal(again.values, ds.values)
+    again = load_dataset(io.StringIO("u,v\n1.5,-2.0\n0.25,4.0\n3.0,0.0\n"), has_header=True)
+    assert again.feature_names == ("u", "v")
+    assert np.array_equal(again.values, [[1.5, -2.0], [0.25, 4.0], [3.0, 0.0]])
+
+
+def test_explicit_header_is_the_first_filled_row():
+    ds = load_dataset(io.StringIO("\n \nx,y\n\n0,1\n1,0\n"), has_header=True)
+    assert ds.feature_names == ("x", "y")
+    assert np.array_equal(ds.values, [[0, 1], [1, 0]])
+    ds = load_dataset(io.StringIO("\n7,8\n0,1\n1,0\n"), has_header=True)
+    assert ds.feature_names == ("7", "8") and ds.n == 2
+
+
+def test_whitespace_lines_skipped_and_header_width_checked():
+    ds = load_dataset(io.StringIO("0,1\n   \n1,0\n\t\n"))
+    assert ds.n == 2
+    with pytest.raises(RaggedRowsError) as err:
+        load_dataset(io.StringIO("a,b,c\n0,1\n1,0\n"), has_header=True)
+    assert err.value.row == "header"
+
+
+def test_non_numeric_reported_before_non_finite():
+    with pytest.raises(NonNumericCellError) as err:
+        load_dataset(io.StringIO("inf,1\n1,x\n"))
+    assert (err.value.row, err.value.col) == (1, 1)
+    with pytest.raises(NonNumericCellError):
+        load_dataset_json(io.StringIO('{"rows": [[NaN, 1], [1, "x"]]}'))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"rows": [[1, 2], [3, true]]}', NonNumericCellError),
+        ('{"rows": [[1, 2], [3, null]]}', NonNumericCellError),
+        ('{"rows": [[1, 2], [3, Infinity]]}', NonFiniteValueError),
+        ('{"rows": [[1, 2], [3, 1e999]]}', NonFiniteValueError),
+        ('{"rows": [[1, 2], [3, 1' + "0" * 400 + "]]}", NonFiniteValueError),
+    ],
+    ids=["true", "null", "Infinity", "1e999", "integer-beyond-float64"],
+)
+def test_json_cells_must_be_finite_numbers(text, error):
+    with pytest.raises(error):
+        load_dataset_json(io.StringIO(text))
+
+
+def test_bytes_streams_are_utf8():
+    ds = load_dataset(io.BytesIO(b"0,1\n1,0\n"))
+    assert ds.n == 2
+    with pytest.raises(TooFewSamplesError):
+        load_dataset(io.BytesIO(b"0,1\n1,\xff\n"))

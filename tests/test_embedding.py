@@ -100,6 +100,12 @@ def test_rank_deficient_warns_and_truncates():
     assert model.d < 5
 
 
+@pytest.mark.parametrize("gram", [np.ones((6, 6)), -np.eye(4)], ids=["constant", "negative"])
+def test_no_usable_component_raises(gram):
+    with pytest.raises(OutOfRangeError):
+        kpca_fit(gram, 2)
+
+
 def test_sign_convention_deterministic():
     rng = np.random.default_rng(6)
     from depcon.kernel import gram_matrix

@@ -164,5 +164,6 @@ def test_structure_parts_match_standalone_results():
         assert np.array_equal(
             result.statistic_b, independence_test(b, convention=convention).statistic
         )
-        cross = gram_matrix(a, b, alpha=0.1, convention=convention)
-        assert result.score == float(cross.values.sum())
+        # the score is the cross Gram's total, summed without the n x n' matrix
+        total = float(gram_matrix(a, b, alpha=0.1, convention=convention).values.sum())
+        assert result.score == pytest.approx(total, rel=1e-12, abs=0.0)
