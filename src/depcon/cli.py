@@ -375,8 +375,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_graphdist(args) -> int:
-    graph_a = graph_from_json(Path(args.graph_a).read_text())
-    graph_b = graph_from_json(Path(args.graph_b).read_text())
+    graph_a = graph_from_json(Path(args.graph_a).read_bytes())
+    graph_b = graph_from_json(Path(args.graph_b).read_bytes())
     rep_a = representative(graph_a)
     rep_b = representative(graph_b)
     payload = {

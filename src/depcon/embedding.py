@@ -38,7 +38,8 @@ class KpcaModel:
 def kpca_fit(gram, d: int) -> KpcaModel:
     """Fit a d-component kernel PCA model from a square Gram matrix.
 
-    When fewer than d eigenvalues exceed the rank tolerance, the model is
+    The rank tolerance is 1e-10 times the largest eigenvalue, and at least
+    n * eps * max|K|. When fewer than d eigenvalues exceed it, the model is
     truncated to the achievable count with a RankDeficientWarning; when none
     does, OutOfRangeError is raised.
     """
@@ -49,7 +50,10 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     eigenvalues, eigenvectors = _centered_eigh(values)
     # eigh sorts ascending; the components are the largest pairs, last first
     eigenvalues = eigenvalues[::-1]
-    tol = 1e-10 * max(eigenvalues[0], 0.0)
+    # relative to the spectrum, but never below the Gram's own rounding level:
+    # a spectrum that is all rounding noise has no component
+    scale = max(values.max(), -values.min())  # max|K| without an n x n temporary
+    tol = max(1e-10 * eigenvalues[0], n * np.finfo(np.float64).eps * scale)
     usable = int(np.sum(eigenvalues > tol))
     if usable == 0:
         raise OutOfRangeError("no eigenvalue of the centred Gram exceeds the rank tolerance")

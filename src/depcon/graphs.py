@@ -284,15 +284,16 @@ def graph_to_json(graph: MixedGraph) -> dict:
 
 
 def graph_from_json(payload) -> MixedGraph:
-    """Graph from ``{"vertices": m, "edges": [[j, k, type], ...]}`` or its JSON text.
+    """Graph from ``{"vertices": m, "edges": [[j, k, type], ...]}`` or its UTF-8 JSON text.
 
-    Text that is not JSON, a missing ``vertices`` count and ``edges`` that are
+    Text that is not UTF-8 JSON, a missing ``vertices`` count or one above
+    1000 (``representative`` tests every vertex pair) and ``edges`` that are
     not a list of ``[j, k, type]`` raise InvalidGraphError.
     """
-    if isinstance(payload, str):
+    if isinstance(payload, (str, bytes)):
         try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(payload.decode() if isinstance(payload, bytes) else payload)
+        except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON
             raise InvalidGraphError(f"graph is not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise InvalidGraphError("graph JSON must be an object with a 'vertices' count")
@@ -300,6 +301,8 @@ def graph_from_json(payload) -> MixedGraph:
         m = int(payload["vertices"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise InvalidGraphError("graph JSON needs an integer 'vertices' count") from None
+    if m > 1000:
+        raise InvalidGraphError(f"graph JSON has {m} vertices, more than the 1000 supported")
     entries = payload.get("edges", [])
     if not isinstance(entries, list):
         raise InvalidGraphError("graph JSON 'edges' must be a list of [j, k, type]")

@@ -186,11 +186,14 @@ def test_graphdist_command(tmp_path):
         '{"vertices": 2, "edges": [[0, "b", "->"]]}',
         '{"vertices": 2, "edges": 5}',
         "[2]",
+        b"\xff\xfe{}",
+        '{"vertices": 1e300}',
+        pytest.param("[" * 100_000, id="deeply-nested"),
     ],
 )
 def test_graphdist_malformed_graph_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "dist.json"
     assert run("graphdist", bad, bad, "-o", out) == InvalidGraphError.exit_code
     assert "Traceback" not in capsys.readouterr().err
@@ -423,6 +426,15 @@ def test_csv_labels_accept_integral_numbers(tmp_path):
 def test_kpca_without_usable_component_exit_code(tmp_path, capsys):
     gram = tmp_path / "gram.csv"
     gram.write_text("1.0,1.0,1.0,1.0,1.0,1.0\n" * 6)  # HKH = 0
+    out = tmp_path / "coords.csv"
+    assert run("kpca", gram, "-o", out, "-d", "2") == OutOfRangeError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kpca_rounding_noise_spectrum_exit_code(tmp_path, capsys):
+    gram = tmp_path / "gram.csv"
+    gram.write_text("0.7,0.7,0.7,0.7,0.7,0.7\n" * 6)  # HKH's spectrum is rounding noise
     out = tmp_path / "coords.csv"
     assert run("kpca", gram, "-o", out, "-d", "2") == OutOfRangeError.exit_code
     assert "Traceback" not in capsys.readouterr().err

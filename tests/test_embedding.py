@@ -100,7 +100,18 @@ def test_rank_deficient_warns_and_truncates():
     assert model.d < 5
 
 
-@pytest.mark.parametrize("gram", [np.ones((6, 6)), -np.eye(4)], ids=["constant", "negative"])
+def _parallel_cosine_gram():
+    # six parallel vectors: HKH is zero up to rounding (an eigenvalue near 2e-16)
+    u = np.outer(np.arange(1.0, 7.0), np.random.default_rng(8).standard_normal(5))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u @ u.T
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [np.ones((6, 6)), -np.eye(4), np.full((6, 6), 0.7), _parallel_cosine_gram()],
+    ids=["constant", "negative", "constant_noise", "parallel"],
+)
 def test_no_usable_component_raises(gram):
     with pytest.raises(OutOfRangeError):
         kpca_fit(gram, 2)

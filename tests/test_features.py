@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from depcon.inference import aggregate_statistic
 from depcon.kernel import contribution_features
 from reference import distance_tensor
 
@@ -35,3 +36,61 @@ def test_features_match_distance_tensor(make, standardize):
     for i in range(x.shape[0]):
         reference = slices[i].T @ slices[i]
         assert np.abs(fast[i] - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def _relative_to_diagonals(fast, reference):
+    """Largest |fast - reference| of each entry (j, l) over sqrt(ref_jj ref_ll)."""
+    d = np.sqrt(np.einsum("ijj->ij", reference))
+    return (np.abs(fast - reference) / (d[:, :, None] * d[:, None, :])).max()
+
+
+def _extreme_scales(rng):
+    z = rng.standard_normal((60, 5))
+    z[:, 1] += z[:, 0]
+    z[:, 3] += z[:, 2] ** 2
+    return z * [1e-150, 1e150, 1.0, 1.0, 1.0] + [0.0, 0.0, 1e4, 1e10, -1e10]
+
+
+def _heavy_tails(rng):
+    return rng.pareto(0.5, (200, 3))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_extreme_scales_match_distance_tensor(standardize):
+    # entrywise against the diagonals: a per-sample max would hide the small-scale columns
+    x = _extreme_scales(np.random.default_rng(5))
+    tensor = distance_tensor(x)
+    slices = tensor.z if standardize else tensor.c
+    reference = np.einsum("ikj,ikl->ijl", slices, slices)
+    fast = contribution_features(x, standardize=standardize)
+    assert _relative_to_diagonals(fast, reference) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+def test_heavy_tails_match_extended_precision():
+    # n alpha_i alpha_i^T dwarfs Z_i^T Z_i here; subtracting it alone is off by 2e-12
+    x = np.random.default_rng(1).pareto(0.5, (1000, 3))
+    wide = x.astype(np.longdouble)
+    z = np.abs(wide[:, None, :] - wide[None, :, :])
+    row_mean = z.mean(axis=1)
+    grand_mean = row_mean.mean(axis=0)
+    z -= row_mean[:, None, :]
+    z -= row_mean[None, :, :]
+    z += grand_mean
+    z /= grand_mean
+    reference = np.einsum("ikj,ikl->ijl", z, z)
+    assert _relative_to_diagonals(contribution_features(x), reference) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [_random, _heavy_tails])
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("block_rows", [1, None])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_features_and_statistic_exactly_symmetric(make, standardize, block_rows, threads):
+    x = make(np.random.default_rng(3))
+    fast = contribution_features(
+        x, standardize=standardize, threads=threads, block_rows=block_rows
+    )
+    assert np.array_equal(fast, fast.transpose(0, 2, 1))
+    statistic = aggregate_statistic(x, threads=threads)
+    assert np.array_equal(statistic, statistic.T)

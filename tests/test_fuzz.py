@@ -64,6 +64,31 @@ def files(key):
     )
 
 
+VERTICES = st.one_of(st.integers(-1, 5), JSON_LEAVES)
+EDGE = st.one_of(
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5), st.sampled_from(["--", "->", "<-", "<->", "x"])),
+    JSON_VALUES,
+)
+GRAPHS = st.builds(
+    lambda vertices, edges: {"vertices": vertices, "edges": edges},
+    VERTICES,
+    st.lists(EDGE, max_size=5) | JSON_VALUES,
+).map(lambda graph: json.dumps(graph).encode())
+
+
+def graph_files():
+    """Raw bytes, near-JSON text, and graph documents near the expected shape, some cut short."""
+    return st.tuples(
+        st.just(".json"),
+        st.one_of(
+            st.binary(max_size=80),
+            json_text("vertices"),
+            GRAPHS,
+            st.builds(lambda text, cut: text[:cut], GRAPHS, st.integers(0, 40)),
+        ),
+    )
+
+
 def _check(build_argv, suffix, content):
     """Run the command ``build_argv`` makes with the fuzzed file and fixed others."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,3 +150,11 @@ def test_kpca_reads_any_labels_file(file):
 @example(HUGE_LABEL)
 def test_eval_reads_any_truth_file(file):
     _check(lambda data, gram, pred, out: ("eval", pred, "--truth", data, "-o", out), *file)
+
+
+@FUZZ
+@given(graph_files())
+@example((".json", b"\xff\xfe{}"))
+@example((".json", b'{"vertices": %s}' % BIG))
+def test_graphdist_reads_any_graph_file(file):
+    _check(lambda data, gram, pred, out: ("graphdist", data, data, "-o", out), *file)

@@ -398,6 +398,12 @@ def test_sample_set_distance_symmetry():
     assert sample_set_distance(a, b) == pytest.approx(sample_set_distance(b, a), abs=1e-10)
 
 
+def test_sample_set_distance_rejects_feature_mismatch():
+    rng = np.random.default_rng(108)
+    with pytest.raises(DimensionMismatchError):
+        sample_set_distance(random_dataset(rng, 20, 3), random_dataset(rng, 20, 4))
+
+
 def test_mean_distance_on_sign_matrices():
     # identical sign-matrix means -> 0; one flipped symmetric pair -> 2
     sign = np.array([[1, 1, -1], [1, 1, 1], [-1, 1, 1]], dtype=float)
