@@ -45,13 +45,11 @@ from .inference import (
 )
 from .kernel import (
     BACKEND_NAME,
-    DistanceCovMatrix,
     GramMatrix,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
     gram_matrix,
-    kernel_distance,
     mean_contribution,
     sample_set_distance,
 )

@@ -3,8 +3,8 @@
 Every output carries a provenance block (JSON outputs embed it, CSV
 outputs get a ``<name>.provenance.json`` sidecar) recording the
 subcommand, math-relevant configuration, seed, and library version.
-Execution details (thread count, block size) are excluded so reruns are
-byte-identical regardless of parallelism.
+The thread count is excluded, so reruns are byte-identical regardless of
+parallelism.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _provenance(command: str, config: dict) -> dict:
     clean = {
         key: value
         for key, value in config.items()
-        if key not in ("threads", "block_rows", "func") and value is not None
+        if key not in ("threads", "func") and value is not None
     }
     return {
         "tool": "depcon",
@@ -184,13 +184,7 @@ def _load_labels(path) -> np.ndarray:
 
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
-    gram = gram_matrix(
-        data,
-        alpha=args.alpha,
-        convention=args.convention,
-        threads=args.threads,
-        block_rows=args.block_rows,
-    )
+    gram = gram_matrix(data, alpha=args.alpha, convention=args.convention, threads=args.threads)
     prov = _provenance("gram", vars(args))
     if args.format == "json":
         _write_json(args.output, {"values": gram.values.tolist(), "provenance": prov})
@@ -400,11 +394,8 @@ def _add_common(parser, threads=True):
     )
     if threads:
         parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: DEPCON_THREADS or 1)")
-        parser.add_argument("--block-rows", type=int, default=None,
-                            help="rows per feature block (default: about 1 MiB of "
-                                 "scratch per block); changes speed and memory, "
-                                 "never the output")
+                            help="worker threads, at most one per CPU (default: "
+                                 "DEPCON_THREADS or 1); never changes the output")
 
 
 def build_parser() -> argparse.ArgumentParser:

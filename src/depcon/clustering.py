@@ -227,11 +227,14 @@ def _check_k(k, n):
 
 
 def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None):
+    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
+        if value < 1:
+            raise OutOfRangeError(f"need {name} >= 1, got {value}")
     if init_labels is not None:
         labels = _check_init_labels(init_labels, y.shape[0], k)
         return _kmeans_once(y, s, k, init, max_iter, None, init_labels=labels)
     best = None
-    for child in _as_seed_sequence(seed).spawn(max(1, restarts)):
+    for child in _as_seed_sequence(seed).spawn(restarts):
         result = _kmeans_once(y, s, k, init, max_iter, np.random.default_rng(child))
         if best is None or result.objective < best.objective - 1e-12:
             best = result

@@ -99,7 +99,7 @@ def independence_test(
 
 def _unit_sum(feats, critical) -> np.ndarray:
     """sum_i u_i over one dataset's unit contribution vectors."""
-    return _unit_vectors(feats, critical)[0].sum(axis=0)
+    return _unit_vectors(feats, critical).sum(axis=0)
 
 
 def structure_difference_score(

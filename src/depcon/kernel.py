@@ -16,8 +16,9 @@ The n x n x m distance tensor is never materialized. With each column in
 units of its mean distance, row-mean distances a and alpha = a - 1, sample
 i's product is ``Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T`` where
 ``E_i[k] = |x_i - x_k| - a_k``: the double centring folds into a rank-one
-term. Products are built in row blocks, each sample's on its own, so
-results are bit-identical for any block size and any thread count.
+term. Products are built in row blocks of about ``DEFAULT_BLOCK_BYTES``
+scratch, each sample's on its own, so results are bit-identical for any
+block size and any thread count.
 """
 
 from __future__ import annotations
@@ -51,28 +52,24 @@ DEFAULT_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceCovMatrix:
-    """m x m matrix of squared sample distance covariances."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Kernel matrix of kappa values plus the cached per-side contribution norms."""
+    """Kernel matrix of kappa values."""
 
     values: np.ndarray
-    self_norms: tuple[np.ndarray, np.ndarray]
 
 
-def _resolve_threads(threads):
+def _resolve_threads(threads) -> int:
+    """``threads``, or ``DEPCON_THREADS`` (default 1) when None; below 1 is an error."""
     if threads is None:
         env = os.environ.get("DEPCON_THREADS") or "1"
         try:
             threads = int(env)
         except ValueError:
             raise OutOfRangeError(f"DEPCON_THREADS={env!r} is not an integer") from None
-    return max(1, int(threads))
+    threads = int(threads)
+    if threads < 1:
+        raise OutOfRangeError(f"need at least 1 thread, got {threads}")
+    return threads
 
 
 def _values(data) -> np.ndarray:
@@ -110,13 +107,6 @@ def distance_moments(values: np.ndarray):
     return row_mean, grand_mean
 
 
-def _block_rows(n: int, m: int, block_rows=None) -> int:
-    if block_rows is not None:
-        return max(1, min(int(block_rows), n))
-    per_row = n * m * 8
-    return max(1, min(n, DEFAULT_BLOCK_BYTES // max(per_row, 1)))
-
-
 def _product_block(x, a, start, stop, out):
     """Fill ``out[start:stop]`` with Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T."""
     n, out = x.shape[0], out[start:stop]
@@ -133,13 +123,14 @@ def _product_block(x, a, start, stop, out):
         out[redo] = np.matmul(z.transpose(0, 2, 1), z)
 
 
-def contribution_features(data, standardize=True, threads=None, block_rows=None) -> np.ndarray:
+def contribution_features(data, standardize=True, threads=None) -> np.ndarray:
     """(n, m, m) stack of per-sample products Z_i^T Z_i (C_i^T C_i when unstandardized).
 
     Built by the folded identity of the module docstring; C_i^T C_i is that
     times the outer product of the mean distances. Row blocks do not depend
     on the thread count and each sample's product is computed on its own, so
-    results are bit-identical for any ``block_rows`` and number of workers.
+    results are bit-identical for any number of workers. The pool holds
+    ``min(threads, blocks, CPUs)`` workers.
     """
     threads = _resolve_threads(threads)
     values = _values(data)
@@ -149,33 +140,33 @@ def contribution_features(data, standardize=True, threads=None, block_rows=None)
     x /= grand_mean
     a /= grand_mean
     out = np.empty((n, m, m), dtype=np.float64)
-    step = _block_rows(n, m, block_rows)
+    step = max(1, min(n, DEFAULT_BLOCK_BYTES // max(n * m * 8, 1)))
     spans = [(start, min(start + step, n)) for start in range(0, n, step)]
-    if threads == 1 or len(spans) == 1:
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers == 1:
         for start, stop in spans:
             _product_block(x, a, start, stop, out)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda span: _product_block(x, a, *span, out), spans))
     if not standardize:
         out *= np.outer(grand_mean, grand_mean)
     return out
 
 
-def distance_cov_matrix(data) -> DistanceCovMatrix:
-    """Matrix of squared sample distance covariances, (1/n^2) L^T L."""
+def distance_cov_matrix(data) -> np.ndarray:
+    """m x m matrix of squared sample distance covariances, (1/n^2) L^T L."""
     feats = contribution_features(data, standardize=False)
     n = feats.shape[0]
-    values = feats.sum(axis=0) / (n * n)
-    return DistanceCovMatrix(values=np.maximum(values, 0.0))
+    return np.maximum(feats.sum(axis=0) / (n * n), 0.0)
 
 
-def _features_with_critical(data, alpha, convention, threads=None, block_rows=None):
+def _features_with_critical(data, alpha, convention, threads=None):
     """One dataset's (n, m, m) contribution features and its critical matrix."""
     values = _values(data)
     n, m = values.shape
     critical = critical_matrix(m, n, alpha, convention)
-    return contribution_features(values, threads=threads, block_rows=block_rows), critical
+    return contribution_features(values, threads=threads), critical
 
 
 def gram_matrix(
@@ -185,26 +176,25 @@ def gram_matrix(
     alpha: float = 0.1,
     convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
-    block_rows=None,
 ) -> GramMatrix:
     """Kernel matrix of kappa values over one dataset or across two.
 
     The square single-dataset Gram is exactly symmetric with unit diagonal
     up to rounding (0 on degenerate samples); the cross case is n x n'.
     """
-    feats_a, crit_a = _features_with_critical(data_a, alpha, convention, threads, block_rows)
+    feats_a, crit_a = _features_with_critical(data_a, alpha, convention, threads)
     if data_b is None:
         return _gram_from_features(feats_a, crit_a)
     m = feats_a.shape[1]
     values_b = _values(data_b)
     if values_b.shape[1] != m:
         raise DimensionMismatchError(f"feature counts differ: {m} vs {values_b.shape[1]}")
-    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads, block_rows)
+    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads)
     return _gram_from_features(feats_a, crit_a, feats_b, crit_b)
 
 
 def _unit_vectors(feats, critical):
-    """Rows ``vec(phi_i) / ||phi_i||`` (0 for degenerate samples) and the norms ``||phi_i||``."""
+    """Rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples."""
     n = feats.shape[0]
     phi = feats.reshape(n, -1) - critical.values.reshape(-1)
     sq_norms = np.einsum("ij,ij->i", phi, phi)
@@ -218,34 +208,21 @@ def _unit_vectors(feats, critical):
             DegenerateSampleWarning,
             stacklevel=4,
         )
-    norms = np.sqrt(sq_norms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi /= norms[:, None]
+        phi /= np.sqrt(sq_norms)[:, None]
     phi[degenerate] = 0.0
-    return phi, norms
+    return phi
 
 
 def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
     """Kappa Gram ``U_a U_b^T`` from feature stacks: square over one stack, n x n' across two."""
-    u_a, norms_a = _unit_vectors(feats_a, crit_a)
-    if feats_b is None:
-        u_b, norms_b = u_a, norms_a
-    else:
-        u_b, norms_b = _unit_vectors(feats_b, crit_b)
+    u_a = _unit_vectors(feats_a, crit_a)
+    u_b = u_a if feats_b is None else _unit_vectors(feats_b, crit_b)
     # NumPy runs a product of one buffer with its own transpose as BLAS syrk
     # and mirrors the triangle, so the square Gram is exactly symmetric
     kappa = u_a @ u_b.T
     np.clip(kappa, -1.0, 1.0, out=kappa)
-    return GramMatrix(values=kappa, self_norms=(norms_a, norms_b))
-
-
-def kernel_distance(kappa_value):
-    """Angular distance arccos(kappa), in radians within [0, pi]."""
-    arr = np.asarray(kappa_value, dtype=np.float64)
-    if np.any(arr < -1.0 - 1e-9) or np.any(arr > 1.0 + 1e-9):
-        raise OutOfRangeError("kappa value outside [-1, 1]")
-    result = np.arccos(np.clip(arr, -1.0, 1.0))
-    return float(result) if np.isscalar(kappa_value) or arr.ndim == 0 else result
+    return GramMatrix(values=kappa)
 
 
 def mean_contribution(

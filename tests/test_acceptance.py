@@ -76,7 +76,7 @@ def test_criterion_01_definition_equivalence(small_instances):
         n = x.shape[0]
         feats = contribution_features(x, standardize=False)
         aggregated = feats.sum(axis=0) / (n * n)
-        worst = max(worst, float(np.abs(aggregated - distance_cov_matrix(x).values).max()))
+        worst = max(worst, float(np.abs(aggregated - distance_cov_matrix(x)).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 10.0
     assert report(1, ok, f"phi-sum vs dcov matrix, max err {worst:.2e}, {elapsed:.1f}s")
@@ -91,7 +91,7 @@ def test_criterion_02_brute_force_oracle(small_instances):
         c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
         flattened = c.reshape(n * n, m)
         oracle = flattened.T @ flattened / (n * n)
-        worst = max(worst, float(np.abs(distance_cov_matrix(x).values - oracle).max()))
+        worst = max(worst, float(np.abs(distance_cov_matrix(x) - oracle).max()))
     ok = worst < 1e-10
     assert report(2, ok, f"explicit vec/L^T L oracle, max err {worst:.2e}")
 

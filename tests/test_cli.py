@@ -531,3 +531,29 @@ def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch)
     assert run("gram", bench, "-o", out) == OutOfRangeError.exit_code
     monkeypatch.setenv("DEPCON_THREADS", "2")
     assert run("gram", bench, "-o", out) == 0
+
+
+@pytest.mark.parametrize("threads, env", [("0", None), ("-4", None), (None, "-3")])
+def test_threads_below_one_exit_code(bench, tmp_path, monkeypatch, capsys, threads, env):
+    if env is not None:
+        monkeypatch.setenv("DEPCON_THREADS", env)
+    extra = () if threads is None else ("--threads", threads)
+    out = tmp_path / "out.json"
+    for command in ("gram", "indep"):
+        assert run(command, bench, "-o", out, *extra) == OutOfRangeError.exit_code
+    assert run("test", bench, bench, "-o", out, *extra) == OutOfRangeError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "runs", [("-k", "2", "--max-iter", "0"), ("--k-range", "2", "4", "--max-iter", "0"),
+             ("-k", "2", "--restarts", "0"), ("--k-range", "2", "4", "--restarts", "-1")]
+)
+def test_cluster_max_iter_and_restarts_below_one_exit_code(bench, tmp_path, capsys, runs):
+    gram = tmp_path / "gram.csv"
+    assert run("gram", bench, "-o", gram) == 0
+    out = tmp_path / "labels.csv"
+    assert run("cluster", gram, "-o", out, *runs) == OutOfRangeError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "labels.csv.report.json").exists()

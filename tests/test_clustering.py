@@ -227,6 +227,19 @@ def test_k_too_large_and_too_small():
         kernel_kmeans(np.zeros((3, 4)), 2)
 
 
+@pytest.mark.parametrize("runs", [{"max_iter": 0}, {"max_iter": -1}, {"restarts": 0}])
+def test_max_iter_and_restarts_below_one_rejected(runs):
+    gram, _ = separated_gram([5, 5])
+    for fit in (
+        lambda: kernel_kmeans(gram, 2, **runs),
+        lambda: kernel_kmeans(gram, 2, init_labels=[0, 1] * 5, **runs),
+        lambda: lloyd_kmeans(gram, 2, **runs),
+        lambda: select_k(gram, range(2, 4), **runs),
+    ):
+        with pytest.raises(OutOfRangeError, match=next(iter(runs))):
+            fit()
+
+
 # ---------------------------------------------------------------- criteria
 
 

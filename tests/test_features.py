@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import depcon.kernel
 from depcon.inference import aggregate_statistic
 from depcon.kernel import contribution_features
 from reference import distance_tensor
@@ -84,13 +85,15 @@ def test_heavy_tails_match_extended_precision():
 
 @pytest.mark.parametrize("make", [_random, _heavy_tails])
 @pytest.mark.parametrize("standardize", [True, False])
-@pytest.mark.parametrize("block_rows", [1, None])
+@pytest.mark.parametrize("block_bytes", [1, None])  # 1: one-row blocks; None: the default
 @pytest.mark.parametrize("threads", [1, 2])
-def test_features_and_statistic_exactly_symmetric(make, standardize, block_rows, threads):
+def test_features_and_statistic_exactly_symmetric(
+    monkeypatch, make, standardize, block_bytes, threads
+):
+    if block_bytes is not None:
+        monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
     x = make(np.random.default_rng(3))
-    fast = contribution_features(
-        x, standardize=standardize, threads=threads, block_rows=block_rows
-    )
+    fast = contribution_features(x, standardize=standardize, threads=threads)
     assert np.array_equal(fast, fast.transpose(0, 2, 1))
     statistic = aggregate_statistic(x, threads=threads)
     assert np.array_equal(statistic, statistic.T)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import depcon.kernel
 from depcon.critical import CriticalScale, critical_matrix
 from depcon.dataset import Dataset
 from depcon.errors import (
@@ -11,14 +12,12 @@ from depcon.errors import (
     OutOfRangeError,
 )
 from depcon.kernel import (
-    DEFAULT_BLOCK_BYTES,
-    _block_rows,
+    _resolve_threads,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
     distance_moments,
     gram_matrix,
-    kernel_distance,
     mean_contribution,
     sample_set_distance,
 )
@@ -102,7 +101,7 @@ def test_phi_reduces_to_distance_cov():
         x = random_dataset(rng, n, m)
         feats = contribution_features(x, standardize=False)
         lhs = feats.sum(axis=0) / (n * n)
-        assert np.abs(lhs - distance_cov_matrix(x).values).max() < 1e-10
+        assert np.abs(lhs - distance_cov_matrix(x)).max() < 1e-10
 
 
 def test_phi_duplicated_feature():
@@ -151,13 +150,13 @@ def test_dcov_matches_flattened_oracle():
         c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
         flattened = c.reshape(n * n, m)
         oracle = flattened.T @ flattened / (n * n)
-        assert np.abs(distance_cov_matrix(x).values - oracle).max() < 1e-10
+        assert np.abs(distance_cov_matrix(x) - oracle).max() < 1e-10
 
 
 def test_dcov_diagonal_nonnegative_and_independent_offdiag_small():
     rng = np.random.default_rng(31)
     x = random_dataset(rng, 2000, 2)
-    dc = distance_cov_matrix(x).values
+    dc = distance_cov_matrix(x)
     assert (np.diagonal(dc) >= 0).all()
     assert abs(dc[0, 1]) < 0.01
 
@@ -348,47 +347,100 @@ def test_gram_accepts_dataset_objects():
     assert gram_matrix(ds).values.shape == (9, 9)
 
 
-def test_gram_block_and_thread_determinism():
+DEFAULT_BLOCK_BYTES = depcon.kernel.DEFAULT_BLOCK_BYTES
+
+
+def _block_spans(monkeypatch, x, block_bytes=DEFAULT_BLOCK_BYTES):
+    """The (start, stop) row blocks ``contribution_features(x)`` builds."""
+    spans = []
+    build = depcon.kernel._product_block
+
+    def spy(x, a, start, stop, out):
+        spans.append((start, stop))
+        build(x, a, start, stop, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
+        patch.setattr(depcon.kernel, "_product_block", spy)
+        contribution_features(x, threads=1)
+    return spans
+
+
+def test_gram_block_and_thread_determinism(monkeypatch):
     rng = np.random.default_rng(103)
     x = random_dataset(rng, 50, 4)
     base = gram_matrix(x).values
-    for block_rows, threads in ((7, 1), (7, 4), (None, 3), (1, 2)):
-        other = gram_matrix(x, block_rows=block_rows, threads=threads).values
-        assert np.array_equal(base, other)
+    # a row of scratch is 50 * 4 doubles = 1600 bytes: 7-row, one-row and single blocks
+    for block_bytes, threads in ((7 * 1600, 1), (7 * 1600, 4), (1, 2), (DEFAULT_BLOCK_BYTES, 3)):
+        monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(base, gram_matrix(x, threads=threads).values)
 
 
-def test_features_block_and_thread_invariant():
+def test_features_block_and_thread_invariant(monkeypatch):
     # at n=200, m=4 the default block budget splits the rows into two blocks
     rng = np.random.default_rng(137)
     x = random_dataset(rng, 200, 4)
-    assert _block_rows(200, 4) < 200
-    for standardize in (True, False):
-        base = contribution_features(x, standardize=standardize, threads=1)
-        for block_rows in (1, 3, 200, None):
+    assert len(_block_spans(monkeypatch, x)) == 2
+    bases = {s: contribution_features(x, standardize=s, threads=1) for s in (True, False)}
+    # a row of scratch is 200 * 4 doubles = 6400 bytes: one-row, 3-row and single blocks
+    for block_bytes in (1, 3 * 6400, 200 * 6400, DEFAULT_BLOCK_BYTES):
+        monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
+        for standardize, base in bases.items():
             for threads in (1, 2):
-                other = contribution_features(
-                    x, standardize=standardize, threads=threads, block_rows=block_rows
-                )
+                other = contribution_features(x, standardize=standardize, threads=threads)
                 assert np.array_equal(base, other)
 
 
-def test_default_block_rows_at_least_one():
-    # one row of scratch (n * m doubles) larger than the whole budget
-    n = DEFAULT_BLOCK_BYTES // 8 + 1
-    assert _block_rows(n, 2) == 1
-    assert _block_rows(3, 2) == 3
+def test_default_block_rows_at_least_one(monkeypatch):
+    x = random_dataset(np.random.default_rng(139), 5, 2)
+    # one row of scratch (5 * 2 doubles) larger than the whole budget
+    assert _block_spans(monkeypatch, x, block_bytes=8) == [(i, i + 1) for i in range(5)]
+    assert _block_spans(monkeypatch, x, block_bytes=3 * 80) == [(0, 3), (3, 5)]
+    assert _block_spans(monkeypatch, x) == [(0, 5)]
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers``, runs blocks in order."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, block_bytes, workers",
+    [
+        (1, 8, 1, None),  # one thread: no pool
+        (4, 8, DEFAULT_BLOCK_BYTES, None),  # one block: no pool
+        (4, 1, 1, None),  # one CPU: no pool
+        (4, 8, 1, 4),
+        (64, 8, 1, 8),  # capped at the CPU count
+        (64, None, 1, None),  # CPU count unknown: counts as 1
+        (16000, 64, 1, 20),  # capped at the block count, 20 one-row blocks
+    ],
+)
+def test_thread_pool_is_bounded(monkeypatch, threads, cpus, block_bytes, workers):
+    x = random_dataset(np.random.default_rng(149), 20, 3)
+    base = contribution_features(x, threads=1)
+    _SerialPool.sizes = []
+    monkeypatch.setattr(depcon.kernel, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(depcon.kernel.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
+    assert np.array_equal(contribution_features(x, threads=threads), base)
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
 
 
 # ---------------------------------------------------------------- distances
-
-
-def test_kernel_distance_values():
-    assert kernel_distance(1.0) == pytest.approx(0.0)
-    assert kernel_distance(0.0) == pytest.approx(np.pi / 2)
-    assert kernel_distance(-1.0) == pytest.approx(np.pi)
-    assert kernel_distance(1.0 + 5e-10) == pytest.approx(0.0)
-    with pytest.raises(OutOfRangeError):
-        kernel_distance(1.1)
 
 
 def test_sample_set_distance_symmetry():
@@ -457,17 +509,7 @@ def test_cross_gram_per_side_scaling():
         )
 
 
-def test_kernel_distance_accepts_arrays():
-    values = np.array([[1.0, 0.0], [-1.0, 0.5]])
-    result = kernel_distance(values)
-    assert result.shape == (2, 2)
-    assert result[0, 0] == pytest.approx(0.0)
-    assert result[1, 0] == pytest.approx(np.pi)
-
-
 def test_threads_default_comes_from_environment(monkeypatch):
-    from depcon.kernel import _resolve_threads
-
     monkeypatch.setenv("DEPCON_THREADS", "3")
     assert _resolve_threads(None) == 3
     assert _resolve_threads(2) == 2
@@ -479,3 +521,14 @@ def test_threads_default_comes_from_environment(monkeypatch):
     with pytest.raises(OutOfRangeError):
         _resolve_threads(None)
     assert _resolve_threads(2) == 2
+
+
+@pytest.mark.parametrize("threads, env", [(0, None), (-4, None), (None, "-3"), (None, "0")])
+def test_thread_count_below_one_rejected(monkeypatch, threads, env):
+    x = random_dataset(np.random.default_rng(151), 10, 2)
+    if env is not None:
+        monkeypatch.setenv("DEPCON_THREADS", env)
+    with pytest.raises(OutOfRangeError, match="at least 1 thread"):
+        contribution_features(x, threads=threads)
+    with pytest.raises(OutOfRangeError):
+        gram_matrix(x, threads=threads)
