@@ -5,16 +5,19 @@ types: ``--`` (tail-tail), ``->`` / ``<-`` (directed), ``<->``
 (arrow-arrow). Graphs are validated to be ancestral on construction.
 
 With an empty conditioning set, two vertices are m-connected exactly when
-some path between them contains no collider. The bidirected graph over
-the m-connection relation is the unique representative of a graph's
-unconditional equivalence class, and the sign-matrix image of these
-representatives carries the group and metric structure used throughout.
+some path between them contains no collider. In an ancestral graph such a
+path is a trek: j <- ... <- a, then a top joining a to b (a = b, a <-> b,
+or an undirected path a -- ... -- b), then b -> ... -> k. So one
+reachability closure over boolean m x m matrices gives the whole relation.
+The bidirected graph over the m-connection relation is the unique
+representative of a graph's unconditional equivalence class, and the
+sign-matrix image of these representatives carries the group and metric
+structure used throughout.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +32,6 @@ from .errors import (
 EDGE_TYPES = ("--", "->", "<-", "<->")
 
 _MIRROR = {"--": "--", "->": "<-", "<-": "->", "<->": "<->"}
-
-# arrowhead present at (first endpoint, second endpoint) of the stored pair
-_ARROW_AT = {
-    "--": (False, False),
-    "->": (False, True),
-    "<-": (True, False),
-    "<->": (True, True),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,84 +74,73 @@ class MixedGraph:
         mirrored = self.edges.get((k, j))
         return None if mirrored is None else _MIRROR[mirrored]
 
-    def neighbors(self, v: int):
-        for (j, k), etype in self.edges.items():
-            if j == v:
-                yield k, _ARROW_AT[etype]
-            elif k == v:
-                yield j, (_ARROW_AT[etype][1], _ARROW_AT[etype][0])
+
+def _adjacency(graph: MixedGraph):
+    """``parent[a, v]`` for a -> v, and the symmetric bidirected and undirected adjacencies."""
+    marks = {etype: np.zeros((graph.m, graph.m), dtype=bool) for etype in EDGE_TYPES}
+    for pair, etype in graph.edges.items():
+        marks[etype][pair] = True
+    spouse = marks["<->"] | marks["<->"].T
+    undirected = marks["--"] | marks["--"].T
+    return marks["->"] | marks["<-"].T, spouse, undirected
 
 
-def _ancestor_sets(graph: MixedGraph):
-    """Strict-ancestor sets via directed edges only."""
-    children = {v: [] for v in range(graph.m)}
-    for (j, k), etype in graph.edges.items():
-        if etype == "->":
-            children[j].append(k)
-        elif etype == "<-":
-            children[k].append(j)
-    ancestors = {v: set() for v in range(graph.m)}
-    for root in range(graph.m):
-        queue = deque(children[root])
-        while queue:
-            v = queue.popleft()
-            if root not in ancestors[v]:
-                ancestors[v].add(root)
-                queue.extend(children[v])
-    return ancestors
+def _reach(a, b):
+    """Boolean product: some c has ``a[i, c]`` and ``b[c, j]``.
+
+    Only ``> 0`` is read from the float32 product, and a sum of non-negative
+    terms that includes a positive one cannot round to 0, so it is exact.
+    """
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
+
+
+def _closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency, by repeated squaring."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        wider = _reach(reach, reach)
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
 
 
 def _check_ancestral(graph: MixedGraph):
-    ancestors = _ancestor_sets(graph)
-    for v in range(graph.m):
-        if v in ancestors[v]:
-            raise InvalidGraphError(f"directed cycle through vertex {v}")
-    for (j, k), etype in graph.edges.items():
-        if etype == "<->":
-            if j in ancestors[k] or k in ancestors[j]:
-                raise InvalidGraphError(
-                    f"almost-directed cycle: {j} <-> {k} with an ancestral path"
-                )
-        elif etype == "--":
-            for v in (j, k):
-                for _, (arrow_here, _) in graph.neighbors(v):
-                    if arrow_here:
-                        raise InvalidGraphError(
-                            f"undirected edge endpoint {v} has an incident arrowhead"
-                        )
+    parent, spouse, _ = _adjacency(graph)
+    strict = _reach(parent, _closure(parent))  # a -> ... -> v
+    cycle = np.flatnonzero(strict.diagonal())
+    if cycle.size:
+        raise InvalidGraphError(f"directed cycle through vertex {cycle[0]}")
+    almost = spouse & (strict | strict.T)
+    arrowhead = (parent | spouse).any(axis=0)
+    for (j, k), etype in graph.edges.items():  # the first offending edge, as stored
+        if etype == "<->" and almost[j, k]:
+            raise InvalidGraphError(f"almost-directed cycle: {j} <-> {k} with an ancestral path")
+        if etype == "--" and (arrowhead[j] or arrowhead[k]):
+            raise InvalidGraphError(
+                f"undirected edge endpoint {j if arrowhead[j] else k} has an incident arrowhead"
+            )
+
+
+def _connected(graph: MixedGraph) -> np.ndarray:
+    """The m-connection relation given the empty set: a trek joins j and k."""
+    parent, spouse, undirected = _adjacency(graph)
+    ancestor = _closure(parent)  # ancestor[a, j]: a -> ... -> j, or a = j
+    top = _closure(undirected) | spouse
+    conn = _reach(_reach(ancestor.T, top), ancestor)
+    np.fill_diagonal(conn, False)
+    return conn
 
 
 def m_connected_empty(graph: MixedGraph, j: int, j_prime: int) -> bool:
     """True when some path from j to j_prime contains no collider.
 
-    Search over states (vertex, entered-with-arrowhead): an interior vertex
-    blocks exactly when both its incident path edges point into it.
+    Builds the whole relation; ``representative`` returns every pair at once.
     """
     if not (0 <= j < graph.m and 0 <= j_prime < graph.m):
         raise InvalidVertexError(f"vertex pair ({j}, {j_prime}) outside range")
     if j == j_prime:
         raise InvalidVertexError("endpoints must differ")
-    seen = set()
-    queue = deque()
-    for w, (arrow_at_j, arrow_at_w) in graph.neighbors(j):
-        if w == j_prime:
-            return True
-        state = (w, arrow_at_w)
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-    while queue:
-        v, entered_arrow = queue.popleft()
-        for w, (arrow_at_v, arrow_at_w) in graph.neighbors(v):
-            if entered_arrow and arrow_at_v:
-                continue  # v would be a collider on this path
-            if w == j_prime:
-                return True
-            state = (w, arrow_at_w)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return False
+    return bool(_connected(graph)[j, j_prime])
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +174,7 @@ class BidirectedRepresentative:
 
 def representative(graph: MixedGraph) -> BidirectedRepresentative:
     """Bidirected representative of the graph's unconditional equivalence class."""
-    conn = np.zeros((graph.m, graph.m), dtype=bool)
-    for j in range(graph.m):
-        for k in range(j + 1, graph.m):
-            if m_connected_empty(graph, j, k):
-                conn[j, k] = conn[k, j] = True
-    return BidirectedRepresentative(m=graph.m, connected=conn)
+    return BidirectedRepresentative(m=graph.m, connected=_connected(graph))
 
 
 def hamming_product(a, b):
@@ -283,12 +262,22 @@ def graph_to_json(graph: MixedGraph) -> dict:
     return {"vertices": graph.m, "edges": edges}
 
 
+def _integer(value):
+    """``value`` as an int when it is an integer or an integral float, else None."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    return int(value) if integral and not isinstance(value, bool) else None
+
+
 def graph_from_json(payload) -> MixedGraph:
     """Graph from ``{"vertices": m, "edges": [[j, k, type], ...]}`` or its UTF-8 JSON text.
 
-    Text that is not UTF-8 JSON, a missing ``vertices`` count or one above
-    1000 (``representative`` tests every vertex pair) and ``edges`` that are
-    not a list of ``[j, k, type]`` raise InvalidGraphError.
+    Text that is not UTF-8 JSON, a ``vertices`` count that is missing, not an
+    integer or above 1000 (graph space builds dense m x m matrices), and
+    ``edges`` that are not a list of ``[j, k, type]`` with integer endpoints
+    raise InvalidGraphError. An integral float such as ``2.0`` counts as an
+    integer; a bool, a string or ``1.5`` does not.
     """
     if isinstance(payload, (str, bytes)):
         try:
@@ -297,10 +286,9 @@ def graph_from_json(payload) -> MixedGraph:
             raise InvalidGraphError(f"graph is not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise InvalidGraphError("graph JSON must be an object with a 'vertices' count")
-    try:
-        m = int(payload["vertices"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise InvalidGraphError("graph JSON needs an integer 'vertices' count") from None
+    m = _integer(payload.get("vertices"))
+    if m is None:
+        raise InvalidGraphError("graph JSON needs an integer 'vertices' count")
     if m > 1000:
         raise InvalidGraphError(f"graph JSON has {m} vertices, more than the 1000 supported")
     entries = payload.get("edges", [])
@@ -310,7 +298,10 @@ def graph_from_json(payload) -> MixedGraph:
     for entry in entries:
         try:
             j, k, etype = entry
-            edges[(int(j), int(k))] = str(etype)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidGraphError(f"edge entry {entry!r} is not [j, k, type]") from None
+        except (TypeError, ValueError):
+            j = k = None
+        pair = (_integer(j), _integer(k))
+        if None in pair:
+            raise InvalidGraphError(f"edge entry {entry!r} is not [j, k, type]")
+        edges[pair] = str(etype)
     return MixedGraph(m, edges)

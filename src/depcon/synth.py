@@ -210,6 +210,8 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
     """
     if config.num_models < 1 or config.samples_per_model < 1:
         raise OutOfRangeError("model and sample counts must be positive")
+    if config.max_pairs is not None and config.max_pairs < 0:
+        raise OutOfRangeError(f"max_pairs must be at least 0, got {config.max_pairs}")
     root = _as_seed_sequence(config.seed)
     models = []
     if config.nonlinear:

@@ -1,12 +1,13 @@
-"""Brute-force reference for the kernel, used only by the tests.
+"""Brute-force reference for the kernel, and graph-space draws, used only by the tests.
 
-Everything here materializes the full n x n x m distance tensor and works
-one sample pair at a time, straight from the definitions, so the fast paths
-in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
+The kernel reference materializes the full n x n x m distance tensor and
+works one sample pair at a time, straight from the definitions, so the fast
+paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from depcon.errors import (
     DimensionMismatchError,
     IndexOutOfBoundsError,
 )
+from depcon.graphs import BidirectedRepresentative
 from depcon.kernel import DEGENERATE_SQ_NORM, mean_contribution
 
 
@@ -150,3 +152,20 @@ def printed_sample_set_distance(
     mean_gamma = float(np.sum(mean_a * mean_b))
     n_a, n_b = values_a.shape[0], values_b.shape[0]
     return m * m - (n_a * n_b * mean_gamma) / (2.0 * n_a * n_a)
+
+
+def random_representative(m, rng):
+    """A representative whose off-diagonal pairs are each connected with probability 1/2."""
+    conn = rng.random((m, m)) < 0.5
+    conn = np.triu(conn, 1)
+    return BidirectedRepresentative(m=m, connected=conn | conn.T)
+
+
+def all_representatives(m):
+    """Every representative on m vertices, one per subset of the vertex pairs."""
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    for bits in itertools.product([False, True], repeat=len(pairs)):
+        conn = np.zeros((m, m), dtype=bool)
+        for (j, k), bit in zip(pairs, bits):
+            conn[j, k] = conn[k, j] = bit
+        yield BidirectedRepresentative(m=m, connected=conn)

@@ -5,7 +5,6 @@ lines. Every tolerance and Monte Carlo bound is pinned here; nothing is
 deferred to later calibration.
 """
 
-import itertools
 import json
 import time
 
@@ -51,6 +50,7 @@ from depcon.synth import (
     random_linear_sem,
     sample_linear_sem,
 )
+from reference import all_representatives, random_representative
 
 
 def report(num, ok, detail):
@@ -170,21 +170,6 @@ def test_criterion_05b_test_power():
     assert report("5b", ok, f"power {power:.2f} for cos(4X)+0.1eps at n={n}, {elapsed:.1f}s")
 
 
-def _all_representatives(m):
-    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-    for bits in itertools.product([False, True], repeat=len(pairs)):
-        conn = np.zeros((m, m), dtype=bool)
-        for (j, k), bit in zip(pairs, bits):
-            conn[j, k] = conn[k, j] = bit
-        yield BidirectedRepresentative(m=m, connected=conn)
-
-
-def _random_representative(m, rng):
-    conn = rng.random((m, m)) < 0.5
-    conn = np.triu(conn, 1)
-    return BidirectedRepresentative(m=m, connected=conn | conn.T)
-
-
 def test_criterion_06_group_and_distance_algebra():
     # asserted identity: 2*d(u,u') == m^2 - <O,O'>_F; each ordered
     # disagreement turns a +1 contribution of the inner product into -1,
@@ -192,7 +177,7 @@ def test_criterion_06_group_and_distance_algebra():
     started = time.perf_counter()
     ok = True
     for m in (2, 3, 4):
-        reps = list(_all_representatives(m))
+        reps = list(all_representatives(m))
         identity = BidirectedRepresentative(m=m, connected=~np.eye(m, dtype=bool))
         for u in reps:
             ok &= np.array_equal(hamming_product(u, identity).connected, u.connected)
@@ -209,13 +194,13 @@ def test_criterion_06_group_and_distance_algebra():
     rng = np.random.default_rng(20240607)
     for _ in range(400):  # associativity on random triples
         m = int(rng.integers(2, 5))
-        u, v, w = (_random_representative(m, rng) for _ in range(3))
+        u, v, w = (random_representative(m, rng) for _ in range(3))
         ok &= np.array_equal(
             hamming_product(hamming_product(u, v), w).connected,
             hamming_product(u, hamming_product(v, w)).connected,
         )
     for _ in range(500):  # m = 6 random pairs
-        u, v = (_random_representative(6, rng) for _ in range(2))
+        u, v = (random_representative(6, rng) for _ in range(2))
         product = hamming_product(u, v)
         ok &= np.array_equal(
             sign_map(u).elementwise_product(sign_map(v)).values,
@@ -233,7 +218,7 @@ def test_criterion_07_sign_level_isometry():
     ok = True
     for _ in range(200):
         m = int(rng.integers(2, 7))
-        u, v = _random_representative(m, rng), _random_representative(m, rng)
+        u, v = random_representative(m, rng), random_representative(m, rng)
         delta = contribution_mean_distance(
             sign_map(u).values.astype(float), sign_map(v).values.astype(float)
         )

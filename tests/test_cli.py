@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,12 @@ def test_graphdist_command(tmp_path):
         b"\xff\xfe{}",
         '{"vertices": 1e300}',
         pytest.param("[" * 100_000, id="deeply-nested"),
+        '{"vertices": 3, "edges": [[0, 1.5, "->"]]}',
+        '{"vertices": 2.9}',
+        '{"vertices": "3"}',
+        '{"vertices": true}',
+        '{"vertices": 3, "edges": [[true, 2, "->"]]}',
+        '{"vertices": 3, "edges": [[0, "1", "->"]]}',
     ],
 )
 def test_graphdist_malformed_graph_exit_code(tmp_path, capsys, text):
@@ -198,6 +205,45 @@ def test_graphdist_malformed_graph_exit_code(tmp_path, capsys, text):
     assert run("graphdist", bad, bad, "-o", out) == InvalidGraphError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_graphdist_accepts_integral_float_vertices(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"vertices": 3.0, "edges": [[0, 1.0, "->"], [2, 1, "->"]]}')
+    out = tmp_path / "dist.json"
+    assert run("graphdist", graph, graph, "-o", out) == 0
+    assert json.loads(out.read_text())["connected_a"] == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+
+def _timed_graphdist(tmp_path, m, edges):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": m, "edges": edges}))
+    out = tmp_path / "dist.json"
+    started = time.perf_counter()
+    assert run("graphdist", graph, graph, "-o", out) == 0
+    elapsed = time.perf_counter() - started
+    payload = json.loads(out.read_text())
+    assert payload["distance"] == 0
+    return np.array(payload["connected_a"], dtype=bool), elapsed
+
+
+def test_graphdist_scales_to_1000_vertex_chain(tmp_path):
+    m = 1000
+    connected, elapsed = _timed_graphdist(tmp_path, m, [[v, v + 1, "->"] for v in range(m - 1)])
+    assert np.array_equal(connected, ~np.eye(m, dtype=bool))
+    assert elapsed < 60.0
+
+
+def test_graphdist_scales_to_1000_vertex_dense_dag(tmp_path):
+    # every source points at every sink: 250,000 edges; sinks share parents,
+    # sources meet only at colliders
+    m, half = 1000, 500
+    edges = [[s, t, "->"] for s in range(half) for t in range(half, m)]
+    connected, elapsed = _timed_graphdist(tmp_path, m, edges)
+    expected = ~np.eye(m, dtype=bool)
+    expected[:half, :half] = False
+    assert np.array_equal(connected, expected)
+    assert elapsed < 60.0
 
 
 def test_eval_csv_format(bench, tmp_path):
@@ -544,6 +590,17 @@ def test_threads_below_one_exit_code(bench, tmp_path, monkeypatch, capsys, threa
     assert run("test", bench, bench, "-o", out, *extra) == OutOfRangeError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nonlinear", [(), ("--nonlinear",)], ids=["linear", "nonlinear"])
+def test_synth_negative_max_pairs_exit_code(tmp_path, capsys, nonlinear):
+    out = tmp_path / "bench.csv"
+    assert run("synth", "-o", out, "--models", "2", "--samples", "20", "--features", "4",
+               "--seed", "1", "--max-pairs", "-1", *nonlinear) == OutOfRangeError.exit_code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "bench.json").exists()
+    assert run("synth", "-o", out, "--models", "2", "--samples", "20", "--features", "4",
+               "--seed", "1", "--max-pairs", "0", *nonlinear) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -23,6 +22,7 @@ from depcon.graphs import (
     sign_map,
     sign_of_statistic,
 )
+from reference import all_representatives, random_representative
 
 
 def collider_free_path_exists(graph, source, target):
@@ -52,22 +52,6 @@ def collider_free_path_exists(graph, source, target):
     if graph.edge_type(source, target) is not None:
         return True
     return any(extend([source]))
-
-
-def random_representative(m, rng):
-    conn = rng.random((m, m)) < 0.5
-    conn = np.triu(conn, 1)
-    conn = conn | conn.T
-    return BidirectedRepresentative(m=m, connected=conn)
-
-
-def all_representatives(m):
-    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-    for bits in itertools.product([False, True], repeat=len(pairs)):
-        conn = np.zeros((m, m), dtype=bool)
-        for (j, k), bit in zip(pairs, bits):
-            conn[j, k] = conn[k, j] = bit
-        yield BidirectedRepresentative(m=m, connected=conn)
 
 
 # ---------------------------------------------------------------- edges & validity
@@ -127,14 +111,14 @@ def test_fork_connects():
 
 def test_m_connection_matches_path_enumeration_oracle():
     rng = np.random.default_rng(0)
-    types = ["->", "<-", "<->", None]
+    types = ["->", "<-", "<->", "--", None]
     found = 0
-    while found < 40:
-        m = int(rng.integers(3, 6))
+    while found < 400:
+        m = int(rng.integers(3, 8))
         edges = {}
         for j in range(m):
             for k in range(j + 1, m):
-                etype = types[rng.integers(0, 4)]
+                etype = types[rng.integers(0, len(types))]
                 if etype:
                     edges[(j, k)] = etype
         try:
