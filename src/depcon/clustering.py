@@ -1,15 +1,19 @@
 """Kernel k-means over precomputed Gram matrices, plus selection and scoring.
 
 Kernel k-means is Lloyd's algorithm on any factor of the Gram (Dhillon,
-Guan & Kulis, KDD 2004). One symmetric eigendecomposition of the
-double-centred Gram HKH, H = I - 11^T/n (``_centered_eigh``), serves
-``kernel_kmeans``, ``select_k`` and ``depcon.embedding.kpca_fit``:
-centring changes no Gram-sum distance. k-means keeps each eigenvalue's
-sign, so an indefinite Gram is clustered in its pseudo-Euclidean embedding
-with the distances the Gram sums give. Plain (Lloyd's) k-means runs the
-same core on the points with s = 1. The Variance Ratio Criterion and the
-silhouette are computed from Gram sums; an explicit-coordinates
-Calinski-Harabasz is the baseline counterpart.
+Guan & Kulis, KDD 2004). One factor HKH = y diag(s) y^T of the
+double-centred Gram, H = I - 11^T/n (``_factor``), serves ``kernel_kmeans``,
+``select_k`` and ``depcon.embedding.kpca_fit``: centring changes no
+Gram-sum distance. The factor is a pivoted Cholesky (s = 1) when HKH is
+positive semidefinite with rank at most about n/4, as a depcon Gram is
+(rank at most m(m+1)/2): O(n^2 r) including the check that accepts it
+(Fine & Scheinberg, JMLR 2001; Harbrecht, Peters & Schneider, Appl.
+Numer. Math. 2012). Otherwise one symmetric eigendecomposition is used,
+keeping each eigenvalue's sign, so an indefinite Gram is clustered in its
+pseudo-Euclidean embedding with the distances the Gram sums give. Plain
+(Lloyd's) k-means runs the same core on the points with s = 1. The
+Variance Ratio Criterion and the silhouette are computed from Gram sums;
+an explicit-coordinates Calinski-Harabasz is the baseline counterpart.
 """
 
 from __future__ import annotations
@@ -80,30 +84,70 @@ def _check_init_labels(init_labels, n, k) -> np.ndarray:
     return labels
 
 
-def _centered_eigh(values):
-    """Ascending eigenpairs of the double-centred Gram HKH, H = I - 11^T/n.
+def _pivoted_cholesky(centred, tol):
+    """L (n x r) with ``centred = L L^T`` to within ``tol`` entrywise, or None.
 
-    K + a 1^T + 1 a^T leaves every Gram-sum distance of k-means unchanged,
-    so HKH serves k-means as well as K, and kernel PCA is defined on it.
-    ``eigh`` reads one triangle, so no symmetrising pass is needed.
+    Pivoted (incomplete) Cholesky: each step takes the largest residual
+    diagonal as pivot (``argmax`` breaks ties toward the lowest index) and
+    stops once no residual diagonal exceeds ``tol``. A positive semidefinite
+    matrix of rank r costs O(n r^2) plus one O(n^2 r) product for the check.
+    None when that check fails (an indefinite matrix: a residual with a small
+    diagonal need not be small) or when the rank would pass about n/4, where
+    a dense eigendecomposition costs no more.
     """
-    col_means = values.mean(axis=0)
-    return np.linalg.eigh(values - col_means[None, :] - col_means[:, None] + values.mean())
+    n = centred.shape[0]
+    cap = (n + 3) // 4
+    # row t holds column t of L, so each step reads whole contiguous rows
+    rows = np.empty((cap, n))
+    residual = np.diagonal(centred).copy()
+    rank = 0
+    while True:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= tol:
+            break
+        if rank == cap:
+            return None
+        column = centred[pivot] - rows[:rank, pivot] @ rows[:rank]
+        column /= math.sqrt(residual[pivot])
+        rows[rank] = column
+        residual -= column * column
+        rank += 1
+    factor = rows[:rank].T
+    # the one n x n temporary: L L^T - HKH, overwritten in place
+    error = factor @ factor.T
+    error -= centred
+    if max(error.max(), -error.min()) > tol:
+        return None
+    return factor
 
 
-def _factor(gram):
+def _factor(values):
     """Coordinates ``y`` (n x r) and signs ``s`` with ``HKH = y diag(s) y^T``.
 
-    Components with |eigenvalue| at most n * eps * max|eigenvalue| (the
-    ``numpy.linalg.matrix_rank`` rule) are dropped. Negative eigenvalues keep
-    their sign in ``s``, so an indefinite Gram becomes a pseudo-Euclidean
-    embedding in which every Gram-sum distance of kernel k-means is
-    reproduced exactly.
+    HKH is the double-centred Gram, H = I - 11^T/n: K + a 1^T + 1 a^T leaves
+    every Gram-sum distance of k-means unchanged, so HKH serves k-means as
+    well as K, and kernel PCA is defined on it. A pivoted Cholesky factor L
+    with ``s = 1`` is tried first, to the tolerance n * eps * max|diag HKH|.
+    When it declines (indefinite or nearly full-rank Grams), a symmetric
+    eigendecomposition is used instead: components with |eigenvalue| at most
+    n * eps * max|eigenvalue| (the ``numpy.linalg.matrix_rank`` rule) are
+    dropped, and negative eigenvalues keep their sign in ``s``, so an
+    indefinite Gram becomes a pseudo-Euclidean embedding in which every
+    Gram-sum distance of kernel k-means is reproduced exactly.
     """
-    values, vectors = _centered_eigh(gram)
-    size = np.abs(values)
-    keep = size > gram.shape[0] * np.finfo(np.float64).eps * size.max()
-    return vectors[:, keep] * np.sqrt(size[keep]), np.sign(values[keep])
+    n = values.shape[0]
+    col_means = values.mean(axis=0)
+    centred = values - col_means[None, :] - col_means[:, None] + values.mean()
+    diagonal = np.diagonal(centred)
+    scale = max(diagonal.max(), -diagonal.min())
+    factor = _pivoted_cholesky(centred, n * np.finfo(np.float64).eps * scale)
+    if factor is not None:
+        return factor, np.ones(factor.shape[1])
+    # eigh reads one triangle, so no symmetrising pass is needed
+    eigenvalues, vectors = np.linalg.eigh(centred)
+    size = np.abs(eigenvalues)
+    keep = size > n * np.finfo(np.float64).eps * size.max()
+    return vectors[:, keep] * np.sqrt(size[keep]), np.sign(eigenvalues[keep])
 
 
 def _onehot(labels, k):

@@ -1,10 +1,13 @@
 """Kernel PCA over contribution-kernel Gram matrices.
 
-Keeps the top eigenpairs of the double-centred Gram HKH from the
-decomposition kernel k-means also uses (``clustering._centered_eigh``) and
-scales eigenvectors by inverse square-root eigenvalues, so projections
-carry the component variances. Indefinite Grams are accepted; only
-eigenvalues above the rank tolerance become components. Signs are fixed
+Takes the top eigenpairs of the double-centred Gram HKH from the factor
+kernel k-means also uses (``clustering._factor``): the thin SVD of its
+positive-sign columns P gives HKH's positive part P P^T = U S^2 U^T, so
+the eigenvalues are S^2 and the eigenvectors U, with no n x n
+eigendecomposition when the factor is a pivoted Cholesky. Eigenvectors
+are scaled by inverse square-root eigenvalues, so projections carry the
+component variances. Indefinite Grams are accepted; only eigenvalues
+above the rank tolerance become components. Signs are fixed
 (largest-magnitude coefficient positive) so outputs are reproducible.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _centered_eigh, _gram_values
+from .clustering import _factor, _gram_values
 from .errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
 
 
@@ -47,13 +50,15 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     n = values.shape[0]
     if not (1 <= d < n):
         raise OutOfRangeError(f"need 1 <= d < n, got d={d}, n={n}")
-    eigenvalues, eigenvectors = _centered_eigh(values)
-    # eigh sorts ascending; the components are the largest pairs, last first
-    eigenvalues = eigenvalues[::-1]
+    y, s = _factor(values)
+    # HKH = y diag(s) y^T; its positive part is P P^T with P = y[:, s > 0],
+    # so the thin SVD P = U S V^T gives the eigenpairs (S^2, U), largest first
+    eigenvectors, singular, _ = np.linalg.svd(y[:, s > 0], full_matrices=False)
+    eigenvalues = singular * singular
     # relative to the spectrum, but never below the Gram's own rounding level:
     # a spectrum that is all rounding noise has no component
     scale = max(values.max(), -values.min())  # max|K| without an n x n temporary
-    tol = max(1e-10 * eigenvalues[0], n * np.finfo(np.float64).eps * scale)
+    tol = max(1e-10 * eigenvalues.max(initial=0.0), n * np.finfo(np.float64).eps * scale)
     usable = int(np.sum(eigenvalues > tol))
     if usable == 0:
         raise OutOfRangeError("no eigenvalue of the centred Gram exceeds the rank tolerance")
@@ -65,7 +70,7 @@ def kpca_fit(gram, d: int) -> KpcaModel:
         )
         d = usable
     eigenvalues = eigenvalues[:d].copy()
-    coefficients = eigenvectors[:, ::-1][:, :d] / np.sqrt(eigenvalues)[None, :]
+    coefficients = eigenvectors[:, :d] / np.sqrt(eigenvalues)[None, :]
     # fix signs: the largest-magnitude coefficient of each component is positive
     flips = np.sign(coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)])
     coefficients = coefficients * flips[None, :]

@@ -33,10 +33,13 @@ EDGE_TYPES = ("--", "->", "<-", "<->")
 
 _MIRROR = {"--": "--", "->": "<-", "<-": "->", "<->": "<->"}
 
+#: Graph space builds dense m x m matrices and closes them in O(m^3 log m).
+_MAX_VERTICES = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class MixedGraph:
-    """Ancestral mixed graph over vertices 0..m-1."""
+    """Ancestral mixed graph over vertices 0..m-1, with m at most 1000."""
 
     m: int
     edges: dict
@@ -44,6 +47,10 @@ class MixedGraph:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidGraphError(f"need at least 1 vertex, got {self.m}")
+        if self.m > _MAX_VERTICES:
+            raise InvalidGraphError(
+                f"graph has {self.m} vertices, more than the {_MAX_VERTICES} supported"
+            )
         canonical = {}
         items = self.edges.items() if isinstance(self.edges, dict) else self.edges
         for (j, k), etype in items:
@@ -274,7 +281,7 @@ def graph_from_json(payload) -> MixedGraph:
     """Graph from ``{"vertices": m, "edges": [[j, k, type], ...]}`` or its UTF-8 JSON text.
 
     Text that is not UTF-8 JSON, a ``vertices`` count that is missing, not an
-    integer or above 1000 (graph space builds dense m x m matrices), and
+    integer or above 1000 (the ``MixedGraph`` limit), and
     ``edges`` that are not a list of ``[j, k, type]`` with integer endpoints
     raise InvalidGraphError. An integral float such as ``2.0`` counts as an
     integer; a bool, a string or ``1.5`` does not.
@@ -289,8 +296,6 @@ def graph_from_json(payload) -> MixedGraph:
     m = _integer(payload.get("vertices"))
     if m is None:
         raise InvalidGraphError("graph JSON needs an integer 'vertices' count")
-    if m > 1000:
-        raise InvalidGraphError(f"graph JSON has {m} vertices, more than the 1000 supported")
     entries = payload.get("edges", [])
     if not isinstance(entries, list):
         raise InvalidGraphError("graph JSON 'edges' must be a list of [j, k, type]")

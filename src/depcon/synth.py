@@ -133,6 +133,11 @@ def sample_nonlinear_sem(sem: NonlinearSem, n: int, seed) -> Dataset:
     return _sample(sem.base, sem.pairs, n, seed)
 
 
+def _check_max_pairs(max_pairs):
+    if max_pairs is not None and max_pairs < 0:
+        raise OutOfRangeError(f"max_pairs must be at least 0, got {max_pairs}")
+
+
 def augment_nonlinear(
     sem: LinearSem,
     seed,
@@ -142,8 +147,9 @@ def augment_nonlinear(
     """Attach the nonlinear mechanism to non-adjacent forward pairs of the base DAG.
 
     All eligible pairs are used by default; ``max_pairs`` caps the count
-    with a seeded subset.
+    with a seeded subset; a negative cap raises OutOfRangeError.
     """
+    _check_max_pairs(max_pairs)
     dag = sem.dag
     eligible = [
         (u, v)
@@ -210,8 +216,7 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
     """
     if config.num_models < 1 or config.samples_per_model < 1:
         raise OutOfRangeError("model and sample counts must be positive")
-    if config.max_pairs is not None and config.max_pairs < 0:
-        raise OutOfRangeError(f"max_pairs must be at least 0, got {config.max_pairs}")
+    _check_max_pairs(config.max_pairs)
     root = _as_seed_sequence(config.seed)
     models = []
     if config.nonlinear:

@@ -1,8 +1,11 @@
-"""Brute-force reference for the kernel, and graph-space draws, used only by the tests.
+"""Brute-force reference for the kernel, graph-space draws and Gram-factor spies, for tests only.
 
 The kernel reference materializes the full n x n x m distance tensor and
 works one sample pair at a time, straight from the definitions, so the fast
 paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
+The Gram-factor helpers build test Grams of known rank and record or force
+the route ``depcon.clustering._factor`` takes: the pivoted Cholesky, or its
+``eigh`` fallback.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from depcon.errors import (
     DimensionMismatchError,
     IndexOutOfBoundsError,
 )
+from depcon import clustering
 from depcon.graphs import BidirectedRepresentative
-from depcon.kernel import DEGENERATE_SQ_NORM, mean_contribution
+from depcon.kernel import DEGENERATE_SQ_NORM, gram_matrix, mean_contribution
+from depcon.synth import BenchmarkConfig, build_benchmark
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,3 +174,58 @@ def all_representatives(m):
         for (j, k), bit in zip(pairs, bits):
             conn[j, k] = conn[k, j] = bit
         yield BidirectedRepresentative(m=m, connected=conn)
+
+
+def double_centred(gram):
+    """HKH, H = I - 11^T/n."""
+    col_means = gram.mean(axis=0)
+    return gram - col_means[None, :] - col_means[:, None] + gram.mean()
+
+
+def rank_one_gram():
+    # no mirror-symmetric points: an exact distance tie is broken by rounding,
+    # which the two factor routes need not share
+    v = np.random.default_rng(11).standard_normal(12)
+    return np.outer(v, v)
+
+
+def rbf_gram(n=40):
+    """Gaussian-kernel Gram: positive definite, so HKH has full rank n - 1."""
+    points = np.random.default_rng(10).standard_normal((n, 2))
+    return np.exp(-((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+
+
+def depcon_gram(samples_per_model=100, seed=20240612):
+    """A criterion-10 Gram: n = 6 * samples_per_model, m = 8, so HKH has rank 36."""
+    config = BenchmarkConfig(
+        num_models=6,
+        samples_per_model=samples_per_model,
+        num_features=8,
+        nonlinear=True,
+        seed=seed,
+    )
+    return gram_matrix(build_benchmark(config).data.values, alpha=0.1).values
+
+
+def spy_factor_routes(monkeypatch):
+    """Record each pivoted Cholesky's outcome and each ``eigh`` call, in order."""
+    routes = []
+    cholesky, eigh = clustering._pivoted_cholesky, np.linalg.eigh
+
+    def spied_cholesky(*args):
+        factor = cholesky(*args)
+        routes.append("declined" if factor is None else "cholesky")
+        return factor
+
+    def spied_eigh(*args, **kwargs):
+        routes.append("eigh")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_pivoted_cholesky", spied_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    return routes
+
+
+def force_eigh_fallback(monkeypatch):
+    """Make the pivoted Cholesky decline, so every factor comes from ``eigh``."""
+    monkeypatch.setattr(clustering, "_pivoted_cholesky", lambda centred, tol: None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from depcon.clustering import (
+    _factor,
     adjusted_rand_index,
     calinski_harabasz,
     kernel_kmeans,
@@ -17,6 +18,14 @@ from depcon.errors import (
     LengthMismatchError,
     NotSquareError,
     OutOfRangeError,
+)
+from reference import (
+    depcon_gram,
+    double_centred,
+    force_eigh_fallback,
+    rank_one_gram,
+    rbf_gram,
+    spy_factor_routes,
 )
 
 
@@ -139,7 +148,7 @@ def gram_sum_distances(gram, labels, k):
     return dist
 
 
-@pytest.mark.parametrize("kind", ["psd", "rank-1", "indefinite"])
+@pytest.mark.parametrize("kind", ["psd", "rank-1", "indefinite", "full-rank"])
 def test_kernel_kmeans_agrees_with_gram_sums(kind):
     from depcon.kernel import gram_matrix
 
@@ -149,9 +158,11 @@ def test_kernel_kmeans_agrees_with_gram_sums(kind):
     elif kind == "rank-1":
         gram = ideal_block_gram([12, 8])[0]
         ks = (2,)  # two distinct points in feature space
-    else:
+    elif kind == "indefinite":
         gram = noisy_separated_gram()
         assert np.linalg.eigvalsh(gram).min() < 0
+    else:
+        gram = rbf_gram()
     for k in ks:
         for seed in range(5):
             result = kernel_kmeans(gram, k, seed=seed, restarts=2)
@@ -208,6 +219,107 @@ def test_labels_invariant_to_row_and_column_offsets():
         assert moved.best_k == base.best_k
         for k, assignment in base.assignments.items():
             assert np.array_equal(moved.assignments[k].labels, assignment.labels)
+
+
+# ---------------------------------------------------------------- the factor
+
+
+@pytest.mark.parametrize(
+    "make_gram, rank",
+    [
+        (lambda: np.array([[1.0, 0.3], [0.3, 1.0]]), 1),
+        (lambda: np.ones((6, 6)), 0),
+        (rank_one_gram, 1),
+        (depcon_gram, 36),
+    ],
+    ids=["n=2", "constant", "rank-1", "depcon"],
+)
+def test_cholesky_factor_reproduces_centred_gram(monkeypatch, make_gram, rank):
+    gram = make_gram()
+    routes = spy_factor_routes(monkeypatch)
+    y, s = _factor(gram)
+    assert routes == ["cholesky"]
+    assert y.shape == (gram.shape[0], rank) and (s == 1).all()
+    centred = double_centred(gram)
+    tol = gram.shape[0] * np.finfo(np.float64).eps * np.abs(np.diagonal(centred)).max()
+    assert np.abs(y @ y.T - centred).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "make_gram",
+    [noisy_separated_gram, lambda: -np.eye(6), rbf_gram, lambda: np.eye(40)],
+    ids=["indefinite", "negative", "full-rank", "identity"],
+)
+def test_indefinite_and_full_rank_grams_take_the_eigh_fallback(monkeypatch, make_gram):
+    gram = make_gram()
+    routes = spy_factor_routes(monkeypatch)
+    y, s = _factor(gram)
+    assert routes == ["declined", "eigh"]
+    centred = double_centred(gram)
+    eigenvalues = np.linalg.eigvalsh(centred)
+    size = np.abs(eigenvalues)
+    kept = size > gram.shape[0] * np.finfo(np.float64).eps * size.max()
+    assert y.shape[1] == kept.sum() and (s < 0).sum() == (eigenvalues[kept] < 0).sum()
+    assert np.abs((y * s) @ y.T - centred).max() < 1e-12 * np.abs(centred).max()
+
+
+def assert_same_runs(a, b):
+    assert np.array_equal(a.labels, b.labels)
+    assert (a.iterations, a.converged, a.repairs) == (b.iterations, b.converged, b.repairs)
+    assert a.objective == pytest.approx(b.objective, rel=1e-12, abs=1e-12)
+
+
+def test_cholesky_and_fallback_cluster_alike_on_criterion_12_grams(monkeypatch):
+    # criterion 12's first 20 draws: linear Grams of rank 2 with nearest-seed starts
+    rng = np.random.default_rng(20240613)
+    cases = []
+    for _ in range(20):
+        points = rng.standard_normal((24, 2)) + 3.0 * rng.integers(0, 3, (24, 1))
+        seeds = rng.choice(24, size=3, replace=False)
+        init = np.argmin(
+            ((points[:, None, :] - points[seeds][None, :, :]) ** 2).sum(axis=2), axis=1
+        )
+        cases.append((points @ points.T, init))
+
+    def fit_all():
+        return [
+            (
+                kernel_kmeans(gram, 3, init_labels=init, max_iter=60),
+                kernel_kmeans(gram, 3, seed=index, restarts=3),
+                select_k(gram, range(2, 6), "vrc", seed=index, restarts=3),
+            )
+            for index, (gram, init) in enumerate(cases)
+        ]
+
+    cholesky = fit_all()
+    force_eigh_fallback(monkeypatch)
+    for (given, seeded, selected), fallback in zip(cholesky, fit_all()):
+        assert_same_runs(given, fallback[0])
+        assert_same_runs(seeded, fallback[1])
+        assert selected.best_k == fallback[2].best_k
+        for k, assignment in selected.assignments.items():
+            assert_same_runs(assignment, fallback[2].assignments[k])
+
+
+@pytest.mark.parametrize(
+    "gram", [np.array([[1.0, 0.3], [0.3, 1.0]]), rank_one_gram()], ids=["n=2", "rank-1"]
+)
+def test_cholesky_and_fallback_cluster_alike_on_small_grams(monkeypatch, gram):
+    cholesky = [kernel_kmeans(gram, 2, seed=seed, restarts=2) for seed in range(5)]
+    force_eigh_fallback(monkeypatch)
+    for seed, assignment in enumerate(cholesky):
+        assert_same_runs(assignment, kernel_kmeans(gram, 2, seed=seed, restarts=2))
+
+
+def test_cholesky_and_fallback_select_alike_on_a_depcon_gram(monkeypatch):
+    gram = depcon_gram()
+    cholesky = select_k(gram, range(2, 11), "vrc", seed=3, restarts=4)
+    force_eigh_fallback(monkeypatch)
+    fallback = select_k(gram, range(2, 11), "vrc", seed=3, restarts=4)
+    assert cholesky.best_k == fallback.best_k
+    assert cholesky.scores == fallback.scores
+    for k, assignment in cholesky.assignments.items():
+        assert_same_runs(assignment, fallback.assignments[k])
 
 
 def test_determinism_and_restart_selection():

@@ -3,8 +3,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from depcon.clustering import select_k
 from depcon.embedding import kpca_fit, kpca_project, kpca_transform, linear_pca_scores
 from depcon.errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
+from reference import (
+    depcon_gram,
+    double_centred,
+    force_eigh_fallback,
+    rank_one_gram,
+    rbf_gram,
+    spy_factor_routes,
+)
 
 
 def test_training_scores_centered():
@@ -142,17 +151,66 @@ def test_model_holds_no_n_by_n_array():
     assert sum(value.size for value in arrays) <= n * (d + 1) + d
 
 
+def _two_point_gram():
+    return np.array([[1.0, 0.3], [0.3, 1.0]])
+
+
+def _indefinite_gram():
+    noise = np.random.default_rng(9).standard_normal((20, 20))
+    return np.eye(20) + 0.3 * (noise + noise.T)
+
+
 def test_indefinite_gram_keeps_positive_components():
     # a symmetric Gram with negative eigenvalues is accepted; only the
     # positive eigenvalues above the rank tolerance become components
-    rng = np.random.default_rng(9)
-    noise = rng.standard_normal((20, 20))
-    gram = np.eye(20) + 0.3 * (noise + noise.T)
+    gram = _indefinite_gram()
     assert np.linalg.eigvalsh(gram).min() < 0
     model = kpca_fit(gram, 4)
     assert (model.eigenvalues > 0).all()
     assert np.all(np.diff(model.eigenvalues) <= 0)
     assert np.abs(kpca_project(model, gram) - kpca_transform(model)).max() < 1e-9
+
+
+def test_depcon_gram_never_reaches_eigh(monkeypatch):
+    # n = 600, rank 36: select_k and kpca_fit both take the pivoted Cholesky
+    gram = depcon_gram()
+    routes = spy_factor_routes(monkeypatch)
+    select_k(gram, range(2, 11), "vrc", seed=1, restarts=2)
+    kpca_fit(gram, 2)
+    assert routes == ["cholesky", "cholesky"]
+
+
+@pytest.mark.parametrize(
+    "make_gram, d",
+    [
+        (_two_point_gram, 1),
+        (rank_one_gram, 1),
+        (depcon_gram, 2),
+        (_indefinite_gram, 3),
+        (rbf_gram, 3),
+    ],
+    ids=["n=2", "rank-1", "depcon", "indefinite", "full-rank"],
+)
+def test_cholesky_and_fallback_fit_alike(monkeypatch, make_gram, d):
+    # the Cholesky route's SVD and the eigh route give one model, and both
+    # match the top eigenvalues of the double-centred Gram
+    gram = make_gram()
+    expected = np.linalg.eigvalsh(double_centred(gram))[::-1][:d]
+    model = kpca_fit(gram, d)
+    force_eigh_fallback(monkeypatch)
+    fallback = kpca_fit(gram, d)
+    for fitted in (model, fallback):
+        assert np.allclose(fitted.eigenvalues, expected, rtol=1e-12, atol=0.0)
+    assert np.abs(kpca_transform(model) - kpca_transform(fallback)).max() < 1e-12
+    assert np.array_equal(model.col_means, fallback.col_means)
+
+
+def test_constant_gram_raises_on_either_route(monkeypatch):
+    for force in (False, True):
+        if force:
+            force_eigh_fallback(monkeypatch)
+        with pytest.raises(OutOfRangeError):
+            kpca_fit(np.ones((6, 6)), 2)
 
 
 def test_fit_validation():

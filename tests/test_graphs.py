@@ -85,6 +85,14 @@ def test_undirected_endpoint_with_arrowhead_rejected():
         MixedGraph(3, {(0, 1): "--", (2, 1): "->"})
 
 
+def test_more_than_1000_vertices_rejected():
+    # the ancestral check is O(m^3); the cap holds for library callers too
+    with pytest.raises(InvalidGraphError, match="1001 vertices, more than the 1000"):
+        MixedGraph(1001, {})
+    with pytest.raises(InvalidGraphError, match="1001 vertices, more than the 1000"):
+        graph_from_json({"vertices": 1001, "edges": []})
+
+
 def test_invalid_vertex():
     with pytest.raises(InvalidVertexError):
         MixedGraph(2, {(0, 5): "->"})

@@ -102,6 +102,9 @@ def test_nonlinear_pairs_nonadjacent_and_capped():
         assert pair.source not in dag.parent_sets[pair.target]
     capped = augment_nonlinear(sem, 7, max_pairs=2)
     assert len(capped.pairs) == 2
+    assert augment_nonlinear(sem, 7, max_pairs=0).pairs == ()
+    with pytest.raises(OutOfRangeError, match="max_pairs must be at least 0, got -1"):
+        augment_nonlinear(sem, 7, max_pairs=-1)
 
 
 def test_injected_dependence_zero_correlation_high_power():
