@@ -1,10 +1,10 @@
 """Kernel PCA over contribution-kernel Gram matrices.
 
 Takes the top eigenpairs of the double-centred Gram HKH from the factor
-kernel k-means also uses (``clustering._factor``): the thin SVD of its
-positive-sign columns P gives HKH's positive part P P^T = U S^2 U^T, so
-the eigenvalues are S^2 and the eigenvectors U, with no n x n
-eigendecomposition when the factor is a pivoted Cholesky. Eigenvectors
+kernel k-means also uses (``clustering._factor``). For a pivoted Cholesky
+factor L (HKH = L L^T) the thin SVD L = U S V^T gives the eigenvalues S^2
+and eigenvectors U, with no n x n eigendecomposition; when the factor
+fell back to ``eigh``, its eigenpairs are read directly. Eigenvectors
 are scaled by inverse square-root eigenvalues, so projections carry the
 component variances. Indefinite Grams are accepted; only eigenvalues
 above the rank tolerance become components. Signs are fixed
@@ -50,11 +50,17 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     n = values.shape[0]
     if not (1 <= d < n):
         raise OutOfRangeError(f"need 1 <= d < n, got d={d}, n={n}")
-    y, s = _factor(values)
-    # HKH = y diag(s) y^T; its positive part is P P^T with P = y[:, s > 0],
-    # so the thin SVD P = U S V^T gives the eigenpairs (S^2, U), largest first
-    eigenvectors, singular, _ = np.linalg.svd(y[:, s > 0], full_matrices=False)
-    eigenvalues = singular * singular
+    y, _, spectrum = _factor(values)
+    if spectrum is None:
+        # a Cholesky factor: HKH = y y^T, so the thin SVD y = U S V^T gives
+        # the eigenpairs (S^2, U), largest first
+        eigenvectors, singular, _ = np.linalg.svd(y, full_matrices=False)
+        eigenvalues = singular * singular
+    else:
+        # eigh's columns, ascending, are already eigenvectors times
+        # sqrt|lambda|: the positive ones are the last, read in reverse
+        eigenvalues = spectrum[::-1][: np.count_nonzero(spectrum > 0)]
+        eigenvectors = y[:, ::-1]
     # relative to the spectrum, but never below the Gram's own rounding level:
     # a spectrum that is all rounding noise has no component
     scale = max(values.max(), -values.min())  # max|K| without an n x n temporary
@@ -70,7 +76,9 @@ def kpca_fit(gram, d: int) -> KpcaModel:
         )
         d = usable
     eigenvalues = eigenvalues[:d].copy()
-    coefficients = eigenvectors[:, :d] / np.sqrt(eigenvalues)[None, :]
+    # unit eigenvectors over sqrt(lambda); eigh's columns already carry one
+    divisor = np.sqrt(eigenvalues) if spectrum is None else eigenvalues
+    coefficients = eigenvectors[:, :d] / divisor[None, :]
     # fix signs: the largest-magnitude coefficient of each component is positive
     flips = np.sign(coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)])
     coefficients = coefficients * flips[None, :]

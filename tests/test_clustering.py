@@ -237,9 +237,9 @@ def test_labels_invariant_to_row_and_column_offsets():
 def test_cholesky_factor_reproduces_centred_gram(monkeypatch, make_gram, rank):
     gram = make_gram()
     routes = spy_factor_routes(monkeypatch)
-    y, s = _factor(gram)
+    y, s, spectrum = _factor(gram)
     assert routes == ["cholesky"]
-    assert y.shape == (gram.shape[0], rank) and (s == 1).all()
+    assert y.shape == (gram.shape[0], rank) and (s == 1).all() and spectrum is None
     centred = double_centred(gram)
     tol = gram.shape[0] * np.finfo(np.float64).eps * np.abs(np.diagonal(centred)).max()
     assert np.abs(y @ y.T - centred).max() <= tol
@@ -253,13 +253,17 @@ def test_cholesky_factor_reproduces_centred_gram(monkeypatch, make_gram, rank):
 def test_indefinite_and_full_rank_grams_take_the_eigh_fallback(monkeypatch, make_gram):
     gram = make_gram()
     routes = spy_factor_routes(monkeypatch)
-    y, s = _factor(gram)
+    y, s, spectrum = _factor(gram)
     assert routes == ["declined", "eigh"]
     centred = double_centred(gram)
     eigenvalues = np.linalg.eigvalsh(centred)
     size = np.abs(eigenvalues)
     kept = size > gram.shape[0] * np.finfo(np.float64).eps * size.max()
     assert y.shape[1] == kept.sum() and (s < 0).sum() == (eigenvalues[kept] < 0).sum()
+    # the kept eigenvalues come back ascending, each column's squared norm
+    assert np.array_equal(s, np.sign(spectrum)) and np.all(np.diff(spectrum) >= 0)
+    assert np.allclose(spectrum, eigenvalues[kept], rtol=1e-12, atol=1e-12 * size.max())
+    assert np.allclose((y * y).sum(axis=0), np.abs(spectrum), rtol=1e-12, atol=0.0)
     assert np.abs((y * s) @ y.T - centred).max() < 1e-12 * np.abs(centred).max()
 
 

@@ -205,6 +205,31 @@ def test_cholesky_and_fallback_fit_alike(monkeypatch, make_gram, d):
     assert np.array_equal(model.col_means, fallback.col_means)
 
 
+@pytest.mark.parametrize(
+    "make_gram, d", [(_indefinite_gram, 3), (rbf_gram, 3)], ids=["indefinite", "full-rank"]
+)
+def test_fallback_fit_reads_eigh_pairs_without_an_svd(monkeypatch, make_gram, d):
+    # the eigh route already holds orthogonal eigenvectors, so no second
+    # O(n^3) decomposition follows it
+    gram = make_gram()
+    routes = spy_factor_routes(monkeypatch)
+    svd = np.linalg.svd
+    svd_calls = []
+
+    def spied_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied_svd)
+    model = kpca_fit(gram, d)
+    assert routes == ["declined", "eigh"] and svd_calls == []
+    eigenvalues, vectors = np.linalg.eigh(double_centred(gram))
+    assert np.allclose(model.eigenvalues, eigenvalues[::-1][:d], rtol=1e-12, atol=0.0)
+    expected = vectors[:, ::-1][:, :d] / np.sqrt(model.eigenvalues)
+    expected *= np.sign(expected[np.argmax(np.abs(expected), axis=0), np.arange(d)])
+    assert np.abs(model.coefficients - expected).max() < 1e-12 * np.abs(expected).max()
+
+
 def test_constant_gram_raises_on_either_route(monkeypatch):
     for force in (False, True):
         if force:
