@@ -12,8 +12,8 @@ Numer. Math. 2012). Otherwise one symmetric eigendecomposition is used,
 keeping each eigenvalue's sign, so an indefinite Gram is clustered in its
 pseudo-Euclidean embedding with the distances the Gram sums give. Plain
 (Lloyd's) k-means runs the same core on the points with s = 1. The
-Variance Ratio Criterion and the silhouette are computed from Gram sums;
-an explicit-coordinates Calinski-Harabasz is the baseline counterpart.
+Variance Ratio Criterion (Calinski-Harabasz) is computed on the factor, as
+is its explicit-coordinates baseline; the silhouette from the Gram.
 """
 
 from __future__ import annotations
@@ -72,16 +72,26 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _check_init_labels(init_labels, n, k) -> np.ndarray:
-    """Starting labels as an array of n integers in [0, k)."""
-    labels = np.asarray(init_labels)
+def _check_labels(n, labels, k=None):
+    """``(labels, k, counts)`` for n non-negative integer labels: starting
+    labels lie in the given [0, k); labels to score (no ``k``) fill at
+    least two clusters, none empty."""
+    labels = np.asarray(labels)
     if labels.shape != (n,):
-        raise LengthMismatchError(f"expected {n} initial labels, got shape {labels.shape}")
+        raise LengthMismatchError(f"expected {n} labels, got shape {labels.shape}")
     if labels.dtype.kind not in "iu":
-        raise OutOfRangeError(f"initial labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= k:
+        raise OutOfRangeError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and labels.min() < 0:
+        raise OutOfRangeError(f"labels must be non-negative, got {labels.min()}")
+    scored = k is None
+    if scored:
+        k = int(labels.max()) + 1 if labels.size else 0
+    elif labels.max() >= k:
         raise OutOfRangeError(f"initial labels must lie in [0, {k})")
-    return labels
+    counts = np.bincount(labels, minlength=k)
+    if scored and (k < 2 or (counts == 0).any()):
+        raise DegenerateLabelsError("need at least 2 clusters, all nonempty")
+    return labels, k, counts
 
 
 def _pivoted_cholesky(centred, tol):
@@ -184,11 +194,15 @@ def _label_distances(y, s, norms, labels, k):
     return _sq_distances(y, s, norms, _label_means(y, labels, k))
 
 
-def _plusplus_seeds(sq_dist_fn, n, k, rng):
-    """k-means++ seed indices given a callable returning squared distances to an index."""
+def _plusplus_seeds(y, s, norms, k, rng):
+    """k-means++ seed indices: each next seed is drawn with probability
+    proportional to its squared distance to the nearest seed so far."""
+    n = y.shape[0]
     seeds = [int(rng.integers(n))]
-    closest = sq_dist_fn(seeds[0])
-    for _ in range(k - 1):
+    closest = np.inf
+    while len(seeds) < k:
+        last = seeds[-1]
+        closest = np.minimum(closest, _sq_distances(y, s, norms, y[last:last + 1])[:, 0])
         weights = np.maximum(closest, 0.0)
         total = weights.sum()
         if total <= 0.0:
@@ -196,7 +210,6 @@ def _plusplus_seeds(sq_dist_fn, n, k, rng):
             seeds.append(int(rng.choice(remaining)))
         else:
             seeds.append(int(rng.choice(n, p=weights / total)))
-        closest = np.minimum(closest, sq_dist_fn(seeds[-1]))
     return seeds
 
 
@@ -231,8 +244,7 @@ def _kmeans_once(y, s, k, init, max_iter, rng, init_labels=None):
         if init == "random":
             seeds = rng.choice(n, size=k, replace=False)
         elif init == "plusplus":
-            point_sq_dist = lambda j: _sq_distances(y, s, norms, y[j:j + 1])[:, 0]
-            seeds = _plusplus_seeds(point_sq_dist, n, k, rng)
+            seeds = _plusplus_seeds(y, s, norms, k, rng)
         else:
             raise OutOfRangeError(f"unknown init {init!r}")
         labels = np.argmin(_sq_distances(y, s, norms, y[seeds]), axis=1)
@@ -287,7 +299,7 @@ def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None)
         if value < 1:
             raise OutOfRangeError(f"need {name} >= 1, got {value}")
     if init_labels is not None:
-        labels = _check_init_labels(init_labels, y.shape[0], k)
+        labels, _, _ = _check_labels(y.shape[0], init_labels, k)
         return _kmeans_once(y, s, k, init, max_iter, None, init_labels=labels)
     best = None
     for child in _as_seed_sequence(seed).spawn(restarts):
@@ -340,56 +352,40 @@ def lloyd_kmeans(
     )
 
 
-def _check_labels(n, labels):
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise LengthMismatchError(f"expected {n} labels, got shape {labels.shape}")
-    k = int(labels.max()) + 1 if labels.size else 0
-    counts = np.bincount(labels, minlength=k)
-    if k < 2 or (counts == 0).any():
-        raise DegenerateLabelsError("need at least 2 clusters, all nonempty")
-    return labels, k, counts
-
-
-def variance_ratio_criterion(gram, labels) -> float:
-    """Calinski-Harabasz index computed entirely from Gram sums.
-
-    Between/within dispersions are the implicit feature-space squared
-    distances to cluster means and to the global mean.
-    """
-    return _variance_ratio(_gram_values(gram), labels)
-
-
-def _variance_ratio(gram, labels) -> float:
-    n = gram.shape[0]
-    labels, k, counts = _check_labels(n, labels)
+def _calinski_harabasz(y, s, labels, k) -> float:
+    """Calinski-Harabasz index of centred coordinates ``y`` under the signed
+    inner product ``s``; between is total minus within dispersion, clipped at 0."""
+    n = y.shape[0]
     if k >= n:
         raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
-    diag_total = float(np.diagonal(gram).sum())
-    onehot = _onehot(labels, k)
-    within_sums = (onehot * (gram @ onehot)).sum(axis=0)  # sum_{j,l in c} K_jl
-    within = diag_total - float((within_sums / counts).sum())
-    total = diag_total - float(gram.sum()) / n
+    within = float((((y - _label_means(y, labels, k)[labels]) ** 2) @ s).sum())
+    total = float(((y * y) @ s).sum())
     between = max(total - within, 0.0)
     if within <= 0.0:
         return math.inf
     return (between / (k - 1)) * ((n - k) / within)
 
 
+def variance_ratio_criterion(gram, labels) -> float:
+    """Calinski-Harabasz index in kernel feature space.
+
+    Between/within dispersions are the feature-space squared distances to
+    the global mean and to cluster means, read from the factor of the
+    centred Gram. Each call factors the Gram once (``_factor``: O(n^2 r),
+    O(n^3) on its ``eigh`` fallback).
+    """
+    gram = _gram_values(gram)
+    labels, k, _ = _check_labels(gram.shape[0], labels)
+    y, s, _ = _factor(gram)
+    return _calinski_harabasz(y, s, labels, k)
+
+
 def calinski_harabasz(points, labels) -> float:
     """Explicit-coordinates Calinski-Harabasz (the plain-k-means counterpart)."""
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    labels, k, counts = _check_labels(n, labels)
-    if k >= n:
-        raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
-    grand = points.mean(axis=0)
-    centers = _label_means(points, labels, k)
-    within = float(np.sum((points - centers[labels]) ** 2))
-    between = float(np.sum(counts[:, None] * (centers - grand) ** 2))
-    if within <= 0.0:
-        return math.inf
-    return (between / (k - 1)) * ((n - k) / within)
+    labels, k, _ = _check_labels(points.shape[0], labels)
+    centred = points - points.mean(axis=0)
+    return _calinski_harabasz(centred, np.ones(points.shape[1]), labels, k)
 
 
 def silhouette_from_distances(dist, labels) -> float:
@@ -434,7 +430,7 @@ def select_k(
 
     Ties break toward smaller k. The Gram is validated and factored once
     for all k, and so is silhouette's angular distance matrix; VRC is
-    evaluated from Gram sums.
+    evaluated on the factor.
     """
     gram = _gram_values(gram)
     ks = sorted(set(int(k) for k in k_range))
@@ -442,11 +438,9 @@ def select_k(
         raise OutOfRangeError("empty k range")
     if ks[0] < 2 or ks[-1] >= gram.shape[0]:
         raise OutOfRangeError(f"k range must be within [2, n-1], got {ks[0]}..{ks[-1]}")
-    if criterion == "vrc":
-        scored, scorer = gram, _variance_ratio
-    elif criterion == "silhouette":
-        scored, scorer = _angles(gram), silhouette_from_distances
-    else:
+    if criterion == "silhouette":
+        distances = _angles(gram)
+    elif criterion != "vrc":
         raise OutOfRangeError(f"unknown criterion {criterion!r}")
     y, s, _ = _factor(gram)
     scores = {}
@@ -454,7 +448,10 @@ def select_k(
     for k, child in zip(ks, _as_seed_sequence(seed).spawn(len(ks))):
         assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, child)
         assignments[k] = assignment
-        scores[k] = scorer(scored, assignment.labels)
+        if criterion == "vrc":
+            scores[k] = _calinski_harabasz(y, s, assignment.labels, k)
+        else:
+            scores[k] = silhouette_from_distances(distances, assignment.labels)
     best_k = ks[0]
     for k in ks[1:]:
         if scores[k] > scores[best_k]:

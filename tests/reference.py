@@ -1,11 +1,13 @@
-"""Brute-force reference for the kernel, graph-space draws and Gram-factor spies, for tests only.
+"""Brute-force reference for the kernel, graph-space draws, Gram-factor spies and the
+Gram-sum Variance Ratio Criterion, for tests only.
 
 The kernel reference materializes the full n x n x m distance tensor and
 works one sample pair at a time, straight from the definitions, so the fast
 paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
 The Gram-factor helpers build test Grams of known rank and record or force
 the route ``depcon.clustering._factor`` takes: the pivoted Cholesky, or its
-``eigh`` fallback.
+``eigh`` fallback. The Variance Ratio Criterion reference reads Gram sums one
+cluster at a time, with no factor.
 """
 
 from __future__ import annotations
@@ -229,3 +231,23 @@ def spy_factor_routes(monkeypatch):
 def force_eigh_fallback(monkeypatch):
     """Make the pivoted Cholesky decline, so every factor comes from ``eigh``."""
     monkeypatch.setattr(clustering, "_pivoted_cholesky", lambda centred, tol: None)
+
+
+def gram_sum_variance_ratio(gram, labels):
+    """Calinski-Harabasz index from Gram sums, one cluster at a time.
+
+    within = tr K - sum_c (sum of K over c x c) / n_c and total =
+    tr K - (sum of K) / n; between = max(total - within, 0).
+    """
+    n = gram.shape[0]
+    clusters = np.unique(labels)
+    k = clusters.size
+    trace = float(np.trace(gram))
+    within = trace - sum(
+        float(gram[np.ix_(labels == c, labels == c)].sum()) / int(np.sum(labels == c))
+        for c in clusters
+    )
+    between = max(trace - float(gram.sum()) / n - within, 0.0)
+    if within <= 0.0:
+        return math.inf
+    return (between / (k - 1)) * ((n - k) / within)

@@ -23,6 +23,7 @@ from reference import (
     depcon_gram,
     double_centred,
     force_eigh_fallback,
+    gram_sum_variance_ratio,
     rank_one_gram,
     rbf_gram,
     spy_factor_routes,
@@ -321,7 +322,8 @@ def test_cholesky_and_fallback_select_alike_on_a_depcon_gram(monkeypatch):
     force_eigh_fallback(monkeypatch)
     fallback = select_k(gram, range(2, 11), "vrc", seed=3, restarts=4)
     assert cholesky.best_k == fallback.best_k
-    assert cholesky.scores == fallback.scores
+    # scores, like objectives, come from the factor, so they agree to rounding
+    assert cholesky.scores == pytest.approx(fallback.scores, rel=1e-12)
     for k, assignment in cholesky.assignments.items():
         assert_same_runs(assignment, fallback.assignments[k])
 
@@ -385,12 +387,44 @@ def test_vrc_matches_explicit_calinski_harabasz_for_linear_kernel():
     assert kernel_value == pytest.approx(explicit, rel=1e-6)
 
 
+@pytest.mark.parametrize("route", ["cholesky", "forced-eigh", "full-rank", "indefinite"])
+def test_vrc_matches_gram_sums_on_either_factor_route(monkeypatch, route):
+    gram = {"full-rank": rbf_gram, "indefinite": noisy_separated_gram}.get(route, depcon_gram)()
+    if route == "forced-eigh":
+        force_eigh_fallback(monkeypatch)
+    routes = spy_factor_routes(monkeypatch)
+    result = select_k(gram, range(2, 6), "vrc", seed=1, restarts=2)
+    assert routes == (["cholesky"] if route == "cholesky" else ["declined", "eigh"])
+    random_labels = np.random.default_rng(8).integers(0, 3, gram.shape[0])
+    for k, assignment in result.assignments.items():
+        expected = gram_sum_variance_ratio(gram, assignment.labels)
+        assert result.scores[k] == pytest.approx(expected, rel=1e-12)
+    for labels in (result.assignments[4].labels, random_labels):
+        expected = gram_sum_variance_ratio(gram, labels)
+        assert variance_ratio_criterion(gram, labels) == pytest.approx(expected, rel=1e-12)
+
+
 def test_vrc_label_validation():
     gram, _ = ideal_block_gram([4, 4])
     with pytest.raises(DegenerateLabelsError):
         variance_ratio_criterion(gram, np.zeros(8, dtype=int))
     with pytest.raises(LengthMismatchError):
         variance_ratio_criterion(gram, np.zeros(5, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "scorer",
+    [variance_ratio_criterion, calinski_harabasz, silhouette_score, silhouette_from_distances],
+    ids=["vrc", "calinski-harabasz", "silhouette", "silhouette-from-distances"],
+)
+@pytest.mark.parametrize(
+    "labels", [[0, 0, 1, 1, -1, 2], [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]], ids=["negative", "float"]
+)
+def test_scorers_reject_negative_and_non_integer_labels(scorer, labels):
+    # the matrix serves as Gram, points and distances alike: only the labels are wrong
+    gram, _ = separated_gram([3, 3])
+    with pytest.raises(OutOfRangeError, match="labels must be"):
+        scorer(gram, labels)
 
 
 def test_silhouette_ideal_blocks():
