@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .clustering import (
+    _calinski_harabasz,
+    _factored_kmeans,
     adjusted_rand_index,
-    kernel_kmeans,
     select_k,
     silhouette_score,
-    variance_ratio_criterion,
 )
 from .critical import CriticalScale
 from .dataset import _filled_rows, _read_table, load_dataset, load_dataset_json
@@ -265,16 +265,12 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     gram = _load_gram(args.gram)
     if args.k is not None:
-        assignment = kernel_kmeans(
-            gram,
-            args.k,
-            init=args.init,
-            max_iter=args.max_iter,
-            restarts=args.restarts,
-            seed=args.seed,
+        # the factor that clusters also scores: the Gram is factored once
+        assignment, y, s = _factored_kmeans(
+            gram, args.k, args.init, args.max_iter, args.restarts, args.seed
         )
         scores = {
-            args.k: variance_ratio_criterion(gram, assignment.labels)
+            args.k: _calinski_harabasz(y, s, assignment.labels, args.k)
             if args.criterion == "vrc"
             else silhouette_score(gram, assignment.labels)
         }

@@ -11,7 +11,10 @@ positive semidefinite with rank at most about n/4, as a depcon Gram is
 Numer. Math. 2012). Otherwise one symmetric eigendecomposition is used,
 keeping each eigenvalue's sign, so an indefinite Gram is clustered in its
 pseudo-Euclidean embedding with the distances the Gram sums give. Plain
-(Lloyd's) k-means runs the same core on the points with s = 1. The
+(Lloyd's) k-means runs the same core on the points with s = 1. All
+restarts of one k run as one stacked Lloyd's loop (``_lloyd``): each step
+finds every restart's means and distances in two stacked products and
+drops the restarts that have converged; seeding stays per restart. The
 Variance Ratio Criterion (Calinski-Harabasz) is computed on the factor, as
 is its explicit-coordinates baseline; the silhouette from the Gram.
 """
@@ -189,11 +192,6 @@ def _sq_distances(y, s, norms, centers):
     return norms[:, None] - 2.0 * (y @ signed.T) + (centers * signed).sum(axis=1)
 
 
-def _label_distances(y, s, norms, labels, k):
-    """Squared distances of every point to the k means of ``labels``."""
-    return _sq_distances(y, s, norms, _label_means(y, labels, k))
-
-
 def _plusplus_seeds(y, s, norms, k, rng):
     """k-means++ seed indices: each next seed is drawn with probability
     proportional to its squared distance to the nearest seed so far."""
@@ -234,57 +232,128 @@ def _repair_empty(y, s, labels, k):
     return labels, moves
 
 
-def _kmeans_once(y, s, k, init, max_iter, rng, init_labels=None):
-    """One k-means run on coordinates ``y`` under the signed inner product ``s``."""
+def _seed_labels(y, s, norms, k, init, rng):
+    """One restart's start labels: each point joins its nearest of k seed points."""
     n = y.shape[0]
-    norms = (y * y) @ s
-    if init_labels is not None:
-        labels = init_labels
+    if init == "random":
+        seeds = rng.choice(n, size=k, replace=False)
+    elif init == "plusplus":
+        seeds = _plusplus_seeds(y, s, norms, k, rng)
     else:
-        if init == "random":
-            seeds = rng.choice(n, size=k, replace=False)
-        elif init == "plusplus":
-            seeds = _plusplus_seeds(y, s, norms, k, rng)
-        else:
-            raise OutOfRangeError(f"unknown init {init!r}")
-        labels = np.argmin(_sq_distances(y, s, norms, y[seeds]), axis=1)
-    labels, repairs = _repair_empty(y, s, labels, k)
-    trace = []
-    converged = False
-    iterations = 0
-    # distances to the means of the current labels, carried from the last step
-    dist = _label_distances(y, s, norms, labels, k)
-    rows = np.arange(n)
-    own = dist[rows, labels]
+        raise OutOfRangeError(f"unknown init {init!r}")
+    return np.argmin(_sq_distances(y, s, norms, y[seeds]), axis=1)
+
+
+def _stacked_counts(y, s, labels, k):
+    """``(counts, moves)``: the R x k cluster sizes of R stacked labelings
+    (R x n), after ``_repair_empty`` has refilled in place each row with an
+    empty cluster, and the repairs made in each row."""
+    restarts = labels.shape[0]
+    cells = labels + k * np.arange(restarts)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=restarts * k).reshape(restarts, k)
+    moves = np.zeros(restarts, dtype=np.int64)
+    for r in np.flatnonzero((counts == 0).any(axis=1)):
+        labels[r], moves[r] = _repair_empty(y, s, labels[r], k)
+        counts[r] = np.bincount(labels[r], minlength=k)
+    return counts, moves
+
+
+def _stacked_distances(y, s, norms, labels, counts, indicator, out):
+    """Squared distances (R x k x n) of every point to the k means of each of
+    R labelings (R x n) with cluster sizes ``counts`` (R x k).
+
+    ``indicator`` is an all-zero R x n x k buffer (each labeling's one-hot
+    matrix) and is left zero; ``out``, R x k x n, receives the distances.
+    Each product is one stacked ``matmul``, which runs one GEMM of a lone
+    restart's shape per labeling: a single GEMM over all R would be large
+    enough for BLAS to split across threads, and the split changes its
+    rounding. The one-hot is read transposed, as ``_label_means`` reads
+    its own, so both give bitwise the same means.
+    """
+    restarts, n = labels.shape
+    k = counts.shape[1]
+    slots = labels + k * np.arange(restarts * n).reshape(restarts, n)
+    indicator.put(slots, 1.0)
+    sums = np.matmul(indicator.transpose(0, 2, 1), y)
+    indicator.put(slots, 0.0)
+    means = sums / np.maximum(counts, 1)[:, :, None]
+    signed = means * s
+    # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the means
+    np.matmul(-2.0 * signed, y.T, out=out)
+    out += norms
+    out += (means * signed).sum(axis=2)[:, :, None]
+    return out
+
+
+def _lloyd(y, s, norms, k, labels, max_iter):
+    """Lloyd's k-means from R start labelings (R x n) at once, on coordinates
+    ``y`` under the signed inner product ``s`` (``norms`` is ``|y_i|^2_s``);
+    one ``ClusterAssignment`` per labeling, in order.
+
+    Each step serves every restart still moving with one
+    ``_stacked_distances`` call; a restart leaves once its labels stop
+    changing. The rules of a lone run hold for each restart: empty clusters
+    are repaired, a point changes cluster only for a mean closer by more
+    than rounding, and a pure assignment step must not raise the objective.
+    """
+    restarts, n = labels.shape
     # rounding scale of the expanded distances |y|^2 - 2 y.c + |c|^2
     tol = 1e-12 * float(np.abs(norms).max())
-    for iterations in range(1, max_iter + 1):
+    # dist.take((labels + offsets) * n + points) reads dist[r, labels[r, i], i]
+    offsets = k * np.arange(restarts)[:, None]
+    points = np.arange(n)
+    indicator = np.zeros((restarts, n, k))
+    buffer = np.empty((restarts, k, n))
+    iterations = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    traces = [[] for _ in range(restarts)]
+    final = np.empty((restarts, n), dtype=np.intp)
+    labels = labels.astype(np.intp)
+    counts, repairs = _stacked_counts(y, s, labels, k)
+    # distances to the means of the current labels, carried from the last step
+    dist = _stacked_distances(y, s, norms, labels, counts, indicator, buffer)
+    own = dist.take((labels + offsets) * n + points)
+    active = np.arange(restarts)
+    for step in range(1, max_iter + 1):
+        size = active.size
         # a point leaves its cluster only for a mean closer by more than
-        # rounding; equal means (repeated points) would otherwise swap forever
-        nearest = np.argmin(dist, axis=1)
-        np.copyto(nearest, labels, where=own - dist[rows, nearest] <= tol)
-        new_labels, moves = _repair_empty(y, s, nearest, k)
-        repairs += moves
-        new_dist = _label_distances(y, s, norms, new_labels, k)
-        own = new_dist[rows, new_labels]
-        objective = float(np.maximum(own, 0.0).sum())
-        # reseeding an empty cluster may raise the objective; assignment alone may not
-        if trace and not moves and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
-            raise RuntimeError("k-means objective increased on a pure assignment step")
-        trace.append(objective)
-        if (new_labels == labels).all():
-            converged = True
+        # rounding; equal means (repeated points) would otherwise swap forever.
+        # Few points leave after the first steps, so only they take an argmin.
+        leaving = np.flatnonzero(own - dist.min(axis=1) > tol)
+        nearest = labels.copy()
+        nearest.flat[leaving] = dist[leaving // n, :, leaving % n].argmin(axis=1)
+        counts, moves = _stacked_counts(y, s, nearest, k)
+        dist = _stacked_distances(y, s, norms, nearest, counts, indicator[:size], buffer[:size])
+        own = dist.take((nearest + offsets[:size]) * n + points)
+        objectives = np.maximum(own, 0.0).sum(axis=1)
+        for a, r in enumerate(active):
+            trace, objective = traces[r], float(objectives[a])
+            # reseeding an empty cluster may raise the objective; assignment alone may not
+            if trace and not moves[a] and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
+                raise RuntimeError("k-means objective increased on a pure assignment step")
+            trace.append(objective)
+        repairs[active] += moves
+        iterations[active] = step
+        final[active] = nearest
+        moving = (nearest != labels).any(axis=1)
+        converged[active[~moving]] = True
+        if not moving.any():
             break
-        labels, dist = new_labels, new_dist
-    return ClusterAssignment(
-        labels=labels,
-        k=k,
-        objective=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        objective_trace=tuple(trace),
-        repairs=repairs,
-    )
+        if not moving.all():
+            active, nearest, dist, own = active[moving], nearest[moving], dist[moving], own[moving]
+        labels = nearest
+    return [
+        ClusterAssignment(
+            labels=final[r],
+            k=k,
+            objective=traces[r][-1],
+            iterations=int(iterations[r]),
+            converged=bool(converged[r]),
+            objective_trace=tuple(traces[r]),
+            repairs=int(repairs[r]),
+        )
+        for r in range(restarts)
+    ]
 
 
 def _check_k(k, n):
@@ -298,12 +367,17 @@ def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None)
     for name, value in (("max_iter", max_iter), ("restarts", restarts)):
         if value < 1:
             raise OutOfRangeError(f"need {name} >= 1, got {value}")
+    norms = (y * y) @ s
     if init_labels is not None:
         labels, _, _ = _check_labels(y.shape[0], init_labels, k)
-        return _kmeans_once(y, s, k, init, max_iter, None, init_labels=labels)
+        return _lloyd(y, s, norms, k, labels[None, :], max_iter)[0]
+    # seeding stays per restart, one generator each, so every stream is unchanged
+    starts = [
+        _seed_labels(y, s, norms, k, init, np.random.default_rng(child))
+        for child in _as_seed_sequence(seed).spawn(restarts)
+    ]
     best = None
-    for child in _as_seed_sequence(seed).spawn(restarts):
-        result = _kmeans_once(y, s, k, init, max_iter, np.random.default_rng(child))
+    for result in _lloyd(y, s, norms, k, np.stack(starts), max_iter):
         if best is None or result.objective < best.objective - 1e-12:
             best = result
     return best
@@ -324,10 +398,16 @@ def kernel_kmeans(
     ``init_labels`` (n integers in [0, k)) bypasses seeding (one run) so a
     run can be compared against coordinate-space k-means from the same start.
     """
+    return _factored_kmeans(gram, k, init, max_iter, restarts, seed, init_labels)[0]
+
+
+def _factored_kmeans(gram, k, init, max_iter, restarts, seed, init_labels=None):
+    """``(assignment, y, s)``: ``kernel_kmeans`` and the factor it clustered
+    on, so a caller can score the labels without factoring the Gram again."""
     gram = _gram_values(gram)
     _check_k(k, gram.shape[0])
     y, s, _ = _factor(gram)
-    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels)
+    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels), y, s
 
 
 def lloyd_kmeans(
@@ -389,12 +469,18 @@ def calinski_harabasz(points, labels) -> float:
 
 
 def silhouette_from_distances(dist, labels) -> float:
-    """Mean silhouette given a full pairwise distance matrix."""
+    """Mean silhouette given a full pairwise distance matrix.
+
+    Each point's total distance to each cluster is a sum over that cluster's
+    columns in a fixed order, not a BLAS product, so the score does not
+    depend on the BLAS thread count.
+    """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     labels, k, counts = _check_labels(n, labels)
-    onehot = _onehot(labels, k)
-    cluster_dist = dist @ onehot  # (n, k): total distance to each cluster
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    cluster_dist = np.add.reduceat(dist[:, order], starts, axis=1)  # (n, k)
     own_count = counts[labels]
     own_total = cluster_dist[np.arange(n), labels] - np.diagonal(dist)
     with np.errstate(divide="ignore", invalid="ignore"):

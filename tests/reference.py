@@ -1,5 +1,5 @@
-"""Brute-force reference for the kernel, graph-space draws, Gram-factor spies and the
-Gram-sum Variance Ratio Criterion, for tests only.
+"""Brute-force reference for the kernel, graph-space draws, Gram-factor spies, the
+Gram-sum Variance Ratio Criterion and a one-restart k-means loop, for tests only.
 
 The kernel reference materializes the full n x n x m distance tensor and
 works one sample pair at a time, straight from the definitions, so the fast
@@ -7,7 +7,9 @@ paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
 The Gram-factor helpers build test Grams of known rank and record or force
 the route ``depcon.clustering._factor`` takes: the pivoted Cholesky, or its
 ``eigh`` fallback. The Variance Ratio Criterion reference reads Gram sums one
-cluster at a time, with no factor.
+cluster at a time, with no factor. The k-means oracle runs Lloyd's steps
+for one restart at a time, with the same rules as the stacked core in
+``depcon.clustering``.
 """
 
 from __future__ import annotations
@@ -251,3 +253,51 @@ def gram_sum_variance_ratio(gram, labels):
     if within <= 0.0:
         return math.inf
     return (between / (k - 1)) * ((n - k) / within)
+
+
+def kmeans_single_restart(y, s, k, labels, max_iter):
+    """Lloyd's k-means for one start labeling, one step and one restart at a time.
+
+    Coordinates ``y`` under the signed inner product ``s``; the same rules
+    as ``depcon.clustering``'s stacked loop (repair of empty clusters, the
+    rounding tie rule, the objective-increase check), so its labels,
+    iterations, convergence and repairs must match that loop's exactly.
+    """
+    n = y.shape[0]
+    norms = (y * y) @ s
+
+    def label_distances(labels):
+        return clustering._sq_distances(y, s, norms, clustering._label_means(y, labels, k))
+
+    labels, repairs = clustering._repair_empty(y, s, np.asarray(labels), k)
+    trace = []
+    converged = False
+    iterations = 0
+    dist = label_distances(labels)
+    rows = np.arange(n)
+    own = dist[rows, labels]
+    tol = 1e-12 * float(np.abs(norms).max())
+    for iterations in range(1, max_iter + 1):
+        nearest = np.argmin(dist, axis=1)
+        np.copyto(nearest, labels, where=own - dist[rows, nearest] <= tol)
+        new_labels, moves = clustering._repair_empty(y, s, nearest, k)
+        repairs += moves
+        new_dist = label_distances(new_labels)
+        own = new_dist[rows, new_labels]
+        objective = float(np.maximum(own, 0.0).sum())
+        if trace and not moves and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
+            raise RuntimeError("k-means objective increased on a pure assignment step")
+        trace.append(objective)
+        if (new_labels == labels).all():
+            converged = True
+            break
+        labels, dist = new_labels, new_dist
+    return clustering.ClusterAssignment(
+        labels=labels,
+        k=k,
+        objective=trace[-1],
+        iterations=iterations,
+        converged=converged,
+        objective_trace=tuple(trace),
+        repairs=repairs,
+    )

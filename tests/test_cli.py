@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import depcon
 from depcon.cli import _load_any_dataset, _load_matrix, _write_matrix_csv, main
 from depcon.errors import (
     ConstantFeatureError,
@@ -266,6 +268,31 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "depcon" in result.stdout
+
+
+def test_silhouette_report_independent_of_blas_threads(tmp_path):
+    # n = 1,020 is a size at which an n x n x k BLAS product of the
+    # silhouette's cluster sums rounded differently under 1 and 2 threads
+    data = tmp_path / "bench.csv"
+    gram = tmp_path / "gram.csv"
+    assert run("synth", "-o", data, "--models", "6", "--samples", "170",
+               "--features", "8", "--nonlinear", "--seed", "1") == 0
+    assert run("gram", data, "-o", gram) == 0
+    source = str(os.path.dirname(os.path.dirname(depcon.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "depcon", "cluster", str(gram), "-o",
+             str(tmp_path / "labels.csv"), "--criterion", "silhouette",
+             "--k-range", "2", "6", "--seed", "1"],
+            capture_output=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append((tmp_path / "labels.csv.report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_usage_error_exit_code():

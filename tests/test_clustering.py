@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from reference import (
     double_centred,
     force_eigh_fallback,
     gram_sum_variance_ratio,
+    kmeans_single_restart,
     rank_one_gram,
     rbf_gram,
     spy_factor_routes,
@@ -183,23 +186,148 @@ def test_objective_nonincreasing_trace():
     assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
-def test_distances_to_means_computed_once_per_iteration(monkeypatch):
-    # the distances after each assignment step are reused by the next step
+def start_labels(y, s, k, init, restarts, seed):
+    """Each restart's start labels, drawn as ``kernel_kmeans`` draws them."""
     from depcon import clustering
 
-    calls = []
-    original = clustering._label_distances
+    norms = (y * y) @ s
+    return np.stack(
+        [
+            clustering._seed_labels(y, s, norms, k, init, np.random.default_rng(child))
+            for child in np.random.SeedSequence(seed).spawn(restarts)
+        ]
+    )
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
 
-    monkeypatch.setattr(clustering, "_label_distances", counted)
+def spy_stacked_distances(monkeypatch):
+    """Record how many labelings each stacked distance step serves."""
+    from depcon import clustering
+
+    sizes = []
+    original = clustering._stacked_distances
+
+    def counted(y, s, norms, labels, *rest):
+        sizes.append(labels.shape[0])
+        return original(y, s, norms, labels, *rest)
+
+    monkeypatch.setattr(clustering, "_stacked_distances", counted)
+    return sizes
+
+
+def test_distances_to_means_computed_once_per_iteration(monkeypatch):
+    # the distances after each assignment step are reused by the next step
+    sizes = spy_stacked_distances(monkeypatch)
     rng = np.random.default_rng(5)
     points = rng.standard_normal((60, 3))
     result = kernel_kmeans(points @ points.T, 4, seed=9, restarts=1)
     assert result.iterations > 2
-    assert len(calls) == result.iterations + 1
+    assert len(sizes) == result.iterations + 1
+
+
+def test_stacked_distances_computed_once_per_step(monkeypatch):
+    # one call per step serves every restart still moving; a restart leaves
+    # the call after its last step
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((60, 3))
+    gram = points @ points.T
+    y, s, _ = _factor(gram)
+    starts = start_labels(y, s, 4, "plusplus", 4, 9)
+    iterations = [kmeans_single_restart(y, s, 4, start, 100).iterations for start in starts]
+    assert len(set(iterations)) > 1
+    sizes = spy_stacked_distances(monkeypatch)
+    kernel_kmeans(gram, 4, seed=9, restarts=4)
+    assert len(sizes) == max(iterations) + 1
+    assert sizes == [sum(i >= step for i in iterations) for step in range(max(iterations) + 1)]
+
+
+def assert_matches_single_restarts(y, s, k, starts, max_iter):
+    from depcon import clustering
+
+    runs = clustering._lloyd(y, s, (y * y) @ s, k, starts, max_iter)
+    assert len(runs) == len(starts)
+    for start, run in zip(starts, runs):
+        expected = kmeans_single_restart(y, s, k, start, max_iter)
+        assert np.array_equal(run.labels, expected.labels)
+        assert run.iterations == expected.iterations
+        assert run.converged == expected.converged
+        assert run.repairs == expected.repairs
+        assert len(run.objective_trace) == len(expected.objective_trace)
+        scale = max(1.0, max(abs(v) for v in expected.objective_trace))
+        np.testing.assert_allclose(
+            run.objective_trace, expected.objective_trace, rtol=1e-12, atol=1e-12 * scale
+        )
+        assert run.objective == run.objective_trace[-1]
+    return runs
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+@pytest.mark.parametrize(
+    "case",
+    ["depcon", "indefinite", "repeated-points", "repeated-lloyd", "random-init", "one-restart"],
+)
+def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
+    gram, ks, init, restarts = depcon_gram(30), (2, 5, 8), "plusplus", 6
+    if case == "indefinite":
+        gram, ks = noisy_separated_gram(), (2, 3, 4)
+    elif case == "repeated-points":
+        # two distinct points, k=3: two means share a point, so clusters empty mid-loop
+        gram, ks, restarts = ideal_block_gram([12, 8])[0], (3,), 10
+    elif case == "repeated-lloyd":
+        # means of 12 and of 8 copies of one point round apart: the tie rule decides
+        ks, restarts = (3,), 10
+    elif case == "random-init":
+        init = "random"
+    elif case == "one-restart":
+        restarts = 1
+    if case == "repeated-lloyd":
+        points = np.repeat(np.random.default_rng(3).standard_normal((2, 3)), [12, 8], axis=0)
+        y, s = points - points.mean(axis=0), np.ones(3)
+        run = partial(lloyd_kmeans, points)
+    else:
+        y, s, _ = _factor(gram)
+        run = partial(kernel_kmeans, gram)
+    if case == "indefinite":
+        assert (s < 0).any()
+    rng = np.random.default_rng(7)
+    for k in ks:
+        for seed in range(3):
+            starts = start_labels(y, s, k, init, restarts, seed)
+            runs = assert_matches_single_restarts(y, s, k, starts, max_iter)
+            # the kept restart is the first of the lowest objectives (1e-12 rule)
+            best = runs[0]
+            for other in runs[1:]:
+                if other.objective < best.objective - 1e-12:
+                    best = other
+            result = run(k, init=init, max_iter=max_iter, restarts=restarts, seed=seed)
+            assert np.array_equal(result.labels, best.labels)
+            assert result.objective_trace == best.objective_trace
+        # uniform random start labels leave clusters whose means mix distant
+        # points, so some steps empty a cluster in some restarts and not others
+        for _ in range(3):
+            starts = rng.integers(0, k, (restarts, y.shape[0]))
+            runs = assert_matches_single_restarts(y, s, k, starts, max_iter)
+            if case == "repeated-points":
+                assert 0 < sum(r.repairs > 0 for r in runs) < restarts
+
+
+def test_init_labels_run_matches_single_restart_oracle():
+    gram = depcon_gram(30)
+    y, s, _ = _factor(gram)
+    rng = np.random.default_rng(4)
+    for k in (2, 4, 7):
+        for _ in range(3):
+            start = rng.integers(0, k, gram.shape[0])
+            expected = kmeans_single_restart(y, s, k, start, 100)
+            result = kernel_kmeans(gram, k, init_labels=start)
+            assert np.array_equal(result.labels, expected.labels)
+            assert (result.iterations, result.converged, result.repairs) == (
+                expected.iterations,
+                expected.converged,
+                expected.repairs,
+            )
+            np.testing.assert_allclose(
+                result.objective_trace, expected.objective_trace, rtol=1e-12
+            )
 
 
 def test_labels_invariant_to_row_and_column_offsets():
@@ -573,14 +701,14 @@ def test_objective_rise_on_assignment_step_raises(monkeypatch):
     # the guard is an explicit check, so it also holds under python -O
     from depcon import clustering
 
-    original = clustering._label_distances
+    original = clustering._stacked_distances
     calls = []
 
     def rising(*args):
         calls.append(1)
         return original(*args) + len(calls)  # same argmin, higher objective
 
-    monkeypatch.setattr(clustering, "_label_distances", rising)
+    monkeypatch.setattr(clustering, "_stacked_distances", rising)
     gram, _ = separated_gram([6, 6], within=0.9, cross=0.1)
     start = np.repeat([0, 1], 6)
     start[0] = 1  # one point in the wrong cluster, so a second assignment step runs
