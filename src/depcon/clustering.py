@@ -175,14 +175,10 @@ def _factor(values):
     return y, np.sign(eigenvalues), eigenvalues
 
 
-def _onehot(labels, k):
+def _label_means(points, labels, k):
     onehot = np.zeros((labels.shape[0], k))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return onehot
-
-
-def _label_means(points, labels, k):
-    sums = _onehot(labels, k).T @ points
+    sums = onehot.T @ points
     return sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
 
 
@@ -342,9 +338,10 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         if not moving.all():
             active, nearest, dist, own = active[moving], nearest[moving], dist[moving], own[moving]
         labels = nearest
+    # each run gets its own labels: a row view would keep all R rows alive
     return [
         ClusterAssignment(
-            labels=final[r],
+            labels=final[r].copy(),
             k=k,
             objective=traces[r][-1],
             iterations=int(iterations[r]),

@@ -257,6 +257,8 @@ def assert_matches_single_restarts(y, s, k, starts, max_iter):
             run.objective_trace, expected.objective_trace, rtol=1e-12, atol=1e-12 * scale
         )
         assert run.objective == run.objective_trace[-1]
+        # a kept run's labels must not hold every restart's labels alive
+        assert run.labels.base is None
     return runs
 
 
