@@ -268,7 +268,7 @@ def assert_matches_single_restarts(y, s, k, starts, max_iter):
     ["depcon", "indefinite", "repeated-points", "repeated-lloyd", "random-init", "one-restart"],
 )
 def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
-    gram, ks, init, restarts = depcon_gram(30), (2, 5, 8), "plusplus", 6
+    ks, init, restarts = (2, 5, 8), "plusplus", 6
     if case == "indefinite":
         gram, ks = noisy_separated_gram(), (2, 3, 4)
     elif case == "repeated-points":
@@ -277,12 +277,12 @@ def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
     elif case == "repeated-lloyd":
         # means of 12 and of 8 copies of one point round apart: the tie rule decides
         ks, restarts = (3,), 10
-    elif case == "random-init":
-        init = "random"
-    elif case == "one-restart":
-        restarts = 1
-    if case == "repeated-lloyd":
         points = np.repeat(np.random.default_rng(3).standard_normal((2, 3)), [12, 8], axis=0)
+    else:
+        gram = depcon_gram(30)
+        init = "random" if case == "random-init" else init
+        restarts = 1 if case == "one-restart" else restarts
+    if case == "repeated-lloyd":
         y, s = points - points.mean(axis=0), np.ones(3)
         run = partial(lloyd_kmeans, points)
     else:
