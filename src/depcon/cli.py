@@ -65,9 +65,17 @@ def _provenance(command: str, config: dict) -> dict:
     }
 
 
-def _write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+def _write_json(path, payload: dict, matrices=()):
+    """Sorted keys, indent 2; each row of the top-level lists of rows named in
+    ``matrices`` goes on one line (a one-integer-per-line m x m relation is
+    about 9m^2 bytes)."""
+    # argv and JSON keys hold no NUL, so each placeholder string is unique
+    slots = {key: f"\0{key}" for key in matrices}
+    text = json.dumps({**payload, **slots}, indent=2, sort_keys=True)
+    for key, slot in slots.items():
+        rows = ",\n".join("    " + json.dumps(row) for row in payload[key])
+        text = text.replace(json.dumps(slot), f"[\n{rows}\n  ]" if rows else "[]")
+    Path(path).write_text(text + "\n")
 
 
 # reprs are made this many at a time, so no list of all of them is held
@@ -376,7 +384,7 @@ def cmd_graphdist(args) -> int:
         "connected_b": rep_b.connected.astype(int).tolist(),
         "provenance": _provenance("graphdist", vars(args)),
     }
-    _write_json(args.output, payload)
+    _write_json(args.output, payload, matrices=("connected_a", "connected_b"))
     return 0
 
 

@@ -12,11 +12,13 @@ Numer. Math. 2012). Otherwise one symmetric eigendecomposition is used,
 keeping each eigenvalue's sign, so an indefinite Gram is clustered in its
 pseudo-Euclidean embedding with the distances the Gram sums give. Plain
 (Lloyd's) k-means runs the same core on the points with s = 1. All
-restarts of one k run as one stacked Lloyd's loop (``_lloyd``): each step
+restarts of one k are seeded together (``_seed_starts``: each k-means++
+draw is one stacked product and one draw from each restart's own
+generator) and run as one stacked Lloyd's loop (``_lloyd``): each step
 finds every restart's means and distances in two stacked products and
-drops the restarts that have converged; seeding stays per restart. The
-Variance Ratio Criterion (Calinski-Harabasz) is computed on the factor, as
-is its explicit-coordinates baseline; the silhouette from the Gram.
+drops the restarts that have converged. The Variance Ratio Criterion
+(Calinski-Harabasz) is computed on the factor, as is its
+explicit-coordinates baseline; the silhouette from the Gram.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     EmptyClusterError,
     KTooLargeError,
     LengthMismatchError,
+    NonFiniteValueError,
     NotSquareError,
     NotSymmetricError,
     OutOfRangeError,
@@ -61,6 +64,8 @@ def _gram_values(gram) -> np.ndarray:
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise NotSquareError(f"Gram matrix must be square, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("Gram matrix has NaN or infinite entries")
     if not np.array_equal(values, values.T):
         asymmetry = float(np.abs(values - values.T).max())
         scale = max(1.0, float(np.abs(values).max()))
@@ -182,31 +187,6 @@ def _label_means(points, labels, k):
     return sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
 
 
-def _sq_distances(y, s, norms, centers):
-    """Squared distances ``|y_i - c_j|^2_s`` (n x len(centers)); ``norms`` is ``|y_i|^2_s``."""
-    signed = centers * s
-    return norms[:, None] - 2.0 * (y @ signed.T) + (centers * signed).sum(axis=1)
-
-
-def _plusplus_seeds(y, s, norms, k, rng):
-    """k-means++ seed indices: each next seed is drawn with probability
-    proportional to its squared distance to the nearest seed so far."""
-    n = y.shape[0]
-    seeds = [int(rng.integers(n))]
-    closest = np.inf
-    while len(seeds) < k:
-        last = seeds[-1]
-        closest = np.minimum(closest, _sq_distances(y, s, norms, y[last:last + 1])[:, 0])
-        weights = np.maximum(closest, 0.0)
-        total = weights.sum()
-        if total <= 0.0:
-            remaining = np.setdiff1d(np.arange(n), seeds)
-            seeds.append(int(rng.choice(remaining)))
-        else:
-            seeds.append(int(rng.choice(n, p=weights / total)))
-    return seeds
-
-
 def _repair_empty(y, s, labels, k):
     """Fill each empty cluster with the point farthest from its own cluster mean.
 
@@ -228,16 +208,66 @@ def _repair_empty(y, s, labels, k):
     return labels, moves
 
 
-def _seed_labels(y, s, norms, k, init, rng):
-    """One restart's start labels: each point joins its nearest of k seed points."""
+def _seed_starts(y, s, norms, k, init, rngs):
+    """Start labels (R x n) of R restarts, one generator each in ``rngs``:
+    each point joins its nearest of its restart's k seed points.
+
+    k-means++ (Arthur & Vassilvitskii, SODA 2007) draws each next seed with
+    probability proportional to its squared distance to the nearest seed so
+    far. Every restart draws at once: one stacked ``matmul`` gives each
+    restart's distance row to its last seed, as one product of a lone
+    restart's n x 1 shape per restart (see ``_stacked_distances``). Each
+    draw then repeats ``Generator.choice(n, p=w / w.sum())``: the same
+    probabilities and normalised cumulative sums, and one ``random()`` from
+    the restart's own generator, whose seed is the count of cumulative sums
+    at or below it (``searchsorted(side="right")``, the index ``choice``
+    returns). So every stream and every seed are those of drawing each
+    restart alone. A restart whose weights are all zero draws uniformly
+    among the points not yet seeds.
+    """
     n = y.shape[0]
+    restarts = len(rngs)
+    seeds = np.empty((restarts, k), dtype=np.intp)
     if init == "random":
-        seeds = rng.choice(n, size=k, replace=False)
+        for r, rng in enumerate(rngs):
+            seeds[r] = rng.choice(n, size=k, replace=False)
     elif init == "plusplus":
-        seeds = _plusplus_seeds(y, s, norms, k, rng)
+        seeds[:, 0] = [rng.integers(n) for rng in rngs]
+        # squared distance to the nearest seed so far, clipped at 0: the weights
+        closest = np.full((restarts, n), np.inf)
+        for j in range(1, k):
+            last = y[seeds[:, j - 1]]
+            signed = last * s
+            # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the seed
+            dist = np.matmul(y, -2.0 * signed[:, :, None])[:, :, 0]
+            dist += norms
+            dist += (last * signed).sum(axis=1)[:, None]
+            np.maximum(dist, 0.0, out=dist)
+            np.minimum(closest, dist, out=closest)
+            totals = closest.sum(axis=1)
+            if not np.isfinite(totals).all():
+                raise NonFiniteValueError("squared distances overflow float64")
+            for r in np.flatnonzero(totals <= 0.0):
+                remaining = np.setdiff1d(np.arange(n), seeds[r, :j])
+                seeds[r, j] = rngs[r].choice(remaining)
+            drawn = np.flatnonzero(totals > 0.0)
+            cdf = closest[drawn] / totals[drawn, None]
+            np.cumsum(cdf, axis=1, out=cdf)
+            cdf /= cdf[:, -1:]
+            draws = np.array([rngs[r].random() for r in drawn])
+            seeds[drawn, j] = (cdf <= draws[:, None]).sum(axis=1)
     else:
         raise OutOfRangeError(f"unknown init {init!r}")
-    return np.argmin(_sq_distances(y, s, norms, y[seeds]), axis=1)
+    centers = y[seeds]
+    signed = centers * s
+    # one n x k product per restart, of a lone restart's shape, then laid out
+    # k x n so the sums and the minimum run over whole rows
+    dist = np.matmul(y, -2.0 * signed.transpose(0, 2, 1)).transpose(0, 2, 1).copy()
+    dist += norms
+    dist += (centers * signed).sum(axis=2)[:, :, None]
+    # the first of the nearest seeds, as argmin picks it: it has the largest k - j
+    ranks = np.arange(k, 0, -1, dtype=np.intp)[:, None]
+    return k - (ranks * (dist == dist.min(axis=1)[:, None, :])).max(axis=1)
 
 
 def _stacked_counts(y, s, labels, k):
@@ -288,9 +318,11 @@ def _lloyd(y, s, norms, k, labels, max_iter):
 
     Each step serves every restart still moving with one
     ``_stacked_distances`` call; a restart leaves once its labels stop
-    changing. The rules of a lone run hold for each restart: empty clusters
-    are repaired, a point changes cluster only for a mean closer by more
-    than rounding, and a pure assignment step must not raise the objective.
+    changing, or unconverged once they return to those of two steps back
+    (a step depends on the labels alone, so they would alternate forever).
+    The rules of a lone run hold for each restart: empty clusters are
+    repaired, a point changes cluster only for a mean closer by more than
+    rounding, and a pure assignment step must not raise the objective.
     """
     restarts, n = labels.shape
     # rounding scale of the expanded distances |y|^2 - 2 y.c + |c|^2
@@ -310,6 +342,7 @@ def _lloyd(y, s, norms, k, labels, max_iter):
     dist = _stacked_distances(y, s, norms, labels, counts, indicator, buffer)
     own = dist.take((labels + offsets) * n + points)
     active = np.arange(restarts)
+    previous = None
     for step in range(1, max_iter + 1):
         size = active.size
         # a point leaves its cluster only for a mean closer by more than
@@ -333,11 +366,15 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         final[active] = nearest
         moving = (nearest != labels).any(axis=1)
         converged[active[~moving]] = True
+        # labels back to those of two steps ago would alternate forever
+        if previous is not None:
+            moving &= (nearest != previous).any(axis=1)
         if not moving.any():
             break
         if not moving.all():
             active, nearest, dist, own = active[moving], nearest[moving], dist[moving], own[moving]
-        labels = nearest
+            labels = labels[moving]
+        previous, labels = labels, nearest
     # each run gets its own labels: a row view would keep all R rows alive
     return [
         ClusterAssignment(
@@ -368,13 +405,10 @@ def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None)
     if init_labels is not None:
         labels, _, _ = _check_labels(y.shape[0], init_labels, k)
         return _lloyd(y, s, norms, k, labels[None, :], max_iter)[0]
-    # seeding stays per restart, one generator each, so every stream is unchanged
-    starts = [
-        _seed_labels(y, s, norms, k, init, np.random.default_rng(child))
-        for child in _as_seed_sequence(seed).spawn(restarts)
-    ]
+    # one generator per restart, spawned in restart order
+    rngs = [np.random.default_rng(child) for child in _as_seed_sequence(seed).spawn(restarts)]
     best = None
-    for result in _lloyd(y, s, norms, k, np.stack(starts), max_iter):
+    for result in _lloyd(y, s, norms, k, _seed_starts(y, s, norms, k, init, rngs), max_iter):
         if best is None or result.objective < best.objective - 1e-12:
             best = result
     return best
@@ -420,6 +454,8 @@ def lloyd_kmeans(
     """Plain coordinate-space k-means with the same conventions as kernel_kmeans."""
     points = np.asarray(points, dtype=np.float64)
     _check_k(k, points.shape[0])
+    if not np.isfinite(points).all():
+        raise NonFiniteValueError("points have NaN or infinite coordinates")
     # distances depend only on differences; centring keeps the expanded
     # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
     # (kernel k-means needs no such step: the factor of HKH is centred)

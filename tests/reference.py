@@ -7,9 +7,9 @@ paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
 The Gram-factor helpers build test Grams of known rank and record or force
 the route ``depcon.clustering._factor`` takes: the pivoted Cholesky, or its
 ``eigh`` fallback. The Variance Ratio Criterion reference reads Gram sums one
-cluster at a time, with no factor. The k-means oracle runs Lloyd's steps
-for one restart at a time, with the same rules as the stacked core in
-``depcon.clustering``.
+cluster at a time, with no factor. The k-means oracles seed and run Lloyd's
+steps for one restart at a time, with the same rules and random draws as
+the stacked core in ``depcon.clustering``.
 """
 
 from __future__ import annotations
@@ -255,21 +255,59 @@ def gram_sum_variance_ratio(gram, labels):
     return (between / (k - 1)) * ((n - k) / within)
 
 
+def sq_distances(y, s, norms, centers):
+    """Squared distances ``|y_i - c_j|^2_s`` (n x len(centers)); ``norms`` is ``|y_i|^2_s``."""
+    signed = centers * s
+    return norms[:, None] - 2.0 * (y @ signed.T) + (centers * signed).sum(axis=1)
+
+
+def plusplus_seeds(y, s, norms, k, rng):
+    """k-means++ seed indices of one restart: each next seed is drawn by
+    ``rng.choice`` with probability proportional to its squared distance to
+    the nearest seed so far."""
+    n = y.shape[0]
+    seeds = [int(rng.integers(n))]
+    closest = np.inf
+    while len(seeds) < k:
+        last = seeds[-1]
+        closest = np.minimum(closest, sq_distances(y, s, norms, y[last:last + 1])[:, 0])
+        weights = np.maximum(closest, 0.0)
+        total = weights.sum()
+        if total <= 0.0:
+            remaining = np.setdiff1d(np.arange(n), seeds)
+            seeds.append(int(rng.choice(remaining)))
+        else:
+            seeds.append(int(rng.choice(n, p=weights / total)))
+    return seeds
+
+
+def seed_labels(y, s, norms, k, init, rng):
+    """One restart's start labels: each point joins its nearest of k seed points."""
+    n = y.shape[0]
+    if init == "random":
+        seeds = rng.choice(n, size=k, replace=False)
+    else:
+        seeds = plusplus_seeds(y, s, norms, k, rng)
+    return np.argmin(sq_distances(y, s, norms, y[seeds]), axis=1)
+
+
 def kmeans_single_restart(y, s, k, labels, max_iter):
     """Lloyd's k-means for one start labeling, one step and one restart at a time.
 
     Coordinates ``y`` under the signed inner product ``s``; the same rules
     as ``depcon.clustering``'s stacked loop (repair of empty clusters, the
-    rounding tie rule, the objective-increase check), so its labels,
-    iterations, convergence and repairs must match that loop's exactly.
+    rounding tie rule, the objective-increase check, the stop without
+    convergence once the labels return to those of two steps back), so its
+    labels, iterations, convergence and repairs must match that loop's exactly.
     """
     n = y.shape[0]
     norms = (y * y) @ s
 
     def label_distances(labels):
-        return clustering._sq_distances(y, s, norms, clustering._label_means(y, labels, k))
+        return sq_distances(y, s, norms, clustering._label_means(y, labels, k))
 
     labels, repairs = clustering._repair_empty(y, s, np.asarray(labels), k)
+    previous = None
     trace = []
     converged = False
     iterations = 0
@@ -291,7 +329,10 @@ def kmeans_single_restart(y, s, k, labels, max_iter):
         if (new_labels == labels).all():
             converged = True
             break
-        labels, dist = new_labels, new_dist
+        if previous is not None and (new_labels == previous).all():
+            labels = new_labels
+            break
+        previous, labels, dist = labels, new_labels, new_dist
     return clustering.ClusterAssignment(
         labels=labels,
         k=k,

@@ -217,6 +217,23 @@ def test_graphdist_accepts_integral_float_vertices(tmp_path):
     assert json.loads(out.read_text())["connected_a"] == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
+def test_graphdist_writes_each_relation_row_on_one_line(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"vertices": 3, "edges": [[0, 1, "->"], [2, 1, "->"]]}')
+    out = tmp_path / "dist.json"
+    assert run("graphdist", graph, graph, "-o", out) == 0
+    text = out.read_text()
+    assert '  "connected_a": [\n    [0, 1, 0],\n    [1, 0, 1],\n    [0, 1, 0]\n  ],\n' in text
+    assert '  "connected_b": [\n    [0, 1, 0],\n    [1, 0, 1],\n    [0, 1, 0]\n  ],\n' in text
+    # the rest keeps the indented layout of every other JSON output
+    payload = json.loads(text)
+    layout = json.dumps(payload, indent=2, sort_keys=True).splitlines()
+    assert [line for line in layout if line.startswith('  "') and "connected" not in line] == [
+        line for line in text.splitlines() if line.startswith('  "') and "connected" not in line
+    ]
+    assert text.endswith("}\n")
+
+
 def _timed_graphdist(tmp_path, m, edges):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"vertices": m, "edges": edges}))

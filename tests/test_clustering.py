@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import depcon
 
 from depcon.clustering import (
     _factor,
@@ -14,10 +20,12 @@ from depcon.clustering import (
     silhouette_score,
     variance_ratio_criterion,
 )
+from depcon.embedding import kpca_fit
 from depcon.errors import (
     DegenerateLabelsError,
     KTooLargeError,
     LengthMismatchError,
+    NonFiniteValueError,
     NotSquareError,
     OutOfRangeError,
 )
@@ -29,6 +37,7 @@ from reference import (
     kmeans_single_restart,
     rank_one_gram,
     rbf_gram,
+    seed_labels,
     spy_factor_routes,
 )
 
@@ -73,6 +82,55 @@ def test_k_equal_n_zero_objective():
     result = kernel_kmeans(gram, 6, seed=1)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     assert sorted(result.labels.tolist()) == list(range(6))
+
+
+@pytest.mark.parametrize("n", [4, 6, 10])
+def test_alternating_labels_stop_without_converging(n):
+    # on -I the labels alternate with period 2 from the start labels; the
+    # run stops once they repeat instead of running all max_iter steps
+    gram = -np.eye(n)
+    result = kernel_kmeans(gram, 2, seed=0, restarts=1)
+    assert result.iterations <= 3
+    assert not result.converged
+    y, s, _ = _factor(gram)
+    starts = start_labels(y, s, 2, "plusplus", 3, 0)
+    for run in assert_matches_single_restarts(y, s, 2, starts, 100):
+        assert run.iterations <= 3
+
+
+def nan_and_inf(values):
+    for bad in (np.nan, np.inf, -np.inf):
+        copy = np.array(values, dtype=np.float64)
+        copy[1, 0] = copy[0, 1] = bad
+        yield copy
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda gram: kernel_kmeans(gram, 2),
+        lambda gram: select_k(gram, range(2, 4)),
+        lambda gram: kpca_fit(gram, 2),
+        lambda gram: variance_ratio_criterion(gram, np.arange(gram.shape[0]) % 2),
+        lambda gram: silhouette_score(gram, np.arange(gram.shape[0]) % 2),
+    ],
+    ids=["kernel_kmeans", "select_k", "kpca_fit", "variance_ratio_criterion", "silhouette_score"],
+)
+def test_non_finite_gram_rejected(entry):
+    gram, _ = separated_gram([4, 4])
+    for bad in nan_and_inf(gram):
+        with pytest.raises(NonFiniteValueError):
+            entry(bad)
+
+
+def test_non_finite_points_rejected():
+    points = np.random.default_rng(0).standard_normal((8, 2))
+    for bad in nan_and_inf(points):
+        with pytest.raises(NonFiniteValueError):
+            lloyd_kmeans(bad, 2)
+    # finite points whose squared distances overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
+        lloyd_kmeans(points * 1e200, 2)
 
 
 def test_kernel_kmeans_linear_gram_matches_lloyd():
@@ -187,16 +245,83 @@ def test_objective_nonincreasing_trace():
 
 
 def start_labels(y, s, k, init, restarts, seed):
-    """Each restart's start labels, drawn as ``kernel_kmeans`` draws them."""
-    from depcon import clustering
-
+    """Each restart's start labels, drawn one restart at a time by the oracle."""
     norms = (y * y) @ s
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
     return np.stack(
         [
-            clustering._seed_labels(y, s, norms, k, init, np.random.default_rng(child))
-            for child in np.random.SeedSequence(seed).spawn(restarts)
+            seed_labels(y, s, norms, k, init, np.random.default_rng(child))
+            for child in seed.spawn(restarts)
         ]
     )
+
+
+def spy_start_labels(monkeypatch):
+    """Record the start labels each stacked Lloyd's loop is given."""
+    from depcon import clustering
+
+    starts = []
+    original = clustering._lloyd
+
+    def recorded(y, s, norms, k, labels, max_iter):
+        starts.append(labels.copy())
+        return original(y, s, norms, k, labels, max_iter)
+
+    monkeypatch.setattr(clustering, "_lloyd", recorded)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "case", ["depcon", "forced-eigh", "indefinite", "repeated-points", "k-n-minus-1", "random-init", "lloyd"]
+)
+def test_stacked_seeds_match_single_restart_oracle(monkeypatch, case):
+    # every restart's start labels are bitwise those of seeding it alone
+    ks, init, restarts = (2, 3, 6, 10), "plusplus", 7
+    gram = points = None
+    if case in ("depcon", "random-init"):
+        gram = depcon_gram(30)
+        init = "random" if case == "random-init" else init
+    elif case == "forced-eigh":
+        force_eigh_fallback(monkeypatch)
+        gram = depcon_gram(30)
+    elif case == "indefinite":
+        gram, ks = noisy_separated_gram(), (2, 3, 5)
+    elif case == "repeated-points":
+        # four distinct points: once every one is a seed, all weights are 0
+        # and the next seed is drawn uniformly from the points not yet seeds
+        points = np.repeat(np.random.default_rng(3).standard_normal((4, 2)), [9, 6, 4, 1], axis=0)
+        ks = (5, 8, 19)
+    elif case == "k-n-minus-1":
+        gram, ks = depcon_gram(3), (17,)
+    else:
+        points = np.random.default_rng(8).standard_normal((50, 3)) + 1e3
+    if points is not None:
+        y, s = points - points.mean(axis=0), np.ones(points.shape[1])
+        run = partial(lloyd_kmeans, points)
+    else:
+        y, s, _ = _factor(gram)
+        run = partial(kernel_kmeans, gram)
+    if case == "indefinite":
+        assert (s < 0).any()
+    starts = spy_start_labels(monkeypatch)
+    for k in ks:
+        for seed in range(4):
+            run(k, init=init, max_iter=1, restarts=restarts, seed=seed)
+            expected = start_labels(y, s, k, init, restarts, seed)
+            assert starts[-1].shape == expected.shape
+            assert np.array_equal(starts[-1], expected)
+
+
+def test_select_k_seeds_match_single_restart_oracle(monkeypatch):
+    gram = depcon_gram(30)
+    y, s, _ = _factor(gram)
+    starts = spy_start_labels(monkeypatch)
+    select_k(gram, range(2, 8), restarts=5, seed=11)
+    children = np.random.SeedSequence(11).spawn(6)
+    assert len(starts) == 6
+    for k, child, got in zip(range(2, 8), children, starts):
+        assert np.array_equal(got, start_labels(y, s, k, "plusplus", 5, child))
 
 
 def spy_stacked_distances(monkeypatch):
@@ -640,6 +765,39 @@ def test_select_k_validates_the_gram_once(monkeypatch, criterion):
     scorer = variance_ratio_criterion if criterion == "vrc" else silhouette_score
     for k, assignment in result.assignments.items():
         assert result.scores[k] == scorer(gram, assignment.labels)
+
+
+SELECT_K_RUN = """
+import sys
+import numpy as np
+from depcon.clustering import select_k
+
+result = select_k(np.load(sys.argv[1]), range(2, 11), restarts=10, seed=1)
+print(result.best_k)
+for k, run in sorted(result.assignments.items()):
+    print(k, run.labels.tobytes().hex(), run.objective.hex(), result.scores[k].hex(),
+          run.iterations, run.repairs, [value.hex() for value in run.objective_trace])
+"""
+
+
+def test_select_k_independent_of_blas_threads(tmp_path):
+    # a cluster-select-shaped Gram (n = 600, m = 8): every stacked seeding
+    # and Lloyd's product is one restart's shape, so the BLAS thread count
+    # cannot change how it rounds
+    path = tmp_path / "gram.npy"
+    np.save(path, depcon_gram(100))
+    source = str(Path(depcon.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", SELECT_K_RUN, str(path)], capture_output=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 10
 
 
 def test_select_k_builds_silhouette_distances_once(monkeypatch):
