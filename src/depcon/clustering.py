@@ -284,24 +284,18 @@ def _stacked_counts(y, s, labels, k):
     return counts, moves
 
 
-def _stacked_distances(y, s, norms, labels, counts, indicator, out):
+def _stacked_distances(y, s, norms, indicator, counts, out):
     """Squared distances (R x k x n) of every point to the k means of each of
-    R labelings (R x n) with cluster sizes ``counts`` (R x k).
+    R labelings, given as their one-hot matrices ``indicator`` (R x n x k)
+    and cluster sizes ``counts`` (R x k); ``out``, R x k x n, receives them.
 
-    ``indicator`` is an all-zero R x n x k buffer (each labeling's one-hot
-    matrix) and is left zero; ``out``, R x k x n, receives the distances.
     Each product is one stacked ``matmul``, which runs one GEMM of a lone
     restart's shape per labeling: a single GEMM over all R would be large
     enough for BLAS to split across threads, and the split changes its
     rounding. The one-hot is read transposed, as ``_label_means`` reads
     its own, so both give bitwise the same means.
     """
-    restarts, n = labels.shape
-    k = counts.shape[1]
-    slots = labels + k * np.arange(restarts * n).reshape(restarts, n)
-    indicator.put(slots, 1.0)
     sums = np.matmul(indicator.transpose(0, 2, 1), y)
-    indicator.put(slots, 0.0)
     means = sums / np.maximum(counts, 1)[:, :, None]
     signed = means * s
     # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the means
@@ -338,8 +332,11 @@ def _lloyd(y, s, norms, k, labels, max_iter):
     final = np.empty((restarts, n), dtype=np.intp)
     labels = labels.astype(np.intp)
     counts, repairs = _stacked_counts(y, s, labels, k)
+    # row a's one-hot labels: 1 at flat index (a * n + i) * k + label; each
+    # step moves only the entries of the points that change cluster
+    indicator.put(np.arange(restarts * n) * k + labels.ravel(), 1.0)
     # distances to the means of the current labels, carried from the last step
-    dist = _stacked_distances(y, s, norms, labels, counts, indicator, buffer)
+    dist = _stacked_distances(y, s, norms, indicator, counts, buffer)
     own = dist.take((labels + offsets) * n + points)
     active = np.arange(restarts)
     previous = None
@@ -352,7 +349,11 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         nearest = labels.copy()
         nearest.flat[leaving] = dist[leaving // n, :, leaving % n].argmin(axis=1)
         counts, moves = _stacked_counts(y, s, nearest, k)
-        dist = _stacked_distances(y, s, norms, nearest, counts, indicator[:size], buffer[:size])
+        # the points that change cluster, repairs included
+        changed = np.flatnonzero(nearest != labels)
+        indicator.put(changed * k + labels.flat[changed], 0.0)
+        indicator.put(changed * k + nearest.flat[changed], 1.0)
+        dist = _stacked_distances(y, s, norms, indicator[:size], counts, buffer[:size])
         own = dist.take((nearest + offsets[:size]) * n + points)
         objectives = np.maximum(own, 0.0).sum(axis=1)
         for a, r in enumerate(active):
@@ -364,7 +365,8 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         repairs[active] += moves
         iterations[active] = step
         final[active] = nearest
-        moving = (nearest != labels).any(axis=1)
+        moving = np.zeros(size, dtype=bool)
+        moving[changed // n] = True
         converged[active[~moving]] = True
         # labels back to those of two steps ago would alternate forever
         if previous is not None:
@@ -374,6 +376,7 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         if not moving.all():
             active, nearest, dist, own = active[moving], nearest[moving], dist[moving], own[moving]
             labels = labels[moving]
+            indicator[:active.size] = indicator[:size][moving]
         previous, labels = labels, nearest
     # each run gets its own labels: a row view would keep all R rows alive
     return [

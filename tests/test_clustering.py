@@ -331,9 +331,9 @@ def spy_stacked_distances(monkeypatch):
     sizes = []
     original = clustering._stacked_distances
 
-    def counted(y, s, norms, labels, *rest):
-        sizes.append(labels.shape[0])
-        return original(y, s, norms, labels, *rest)
+    def counted(y, s, norms, indicator, *rest):
+        sizes.append(indicator.shape[0])
+        return original(y, s, norms, indicator, *rest)
 
     monkeypatch.setattr(clustering, "_stacked_distances", counted)
     return sizes
