@@ -64,7 +64,8 @@ def _gram_values(gram) -> np.ndarray:
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise NotSquareError(f"Gram matrix must be square, got shape {values.shape}")
-    if not np.isfinite(values).all():
+    # a finite sum proves every entry finite without an n x n temporary
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
         raise NonFiniteValueError("Gram matrix has NaN or infinite entries")
     if not np.array_equal(values, values.T):
         asymmetry = float(np.abs(values - values.T).max())

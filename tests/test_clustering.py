@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import depcon
-
 from depcon.clustering import (
     _factor,
     adjusted_rand_index,
