@@ -67,8 +67,7 @@ def _provenance(command: str, config: dict) -> dict:
 
 def _write_json(path, payload: dict, matrices=()):
     """Sorted keys, indent 2; each row of the top-level lists of rows named in
-    ``matrices`` goes on one line (a one-integer-per-line m x m relation is
-    about 9m^2 bytes)."""
+    ``matrices`` goes on one line, so an m x m 0/1 relation takes m lines."""
     # argv and JSON keys hold no NUL, so each placeholder string is unique
     slots = {key: f"\0{key}" for key in matrices}
     text = json.dumps({**payload, **slots}, indent=2, sort_keys=True)
