@@ -246,8 +246,6 @@ def _seed_starts(y, s, norms, k, init, rngs):
             np.maximum(dist, 0.0, out=dist)
             np.minimum(closest, dist, out=closest)
             totals = closest.sum(axis=1)
-            if not np.isfinite(totals).all():
-                raise NonFiniteValueError("squared distances overflow float64")
             for r in np.flatnonzero(totals <= 0.0):
                 remaining = np.setdiff1d(np.arange(n), seeds[r, :j])
                 seeds[r, j] = rngs[r].choice(remaining)
@@ -405,6 +403,10 @@ def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None)
     for name, value in (("max_iter", max_iter), ("restarts", restarts)):
         if value < 1:
             raise OutOfRangeError(f"need {name} >= 1, got {value}")
+    # a squared distance is at most 4 r max|y|^2, and a restart sums n of them
+    largest = float(np.abs(y).max(initial=0.0))
+    if not math.isfinite(4.0 * y.size * largest * largest):
+        raise NonFiniteValueError("coordinates so large that squared distances overflow float64")
     norms = (y * y) @ s
     if init_labels is not None:
         labels, _, _ = _check_labels(y.shape[0], init_labels, k)

@@ -127,9 +127,10 @@ def test_non_finite_points_rejected():
     for bad in nan_and_inf(points):
         with pytest.raises(NonFiniteValueError):
             lloyd_kmeans(bad, 2)
-    # finite points whose squared distances overflow
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
-        lloyd_kmeans(points * 1e200, 2)
+    # finite points whose squared distances overflow, for every start
+    for start in ({}, {"init": "random"}, {"init_labels": np.arange(8) % 2}):
+        with pytest.raises(NonFiniteValueError):
+            lloyd_kmeans(points * 1e200, 2, **start)
 
 
 def test_kernel_kmeans_linear_gram_matches_lloyd():
