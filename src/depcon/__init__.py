@@ -22,16 +22,14 @@ from .clustering import (
 )
 from .critical import CriticalMatrix, CriticalScale, chi2_quantile_1df, critical_matrix
 from .dataset import Dataset, load_dataset, load_dataset_json
-from .embedding import KpcaModel, kpca_fit, kpca_project, kpca_transform, linear_pca_scores
+from .embedding import KpcaModel, kpca_fit, kpca_transform, linear_pca_scores
 from .graphs import (
     BidirectedRepresentative,
     MixedGraph,
     SignMatrix,
     graph_distance,
     graph_from_json,
-    graph_to_json,
     hamming_product,
-    m_connected_empty,
     representative,
     sign_map,
     sign_of_statistic,

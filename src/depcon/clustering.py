@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DegenerateLabelsError,
+    DimensionMismatchError,
     EmptyClusterError,
     KTooLargeError,
     LengthMismatchError,
@@ -60,19 +61,38 @@ class SelectKResult:
     criterion: str
 
 
-def _gram_values(gram) -> np.ndarray:
-    values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise NotSquareError(f"Gram matrix must be square, got shape {values.shape}")
-    # a finite sum proves every entry finite without an n x n temporary
+def _check_finite(values, message):
+    # a finite sum proves every entry finite without a temporary of the same size
     if not math.isfinite(values.sum()) and not np.isfinite(values).all():
-        raise NonFiniteValueError("Gram matrix has NaN or infinite entries")
+        raise NonFiniteValueError(message)
+
+
+def _square_values(matrix, what) -> np.ndarray:
+    values = np.asarray(matrix, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise NotSquareError(f"{what} must be square, got shape {values.shape}")
+    _check_finite(values, f"{what} has NaN or infinite entries")
+    return values
+
+
+def _gram_values(gram) -> np.ndarray:
+    values = _square_values(gram.values if isinstance(gram, GramMatrix) else gram, "Gram matrix")
     if not np.array_equal(values, values.T):
         asymmetry = float(np.abs(values - values.T).max())
         scale = max(1.0, float(np.abs(values).max()))
         if asymmetry > values.shape[0] * np.finfo(np.float64).eps * scale:
             raise NotSymmetricError(f"Gram matrix is not symmetric: max |K - K^T| = {asymmetry:.3g}")
     return values
+
+
+def _centred_points(points) -> np.ndarray:
+    """An (n, m) point set, finite, less its mean: the coordinate baselines' input."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DimensionMismatchError(f"points must be an (n, m) array, got shape {points.shape}")
+    _check_finite(points, "points have NaN or infinite coordinates")
+    # an empty set has no mean; each caller's own size check rejects it
+    return points - points.mean(axis=0) if points.size else points
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -458,14 +478,11 @@ def lloyd_kmeans(
     init_labels=None,
 ) -> ClusterAssignment:
     """Plain coordinate-space k-means with the same conventions as kernel_kmeans."""
-    points = np.asarray(points, dtype=np.float64)
-    _check_k(k, points.shape[0])
-    if not np.isfinite(points).all():
-        raise NonFiniteValueError("points have NaN or infinite coordinates")
     # distances depend only on differences; centring keeps the expanded
     # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
     # (kernel k-means needs no such step: the factor of HKH is centred)
-    points = points - points.mean(axis=0)
+    points = _centred_points(points)
+    _check_k(k, points.shape[0])
     return _best_of_restarts(
         points, np.ones(points.shape[1]), k, init, max_iter, restarts, seed, init_labels
     )
@@ -501,10 +518,9 @@ def variance_ratio_criterion(gram, labels) -> float:
 
 def calinski_harabasz(points, labels) -> float:
     """Explicit-coordinates Calinski-Harabasz (the plain-k-means counterpart)."""
-    points = np.asarray(points, dtype=np.float64)
-    labels, k, _ = _check_labels(points.shape[0], labels)
-    centred = points - points.mean(axis=0)
-    return _calinski_harabasz(centred, np.ones(points.shape[1]), labels, k)
+    centred = _centred_points(points)
+    labels, k, _ = _check_labels(centred.shape[0], labels)
+    return _calinski_harabasz(centred, np.ones(centred.shape[1]), labels, k)
 
 
 def silhouette_from_distances(dist, labels) -> float:
@@ -514,7 +530,7 @@ def silhouette_from_distances(dist, labels) -> float:
     columns in a fixed order, not a BLAS product, so the score does not
     depend on the BLAS thread count.
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    dist = _square_values(dist, "distance matrix")
     n = dist.shape[0]
     labels, k, counts = _check_labels(n, labels)
     order = np.argsort(labels, kind="stable")
@@ -585,7 +601,11 @@ def select_k(
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Chance-corrected agreement between two partitions of the same items."""
+    """Chance-corrected agreement between two partitions of the same items.
+
+    Fewer than two items admit only identical partitions, which score 1.0
+    (scikit-learn's convention).
+    """
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)
     if labels_a.shape != labels_b.shape or labels_a.ndim != 1:
@@ -593,6 +613,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
             f"label vectors must share one length, got {labels_a.shape} and {labels_b.shape}"
         )
     n = labels_a.size
+    if n < 2:
+        return 1.0
     _, inv_a = np.unique(labels_a, return_inverse=True)
     _, inv_b = np.unique(labels_b, return_inverse=True)
     table = np.zeros((inv_a.max() + 1, inv_b.max() + 1), dtype=np.int64)

@@ -9,6 +9,7 @@ are scaled by inverse square-root eigenvalues, so projections carry the
 component variances. Indefinite Grams are accepted; only eigenvalues
 above the rank tolerance become components. Signs are fixed
 (largest-magnitude coefficient positive) so outputs are reproducible.
+The model scores the training samples only.
 """
 
 from __future__ import annotations
@@ -18,24 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _factor, _gram_values
-from .errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
+from .clustering import _centred_points, _factor, _gram_values
+from .errors import OutOfRangeError, RankDeficientWarning
 
 
 @dataclass(frozen=True, eq=False)
 class KpcaModel:
+    """The top d eigenvalues of HKH, largest first, and the n x d
+    coefficients: unit eigenvectors over sqrt(eigenvalue)."""
+
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    col_means: np.ndarray
-    grand_mean: float
 
     @property
     def d(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def kpca_fit(gram, d: int) -> KpcaModel:
@@ -82,12 +80,7 @@ def kpca_fit(gram, d: int) -> KpcaModel:
     # fix signs: the largest-magnitude coefficient of each component is positive
     flips = np.sign(coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)])
     coefficients = coefficients * flips[None, :]
-    return KpcaModel(
-        eigenvalues=eigenvalues,
-        coefficients=coefficients,
-        col_means=values.mean(axis=0),
-        grand_mean=float(values.mean()),
-    )
+    return KpcaModel(eigenvalues=eigenvalues, coefficients=coefficients)
 
 
 def kpca_transform(model: KpcaModel) -> np.ndarray:
@@ -95,29 +88,12 @@ def kpca_transform(model: KpcaModel) -> np.ndarray:
     return model.coefficients * model.eigenvalues
 
 
-def kpca_project(model: KpcaModel, cross_gram) -> np.ndarray:
-    """Project new samples given their kernel values against the training set."""
-    cross = np.asarray(cross_gram, dtype=np.float64)
-    if cross.ndim != 2 or cross.shape[1] != model.n:
-        raise DimensionMismatchError(
-            f"cross-Gram must have {model.n} columns, got shape {cross.shape}"
-        )
-    centered = (
-        cross
-        - cross.mean(axis=1, keepdims=True)
-        - model.col_means[None, :]
-        + model.grand_mean
-    )
-    return centered @ model.coefficients
-
-
 def linear_pca_scores(points, d: int) -> np.ndarray:
     """Classical PCA scores (the coordinate-space baseline for comparisons)."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if not (1 <= d <= min(n - 1, points.shape[1])):
+    centered = _centred_points(points)
+    n, m = centered.shape
+    if not (1 <= d <= min(n - 1, m)):
         raise OutOfRangeError(f"need 1 <= d <= min(n-1, m), got d={d}")
-    centered = points - points.mean(axis=0)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:d]
     flips = np.sign(components[np.arange(d), np.argmax(np.abs(components), axis=1)])

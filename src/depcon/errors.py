@@ -65,10 +65,6 @@ class OutOfRangeError(DepconError):
     exit_code = 17
 
 
-class IndexOutOfBoundsError(DepconError):
-    exit_code = 18
-
-
 class InvalidVertexError(DepconError):
     exit_code = 19
 

@@ -138,18 +138,6 @@ def _connected(graph: MixedGraph) -> np.ndarray:
     return conn
 
 
-def m_connected_empty(graph: MixedGraph, j: int, j_prime: int) -> bool:
-    """True when some path from j to j_prime contains no collider.
-
-    Builds the whole relation; ``representative`` returns every pair at once.
-    """
-    if not (0 <= j < graph.m and 0 <= j_prime < graph.m):
-        raise InvalidVertexError(f"vertex pair ({j}, {j_prime}) outside range")
-    if j == j_prime:
-        raise InvalidVertexError("endpoints must differ")
-    return bool(_connected(graph)[j, j_prime])
-
-
 @dataclass(frozen=True, eq=False)
 class BidirectedRepresentative:
     """Unconditional m-connection relation as a symmetric boolean matrix."""
@@ -180,7 +168,8 @@ class BidirectedRepresentative:
 
 
 def representative(graph: MixedGraph) -> BidirectedRepresentative:
-    """Bidirected representative of the graph's unconditional equivalence class."""
+    """Bidirected representative of the graph's unconditional equivalence class:
+    ``connected[j, k]`` is True when some path from j to k contains no collider."""
     return BidirectedRepresentative(m=graph.m, connected=_connected(graph))
 
 
@@ -262,11 +251,6 @@ def sign_of_statistic(statistic: np.ndarray) -> SignMatrix:
     values = np.where(statistic > 0.0, 1, -1).astype(np.int8)
     np.fill_diagonal(values, 1)
     return SignMatrix(values)
-
-
-def graph_to_json(graph: MixedGraph) -> dict:
-    edges = [[j, k, etype] for (j, k), etype in sorted(graph.edges.items())]
-    return {"vertices": graph.m, "edges": edges}
 
 
 def _integer(value):

@@ -1,5 +1,6 @@
-"""Brute-force reference for the kernel, graph-space draws, Gram-factor spies, the
-Gram-sum Variance Ratio Criterion and a one-restart k-means loop, for tests only.
+"""Brute-force reference for the kernel, graph-space draws and JSON, Gram-factor
+spies, the Gram-sum Variance Ratio Criterion and a one-restart k-means loop, for
+tests only.
 
 The kernel reference materializes the full n x n x m distance tensor and
 works one sample pair at a time, straight from the definitions, so the fast
@@ -27,10 +28,9 @@ from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
     DimensionMismatchError,
-    IndexOutOfBoundsError,
 )
 from depcon import clustering
-from depcon.graphs import BidirectedRepresentative
+from depcon.graphs import BidirectedRepresentative, MixedGraph
 from depcon.kernel import DEGENERATE_SQ_NORM, gram_matrix, mean_contribution
 from depcon.synth import BenchmarkConfig, build_benchmark
 
@@ -73,7 +73,7 @@ def phi_map(tensor: CenteredDistanceTensor, critical: CriticalMatrix, i: int):
             f"critical matrix is {critical.m}x{critical.m}, tensor has m={tensor.m}"
         )
     if not (0 <= i < tensor.n):
-        raise IndexOutOfBoundsError(f"sample index {i} outside [0, {tensor.n})")
+        raise IndexError(f"sample index {i} outside [0, {tensor.n})")
     slice_i = tensor.z[i]
     return SimpleNamespace(values=slice_i.T @ slice_i - critical.values, sample_index=i)
 
@@ -91,9 +91,9 @@ def _check_pair(tensor_a, tensor_b, critical, i, i_prime):
             f"feature counts differ: {tensor_a.m}, {tensor_b.m}, critical {critical.m}"
         )
     if not (0 <= i < tensor_a.n):
-        raise IndexOutOfBoundsError(f"index {i} outside [0, {tensor_a.n})")
+        raise IndexError(f"index {i} outside [0, {tensor_a.n})")
     if not (0 <= i_prime < tensor_b.n):
-        raise IndexOutOfBoundsError(f"index {i_prime} outside [0, {tensor_b.n})")
+        raise IndexError(f"index {i_prime} outside [0, {tensor_b.n})")
 
 
 def gamma_kernel(tensor_a, tensor_b, critical, i, i_prime) -> float:
@@ -178,6 +178,12 @@ def all_representatives(m):
         for (j, k), bit in zip(pairs, bits):
             conn[j, k] = conn[k, j] = bit
         yield BidirectedRepresentative(m=m, connected=conn)
+
+
+def graph_to_json(graph: MixedGraph) -> dict:
+    """The ``{"vertices": m, "edges": [[j, k, type], ...]}`` form ``graph_from_json`` reads."""
+    edges = [[j, k, etype] for (j, k), etype in sorted(graph.edges.items())]
+    return {"vertices": graph.m, "edges": edges}
 
 
 def double_centred(gram):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from depcon.clustering import (
     silhouette_score,
     variance_ratio_criterion,
 )
-from depcon.embedding import kpca_fit
+from depcon.embedding import kpca_fit, linear_pca_scores
 from depcon.errors import (
     DegenerateLabelsError,
+    DimensionMismatchError,
     KTooLargeError,
     LengthMismatchError,
     NonFiniteValueError,
@@ -131,6 +133,24 @@ def test_non_finite_points_rejected():
     for start in ({}, {"init": "random"}, {"init_labels": np.arange(8) % 2}):
         with pytest.raises(NonFiniteValueError):
             lloyd_kmeans(points * 1e200, 2, **start)
+
+
+@pytest.mark.parametrize(
+    "baseline",
+    [
+        lambda points: lloyd_kmeans(points, 2),
+        lambda points: calinski_harabasz(points, np.arange(len(points)) % 2),
+        lambda points: linear_pca_scores(points, 1),
+    ],
+    ids=["lloyd_kmeans", "calinski_harabasz", "linear_pca_scores"],
+)
+def test_coordinate_baselines_reject_bad_points(baseline):
+    for bad in (np.ones(5), np.ones((4, 2, 2))):
+        with pytest.raises(DimensionMismatchError):
+            baseline(bad)
+    for bad in nan_and_inf(np.random.default_rng(0).standard_normal((8, 2))):
+        with pytest.raises(NonFiniteValueError):
+            baseline(bad)
 
 
 def test_kernel_kmeans_linear_gram_matches_lloyd():
@@ -721,6 +741,21 @@ def test_silhouette_label_permutation_invariance():
     )
 
 
+@pytest.mark.parametrize(
+    "dist, labels, error",
+    [
+        (np.ones((4, 3)), [0, 0, 1, 1], NotSquareError),
+        (np.ones(4), [0, 0, 1, 1], NotSquareError),
+        (np.ones((3, 4)), [0, 0, 1], NotSquareError),
+        (np.full((4, 4), np.nan), [0, 0, 1, 1], NonFiniteValueError),
+    ],
+    ids=["tall", "1-d", "wide", "all-nan"],
+)
+def test_silhouette_from_distances_rejects_bad_matrices(dist, labels, error):
+    with pytest.raises(error):
+        silhouette_from_distances(dist, labels)
+
+
 # ---------------------------------------------------------------- select_k
 
 
@@ -855,6 +890,17 @@ def test_ari_against_reference_implementation():
 def test_ari_length_mismatch():
     with pytest.raises(LengthMismatchError):
         adjusted_rand_index([0, 1], [0, 1, 2])
+
+
+def test_ari_fewer_than_two_items():
+    # fewer than two items admit only identical partitions: 1.0, as in scikit-learn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert adjusted_rand_index([], []) == 1.0
+        assert adjusted_rand_index([0], [0]) == 1.0
+        assert adjusted_rand_index([0], [3]) == 1.0
+    with pytest.raises(LengthMismatchError):
+        adjusted_rand_index([], [0])
 
 
 def test_objective_rise_on_assignment_step_raises(monkeypatch):

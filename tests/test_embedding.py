@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from depcon.clustering import select_k
-from depcon.embedding import kpca_fit, kpca_project, kpca_transform, linear_pca_scores
-from depcon.errors import DimensionMismatchError, OutOfRangeError, RankDeficientWarning
+from depcon.embedding import kpca_fit, kpca_transform, linear_pca_scores
+from depcon.errors import OutOfRangeError, RankDeficientWarning
 from reference import (
     depcon_gram,
     double_centred,
@@ -55,38 +55,33 @@ def test_block_gram_first_component_separates():
     assert abs(scores[:10].mean() - scores[10:].mean()) > 0.1
 
 
-def test_projection_reproduces_training_scores():
+def test_projection_reproduces_training_scores(monkeypatch):
+    # HKH v / sqrt(lambda) = v sqrt(lambda): projecting the training samples
+    # onto the components gives their scores, here on the Cholesky route
     rng = np.random.default_rng(2)
     from depcon.kernel import gram_matrix
 
     gram = gram_matrix(rng.standard_normal((25, 3))).values
+    routes = spy_factor_routes(monkeypatch)
     model = kpca_fit(gram, 2)
-    train_scores = kpca_transform(model)
-    projected = kpca_project(model, gram)
-    assert np.abs(projected - train_scores).max() < 1e-9
+    assert routes == ["cholesky"]
+    projected = double_centred(gram) @ model.coefficients
+    assert np.abs(projected - kpca_transform(model)).max() < 1e-9
 
 
-def test_projection_duplicates_and_matching_rows():
-    rng = np.random.default_rng(3)
-    from depcon.kernel import gram_matrix
-
-    gram = gram_matrix(rng.standard_normal((20, 3))).values
+def test_projection_duplicates_and_matching_rows(monkeypatch):
+    # a Gaussian Gram, full-rank but for sample 11 copying sample 4, takes the
+    # eigh route; the copies get one score and each row satisfies HKH v = lambda v
+    points = np.random.default_rng(3).standard_normal((20, 2))
+    points[11] = points[4]
+    gram = np.exp(-((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    routes = spy_factor_routes(monkeypatch)
     model = kpca_fit(gram, 2)
-    cross = np.vstack([gram[4], gram[4], gram[11]])
-    coords = kpca_project(model, cross)
-    assert np.array_equal(coords[0], coords[1])
+    assert routes == ["declined", "eigh"]
     train = kpca_transform(model)
-    assert np.abs(coords[0] - train[4]).max() < 1e-9
-    assert np.abs(coords[2] - train[11]).max() < 1e-9
-
-
-def test_projection_dimension_check():
-    rng = np.random.default_rng(4)
-    from depcon.kernel import gram_matrix
-
-    model = kpca_fit(gram_matrix(rng.standard_normal((10, 2))).values, 2)
-    with pytest.raises(DimensionMismatchError):
-        kpca_project(model, np.zeros((3, 11)))
+    assert np.abs(train[4] - train[11]).max() < 1e-9
+    projected = double_centred(gram) @ model.coefficients
+    assert np.abs(projected - train).max() < 1e-9
 
 
 def test_eigenvalue_mass_bounded_by_trace():
@@ -139,16 +134,14 @@ def test_sign_convention_deterministic():
 
 def test_model_holds_no_n_by_n_array():
     # training scores come from the eigenpairs, so the model keeps only the
-    # n x d coefficients, the n column means and the d eigenvalues
+    # n x d coefficients and the d eigenvalues
     rng = np.random.default_rng(8)
     from depcon.kernel import gram_matrix
 
     n, d = 40, 3
     model = kpca_fit(gram_matrix(rng.standard_normal((n, 4))), d)
-    arrays = [getattr(model, f.name) for f in fields(model)]
-    arrays = [value for value in arrays if isinstance(value, np.ndarray)]
-    assert all(value.size < n * n for value in arrays)
-    assert sum(value.size for value in arrays) <= n * (d + 1) + d
+    assert [f.name for f in fields(model)] == ["eigenvalues", "coefficients"]
+    assert model.coefficients.shape == (n, d) and model.eigenvalues.shape == (d,)
 
 
 def _two_point_gram():
@@ -168,7 +161,8 @@ def test_indefinite_gram_keeps_positive_components():
     model = kpca_fit(gram, 4)
     assert (model.eigenvalues > 0).all()
     assert np.all(np.diff(model.eigenvalues) <= 0)
-    assert np.abs(kpca_project(model, gram) - kpca_transform(model)).max() < 1e-9
+    projected = double_centred(gram) @ model.coefficients
+    assert np.abs(projected - kpca_transform(model)).max() < 1e-9
 
 
 def test_depcon_gram_never_reaches_eigh(monkeypatch):
@@ -202,7 +196,6 @@ def test_cholesky_and_fallback_fit_alike(monkeypatch, make_gram, d):
     for fitted in (model, fallback):
         assert np.allclose(fitted.eigenvalues, expected, rtol=1e-12, atol=0.0)
     assert np.abs(kpca_transform(model) - kpca_transform(fallback)).max() < 1e-12
-    assert np.array_equal(model.col_means, fallback.col_means)
 
 
 @pytest.mark.parametrize(

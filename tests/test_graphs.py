@@ -15,14 +15,12 @@ from depcon.graphs import (
     SignMatrix,
     graph_distance,
     graph_from_json,
-    graph_to_json,
     hamming_product,
-    m_connected_empty,
     representative,
     sign_map,
     sign_of_statistic,
 )
-from reference import all_representatives, random_representative
+from reference import all_representatives, graph_to_json, random_representative
 
 
 def collider_free_path_exists(graph, source, target):
@@ -103,18 +101,18 @@ def test_invalid_vertex():
 
 def test_chain_connects():
     g = MixedGraph(3, {(0, 1): "->", (1, 2): "->"})
-    assert m_connected_empty(g, 0, 2)
+    assert representative(g).connected[0, 2]
 
 
 def test_collider_blocks():
     g = MixedGraph(3, {(0, 1): "->", (2, 1): "->"})  # 0 -> 1 <- 2
     assert g.edge_type(1, 2) == "<-"
-    assert not m_connected_empty(g, 0, 2)
+    assert not representative(g).connected[0, 2]
 
 
 def test_fork_connects():
     g = MixedGraph(3, {(1, 0): "->", (1, 2): "->"})
-    assert m_connected_empty(g, 0, 2)
+    assert representative(g).connected[0, 2]
 
 
 def test_m_connection_matches_path_enumeration_oracle():
@@ -134,17 +132,10 @@ def test_m_connection_matches_path_enumeration_oracle():
         except InvalidGraphError:
             continue
         found += 1
+        connected = representative(g).connected
         for j in range(m):
             for k in range(j + 1, m):
-                assert m_connected_empty(g, j, k) == collider_free_path_exists(g, j, k)
-
-
-def test_m_connection_endpoint_validation():
-    g = MixedGraph(2, {(0, 1): "->"})
-    with pytest.raises(InvalidVertexError):
-        m_connected_empty(g, 0, 0)
-    with pytest.raises(InvalidVertexError):
-        m_connected_empty(g, 0, 4)
+                assert connected[j, k] == collider_free_path_exists(g, j, k)
 
 
 # ---------------------------------------------------------------- representatives

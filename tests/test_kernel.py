@@ -8,7 +8,6 @@ from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
     DimensionMismatchError,
-    IndexOutOfBoundsError,
     OutOfRangeError,
 )
 from depcon.kernel import (
@@ -131,7 +130,7 @@ def test_phi_sum_matches_double_sum_oracle():
 def test_phi_index_errors():
     tensor = distance_tensor(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 5.0]]))
     critical = critical_matrix(2, 3, 0.1)
-    with pytest.raises(IndexOutOfBoundsError):
+    with pytest.raises(IndexError):
         phi_map(tensor, critical, 3)
     with pytest.raises(DimensionMismatchError):
         phi_map(tensor, critical_matrix(3, 3, 0.1), 0)

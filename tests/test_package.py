@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 
 import depcon
+import depcon.cli
 
 PUBLIC = [
     "BACKEND_NAME", "BenchmarkConfig", "BidirectedRepresentative", "ClusterAssignment",
@@ -14,10 +15,10 @@ PUBLIC = [
     "StructureComparison", "adjusted_rand_index", "aggregate_statistic", "augment_nonlinear",
     "build_benchmark", "calinski_harabasz", "chi2_quantile_1df", "contribution_features",
     "contribution_mean_distance", "critical_matrix", "distance_cov_matrix", "gram_matrix",
-    "graph_distance", "graph_from_json", "graph_to_json", "hamming_product", "independence_test",
-    "kernel_kmeans", "kpca_fit", "kpca_project",
+    "graph_distance", "graph_from_json", "hamming_product", "independence_test",
+    "kernel_kmeans", "kpca_fit",
     "kpca_transform", "linear_pca_scores", "lloyd_kmeans", "load_dataset", "load_dataset_json",
-    "m_connected_empty", "mean_contribution", "model_descriptor", "random_dag",
+    "mean_contribution", "model_descriptor", "random_dag",
     "random_linear_sem", "representative", "sample_linear_sem", "sample_nonlinear_sem",
     "sample_set_distance", "select_k", "sign_map", "sign_of_statistic",
     "silhouette_from_distances", "silhouette_score", "structure_difference_score",
@@ -30,10 +31,33 @@ def test_public_surface_is_pinned():
     assert sorted(depcon.__all__) == PUBLIC
 
 
-def test_benchmark_contract():
-    # perfbench/ is a fixed harness; these are the names and arguments it calls
+def test_benchmark_contract(tmp_path):
+    # perfbench/ is a fixed harness; these are the names and arguments it calls,
+    # each called here the way it calls them, on small inputs
     for fn in (depcon.gram_matrix, depcon.independence_test, depcon.structure_difference_score):
         assert "threads" in inspect.signature(fn).parameters, fn.__name__
-    x = np.random.default_rng(0).standard_normal((12, 3))
-    assert depcon.gram_matrix(x, alpha=0.1, threads=1).values.shape == (12, 12)
     assert isinstance(depcon.BACKEND_NAME, str)
+    config = depcon.BenchmarkConfig(
+        num_models=2,
+        samples_per_model=12,
+        num_features=3,
+        edge_probability=0.3,
+        nonlinear=True,
+        seed=0,
+    )
+    bench = depcon.build_benchmark(config)
+    gram = depcon.gram_matrix(bench.data, alpha=0.1, threads=1)
+    same = depcon.gram_matrix(bench.data.values, alpha=0.1, threads=1)
+    assert np.array_equal(same.values, gram.values)
+    selection = depcon.select_k(gram, range(2, 4), "vrc", restarts=2, seed=0)
+    coords = depcon.kpca_transform(depcon.kpca_fit(gram, 2))
+    assert coords.shape == (24, 2)
+    chosen = selection.assignments[selection.best_k].labels
+    assert -1.0 <= depcon.adjusted_rand_index(bench.labels, chosen) <= 1.0
+    a, b = bench.data.values[bench.labels == 0], bench.data.values[bench.labels == 1]
+    assert depcon.independence_test(a, alpha=0.1, threads=1).statistic.shape == (3, 3)
+    depcon.structure_difference_score(a, b, alpha=0.1, threads=1)
+    data = tmp_path / "bench.csv"
+    argv = ["synth", "-o", data, "--models", 2, "--samples", 12, "--features", 3, "--nonlinear",
+            "--seed", 0]
+    assert depcon.cli.main([str(arg) for arg in argv]) == 0 and data.exists()
