@@ -19,15 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import (
-    _calinski_harabasz,
-    _factored_kmeans,
-    adjusted_rand_index,
-    select_k,
-    silhouette_score,
-)
+from .clustering import _gram_values, _select, adjusted_rand_index, select_k
 from .critical import CriticalScale
-from .dataset import _filled_rows, _read_table, load_dataset, load_dataset_json
+from .dataset import _filled_rows, _integer, _read_table, load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
 from .errors import (
     DepconError,
@@ -146,10 +140,10 @@ def _load_gram(path) -> np.ndarray:
 
 def _label(r, value) -> int:
     """``value`` as a label: an integral number within the int64 range."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or not -(2**63) <= value < 2**63:
+    label = _integer(value)
+    if label is None or not -(2**63) <= label < 2**63:
         raise NonNumericCellError(r, 0, repr(value))
-    return int(value)
+    return label
 
 
 def _load_labels(path) -> np.ndarray:
@@ -272,17 +266,11 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     gram = _load_gram(args.gram)
     if args.k is not None:
-        # the factor that clusters also scores: the Gram is factored once
-        assignment, y, s = _factored_kmeans(
-            gram, args.k, args.init, args.max_iter, args.restarts, args.seed
+        # one k, seeded by --seed itself; unlike select_k, k = n is allowed
+        result = _select(
+            _gram_values(gram), [(args.k, args.seed)], args.criterion,
+            args.init, args.max_iter, args.restarts,
         )
-        scores = {
-            args.k: _calinski_harabasz(y, s, assignment.labels, args.k)
-            if args.criterion == "vrc"
-            else silhouette_score(gram, assignment.labels)
-        }
-        best_k = args.k
-        assignments = {args.k: assignment}
     else:
         lo, hi = args.k_range
         result = select_k(
@@ -294,15 +282,14 @@ def cmd_cluster(args) -> int:
             restarts=args.restarts,
             seed=args.seed,
         )
-        best_k, scores, assignments = result.best_k, result.scores, result.assignments
-    chosen = assignments[best_k]
+    chosen = result.assignments[result.best_k]
     Path(args.output).write_text("".join(f"{int(v)}\n" for v in chosen.labels))
     prov = _provenance("cluster", vars(args))
     report = {
-        "best_k": best_k,
+        "best_k": result.best_k,
         "criterion": args.criterion,
         "criterion_space": "kernel",
-        "scores": {str(k): scores[k] for k in sorted(scores)},
+        "scores": {str(k): result.scores[k] for k in sorted(result.scores)},
         "objective": chosen.objective,
         "objective_trace": list(chosen.objective_trace),
         "iterations": chosen.iterations,
@@ -387,7 +374,7 @@ def cmd_graphdist(args) -> int:
     return 0
 
 
-def _add_common(parser, threads=True):
+def _add_common(parser):
     parser.add_argument("--alpha", type=float, default=0.1, help="significance level")
     parser.add_argument(
         "--convention",
@@ -395,10 +382,9 @@ def _add_common(parser, threads=True):
         default=CriticalScale.SZEKELY.value,
         help="critical-value scaling",
     )
-    if threads:
-        parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads, at most one per CPU (default: "
-                                 "DEPCON_THREADS or 1); never changes the output")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads, at most one per CPU (default: "
+                             "DEPCON_THREADS or 1); never changes the output")
 
 
 def build_parser() -> argparse.ArgumentParser:

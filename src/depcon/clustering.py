@@ -16,8 +16,11 @@ restarts of one k are seeded together (``_seed_starts``: each k-means++
 draw is one stacked product and one draw from each restart's own
 generator) and run as one stacked Lloyd's loop (``_lloyd``): each step
 finds every restart's means and distances in two stacked products and
-drops the restarts that have converged. The Variance Ratio Criterion
-(Calinski-Harabasz) is computed on the factor, as is its
+drops the restarts that have converged. Means come from ``_means``,
+distances to centres (seeds or means) from ``_distances``, residuals to a
+point's own mean (repair, VRC) from ``_residuals``; ``_select`` runs and
+scores each (k, seed) for ``select_k`` and the CLI's fixed k. The Variance
+Ratio Criterion (Calinski-Harabasz) is computed on the factor, as is its
 explicit-coordinates baseline; the silhouette from the Gram.
 """
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _check_finite
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -38,6 +42,7 @@ from .errors import (
     NotSquareError,
     NotSymmetricError,
     OutOfRangeError,
+    TooFewFeaturesError,
 )
 from .kernel import GramMatrix
 
@@ -61,17 +66,11 @@ class SelectKResult:
     criterion: str
 
 
-def _check_finite(values, message):
-    # a finite sum proves every entry finite without a temporary of the same size
-    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
-        raise NonFiniteValueError(message)
-
-
 def _square_values(matrix, what) -> np.ndarray:
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise NotSquareError(f"{what} must be square, got shape {values.shape}")
-    _check_finite(values, f"{what} has NaN or infinite entries")
+    _check_finite(values, what)
     return values
 
 
@@ -86,11 +85,13 @@ def _gram_values(gram) -> np.ndarray:
 
 
 def _centred_points(points) -> np.ndarray:
-    """An (n, m) point set, finite, less its mean: the coordinate baselines' input."""
+    """An (n, m) point set, m >= 1, finite, less its mean: the coordinate baselines' input."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DimensionMismatchError(f"points must be an (n, m) array, got shape {points.shape}")
-    _check_finite(points, "points have NaN or infinite coordinates")
+    if points.shape[1] == 0:
+        raise TooFewFeaturesError("points need at least 1 coordinate, got 0")
+    _check_finite(points, "points")
     # an empty set has no mean; each caller's own size check rejects it
     return points - points.mean(axis=0) if points.size else points
 
@@ -201,11 +202,36 @@ def _factor(values):
     return y, np.sign(eigenvalues), eigenvalues
 
 
-def _label_means(points, labels, k):
+def _means(y, onehot, counts):
+    """Means (... x k x r) of labelings given as one-hot ``onehot`` (... x n x k)
+    with sizes ``counts`` (... x k); an empty cluster's mean is 0. A stacked
+    ``matmul`` runs one GEMM of a lone labeling's shape per labeling: one GEMM
+    over the stack could be split across BLAS threads, changing its rounding."""
+    return np.matmul(onehot.swapaxes(-1, -2), y) / np.maximum(counts, 1)[..., None]
+
+
+def _label_means(y, labels, k):
+    """The k cluster means (k x r) of one labeling."""
     onehot = np.zeros((labels.shape[0], k))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    sums = onehot.T @ points
-    return sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
+    return _means(y, onehot, np.bincount(labels, minlength=k))
+
+
+def _distances(y, s, norms, centers, out=None):
+    """Squared distances ``|y_i - c|^2_s`` (... x k x n) of every point to each
+    centre in ``centers`` (... x k x r), into ``out`` if given; ``norms`` is
+    ``|y_i|^2_s``. One k x n GEMM per stacked entry, as in ``_means``."""
+    signed = centers * s
+    # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the centres
+    out = np.matmul(-2.0 * signed, y.T, out=out)
+    out += norms
+    out += (centers * signed).sum(axis=-1)[..., None]
+    return out
+
+
+def _residuals(y, s, labels, k):
+    """Each point's squared distance to its own cluster's mean (n)."""
+    return ((y - _label_means(y, labels, k)[labels]) ** 2) @ s
 
 
 def _repair_empty(y, s, labels, k):
@@ -217,7 +243,7 @@ def _repair_empty(y, s, labels, k):
     moves = 0
     counts = np.bincount(labels, minlength=k)
     while (counts == 0).any():
-        residual = ((y - _label_means(y, labels, k)[labels]) ** 2) @ s
+        residual = _residuals(y, s, labels, k)
         residual[counts[labels] < 2] = -np.inf
         empty = int(np.flatnonzero(counts == 0)[0])
         if not np.isfinite(residual).any():
@@ -235,16 +261,14 @@ def _seed_starts(y, s, norms, k, init, rngs):
 
     k-means++ (Arthur & Vassilvitskii, SODA 2007) draws each next seed with
     probability proportional to its squared distance to the nearest seed so
-    far. Every restart draws at once: one stacked ``matmul`` gives each
-    restart's distance row to its last seed, as one product of a lone
-    restart's n x 1 shape per restart (see ``_stacked_distances``). Each
-    draw then repeats ``Generator.choice(n, p=w / w.sum())``: the same
-    probabilities and normalised cumulative sums, and one ``random()`` from
-    the restart's own generator, whose seed is the count of cumulative sums
-    at or below it (``searchsorted(side="right")``, the index ``choice``
-    returns). So every stream and every seed are those of drawing each
-    restart alone. A restart whose weights are all zero draws uniformly
-    among the points not yet seeds.
+    far. Every restart draws at once: one ``_distances`` call gives each
+    restart's distance row to its last seed. Each draw then repeats
+    ``Generator.choice(n, p=w / w.sum())``: the same probabilities and
+    normalised cumulative sums, and one ``random()`` from the restart's own
+    generator, whose seed is the count of cumulative sums at or below it
+    (``searchsorted(side="right")``, the index ``choice`` returns). So every
+    stream and every seed are those of drawing each restart alone. A restart
+    whose weights are all zero draws uniformly among the points not yet seeds.
     """
     n = y.shape[0]
     restarts = len(rngs)
@@ -257,12 +281,7 @@ def _seed_starts(y, s, norms, k, init, rngs):
         # squared distance to the nearest seed so far, clipped at 0: the weights
         closest = np.full((restarts, n), np.inf)
         for j in range(1, k):
-            last = y[seeds[:, j - 1]]
-            signed = last * s
-            # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the seed
-            dist = np.matmul(y, -2.0 * signed[:, :, None])[:, :, 0]
-            dist += norms
-            dist += (last * signed).sum(axis=1)[:, None]
+            dist = _distances(y, s, norms, y[seeds[:, j - 1, None]])[:, 0]
             np.maximum(dist, 0.0, out=dist)
             np.minimum(closest, dist, out=closest)
             totals = closest.sum(axis=1)
@@ -277,13 +296,7 @@ def _seed_starts(y, s, norms, k, init, rngs):
             seeds[drawn, j] = (cdf <= draws[:, None]).sum(axis=1)
     else:
         raise OutOfRangeError(f"unknown init {init!r}")
-    centers = y[seeds]
-    signed = centers * s
-    # one n x k product per restart, of a lone restart's shape, then laid out
-    # k x n so the sums and the minimum run over whole rows
-    dist = np.matmul(y, -2.0 * signed.transpose(0, 2, 1)).transpose(0, 2, 1).copy()
-    dist += norms
-    dist += (centers * signed).sum(axis=2)[:, :, None]
+    dist = _distances(y, s, norms, y[seeds])
     # the first of the nearest seeds, as argmin picks it: it has the largest k - j
     ranks = np.arange(k, 0, -1, dtype=np.intp)[:, None]
     return k - (ranks * (dist == dist.min(axis=1)[:, None, :])).max(axis=1)
@@ -305,23 +318,9 @@ def _stacked_counts(y, s, labels, k):
 
 def _stacked_distances(y, s, norms, indicator, counts, out):
     """Squared distances (R x k x n) of every point to the k means of each of
-    R labelings, given as their one-hot matrices ``indicator`` (R x n x k)
-    and cluster sizes ``counts`` (R x k); ``out``, R x k x n, receives them.
-
-    Each product is one stacked ``matmul``, which runs one GEMM of a lone
-    restart's shape per labeling: a single GEMM over all R would be large
-    enough for BLAS to split across threads, and the split changes its
-    rounding. The one-hot is read transposed, as ``_label_means`` reads
-    its own, so both give bitwise the same means.
-    """
-    sums = np.matmul(indicator.transpose(0, 2, 1), y)
-    means = sums / np.maximum(counts, 1)[:, :, None]
-    signed = means * s
-    # |y|^2 - 2 y.c + |c|^2; scaling by -2 is exact, so it can go on the means
-    np.matmul(-2.0 * signed, y.T, out=out)
-    out += norms
-    out += (means * signed).sum(axis=2)[:, :, None]
-    return out
+    R labelings, given as one-hot ``indicator`` (R x n x k) and sizes
+    ``counts`` (R x k); ``out``, R x k x n, receives them."""
+    return _distances(y, s, norms, _means(y, indicator, counts), out)
 
 
 def _lloyd(y, s, norms, k, labels, max_iter):
@@ -455,16 +454,10 @@ def kernel_kmeans(
     ``init_labels`` (n integers in [0, k)) bypasses seeding (one run) so a
     run can be compared against coordinate-space k-means from the same start.
     """
-    return _factored_kmeans(gram, k, init, max_iter, restarts, seed, init_labels)[0]
-
-
-def _factored_kmeans(gram, k, init, max_iter, restarts, seed, init_labels=None):
-    """``(assignment, y, s)``: ``kernel_kmeans`` and the factor it clustered
-    on, so a caller can score the labels without factoring the Gram again."""
     gram = _gram_values(gram)
     _check_k(k, gram.shape[0])
     y, s, _ = _factor(gram)
-    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels), y, s
+    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels)
 
 
 def lloyd_kmeans(
@@ -494,7 +487,7 @@ def _calinski_harabasz(y, s, labels, k) -> float:
     n = y.shape[0]
     if k >= n:
         raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
-    within = float((((y - _label_means(y, labels, k)[labels]) ** 2) @ s).sum())
+    within = float(_residuals(y, s, labels, k).sum())
     total = float(((y * y) @ s).sum())
     between = max(total - within, 0.0)
     if within <= 0.0:
@@ -569,9 +562,8 @@ def select_k(
 ) -> SelectKResult:
     """Run kernel k-means across ``k_range`` and keep the criterion argmax.
 
-    Ties break toward smaller k. The Gram is validated and factored once
-    for all k, and so is silhouette's angular distance matrix; VRC is
-    evaluated on the factor.
+    Ties break toward smaller k. Each k is seeded by its own child of
+    ``seed``, spawned in ascending k order.
     """
     gram = _gram_values(gram)
     ks = sorted(set(int(k) for k in k_range))
@@ -579,6 +571,17 @@ def select_k(
         raise OutOfRangeError("empty k range")
     if ks[0] < 2 or ks[-1] >= gram.shape[0]:
         raise OutOfRangeError(f"k range must be within [2, n-1], got {ks[0]}..{ks[-1]}")
+    runs = list(zip(ks, _as_seed_sequence(seed).spawn(len(ks))))
+    return _select(gram, runs, criterion, init, max_iter, restarts)
+
+
+def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
+    """Best-of-``restarts`` kernel k-means for each ``(k, seed)`` of ``runs`` on
+    checked Gram values, scored by ``criterion``; the best k is the first of
+    the top score. The Gram is factored once for all runs, and so is the
+    silhouette's angular distance matrix; VRC is evaluated on the factor."""
+    for k, _ in runs:
+        _check_k(k, gram.shape[0])
     if criterion == "silhouette":
         distances = _angles(gram)
     elif criterion != "vrc":
@@ -586,17 +589,15 @@ def select_k(
     y, s, _ = _factor(gram)
     scores = {}
     assignments = {}
-    for k, child in zip(ks, _as_seed_sequence(seed).spawn(len(ks))):
-        assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, child)
+    for k, seed in runs:
+        assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, seed)
         assignments[k] = assignment
         if criterion == "vrc":
             scores[k] = _calinski_harabasz(y, s, assignment.labels, k)
         else:
             scores[k] = silhouette_from_distances(distances, assignment.labels)
-    best_k = ks[0]
-    for k in ks[1:]:
-        if scores[k] > scores[best_k]:
-            best_k = k
+    # max keeps the first of equal scores
+    best_k = max(scores, key=scores.get)
     return SelectKResult(best_k=best_k, scores=scores, assignments=assignments, criterion=criterion)
 
 

@@ -2,7 +2,8 @@
 
 A dataset is an n x m real matrix: rows are samples, columns are features.
 ``_read_table`` parses every numeric table the package reads (CSV and JSON
-datasets, and the CLI's Gram files), so the input rules live in one place.
+datasets, and the CLI's Gram files), so the input rules live in one place;
+``_check_finite`` and ``_integer`` also serve clustering, labels and graphs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +43,7 @@ class Dataset:
             raise TooFewSamplesError(f"need at least 2 samples, got {n}")
         if m < 2:
             raise TooFewFeaturesError(f"need at least 2 features, got {m}")
-        _check_finite(values)
+        _check_finite(values, "dataset")
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != m:
@@ -58,12 +60,22 @@ class Dataset:
         return self.values.shape[1]
 
 
-def _check_finite(matrix: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        raise NonFiniteValueError(f"non-finite value at ({bad[0]}, {bad[1]})")
-    return matrix
+def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, or NonFiniteValueError naming the first NaN or infinite cell."""
+    # a finite sum proves every entry finite without a temporary of the same size
+    if not math.isfinite(values.sum()):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteValueError(f"non-finite value in {what} at {tuple(bad[0].tolist())}")
+    return values
+
+
+def _integer(value):
+    """``value`` as an int when it is an integer or an integral float, else None."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    return int(value) if integral and not isinstance(value, bool) else None
 
 
 def _filled_rows(reader):
@@ -102,7 +114,7 @@ def _read_table(source, empty, *, json_key=None, has_header=False):
             matrix = _json_matrix(rows)
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
         raise empty(f"{name}: unreadable text ({exc})") from None
-    return head, _check_finite(matrix)
+    return head, _check_finite(matrix, name)
 
 
 def _read_csv(path, text, name, empty, has_header):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _integer
 from .errors import (
     DimensionMismatchError,
     InvalidGraphError,
@@ -251,14 +252,6 @@ def sign_of_statistic(statistic: np.ndarray) -> SignMatrix:
     values = np.where(statistic > 0.0, 1, -1).astype(np.int8)
     np.fill_diagonal(values, 1)
     return SignMatrix(values)
-
-
-def _integer(value):
-    """``value`` as an int when it is an integer or an integral float, else None."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    return int(value) if integral and not isinstance(value, bool) else None
 
 
 def graph_from_json(payload) -> MixedGraph:

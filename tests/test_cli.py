@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import depcon
+from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
 from depcon.cli import _load_any_dataset, _load_matrix, _write_matrix_csv, main
 from depcon.errors import (
     ConstantFeatureError,
@@ -154,6 +155,24 @@ def test_cluster_fixed_k(bench, tmp_path):
     assert run("gram", bench, "-o", gram) == 0
     assert run("cluster", gram, "-o", labels, "-k", "4", "--seed", "2") == 0
     assert len(set(labels.read_text().split())) <= 4
+
+
+@pytest.mark.parametrize(
+    "criterion, score", [("vrc", variance_ratio_criterion), ("silhouette", silhouette_score)]
+)
+def test_cluster_fixed_k_matches_library(bench, tmp_path, criterion, score):
+    gram = tmp_path / "gram.csv"
+    labels = tmp_path / "labels.csv"
+    assert run("gram", bench, "-o", gram) == 0
+    assert run("cluster", gram, "-o", labels, "-k", "4", "--criterion", criterion,
+               "--seed", "2", "--restarts", "3") == 0
+    values = _load_matrix(gram)
+    expected = kernel_kmeans(values, 4, seed=2, restarts=3).labels
+    got = np.array([int(line) for line in labels.read_text().split()])
+    assert np.array_equal(got, expected)
+    report = json.loads((tmp_path / "labels.csv.report.json").read_text())
+    assert report["best_k"] == 4
+    assert report["scores"] == {"4": score(values, expected)}
 
 
 def test_pipeline_rerun_with_threads_byte_identical(bench, tmp_path):

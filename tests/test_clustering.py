@@ -29,6 +29,7 @@ from depcon.errors import (
     NonFiniteValueError,
     NotSquareError,
     OutOfRangeError,
+    TooFewFeaturesError,
 )
 from reference import (
     depcon_gram,
@@ -151,6 +152,8 @@ def test_coordinate_baselines_reject_bad_points(baseline):
     for bad in nan_and_inf(np.random.default_rng(0).standard_normal((8, 2))):
         with pytest.raises(NonFiniteValueError):
             baseline(bad)
+    with pytest.raises(TooFewFeaturesError):
+        baseline(np.ones((5, 0)))
 
 
 def test_kernel_kmeans_linear_gram_matches_lloyd():
