@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import _gram_values, _select, adjusted_rand_index, select_k
+from .clustering import _gram_values, _select, _symmetric, adjusted_rand_index, select_k
 from .critical import CriticalScale
 from .dataset import _filled_rows, _integer, _read_table, load_dataset, load_dataset_json
 from .embedding import kpca_fit, kpca_transform
@@ -71,29 +71,32 @@ def _write_json(path, payload: dict, matrices=()):
     Path(path).write_text(text + "\n")
 
 
-# reprs are made this many at a time, so no list of all of them is held
-_REPR_CHUNK = 1 << 15
-
-
 def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
     """One row per line, each cell the shortest round-trip repr of its float64.
 
-    ``repr`` runs once per distinct bit pattern (a Gram is symmetric, so about
-    half its cells repeat; ``-0.0`` and ``0.0`` stay distinct), into a
-    fixed-width array: 24 ASCII characters hold any float64 repr, such as
-    ``-2.2250738585072014e-308``. Rows are streamed to the file.
+    A square matrix equal to its transpose bit for bit (a Gram; ``-0.0``
+    mirrored by ``0.0`` does not count) is streamed row by row: the cells of
+    row i from the diagonal on are ``repr``'d into one fixed-width table of
+    the upper triangle, and the cells left of the diagonal are read back from
+    the rows above, so each mirrored pair is ``repr``'d once. 24 ASCII
+    characters hold any float64 repr, such as ``-2.2250738585072014e-308``.
+    Any other matrix is ``repr``'d cell by cell, a row at a time.
     """
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
-    bits, inverse = np.unique(matrix.view(np.uint64).ravel(), return_inverse=True)
-    inverse = inverse.reshape(matrix.shape)
-    values = bits.view(np.float64)
-    cells = np.empty(values.size, dtype="S24")
-    for start in range(0, values.size, _REPR_CHUNK):
-        chunk = values[start:start + _REPR_CHUNK].tolist()
-        cells[start:start + len(chunk)] = [repr(v) for v in chunk]
+    n = matrix.shape[0]
     with open(path, "wb") as handle:
-        for row in inverse:
-            handle.write(b",".join(cells[row].tolist()) + b"\n")
+        if matrix.shape[1] != n or not _symmetric(matrix.view(np.uint64)):
+            for row in matrix:
+                handle.write(",".join(map(repr, row.tolist())).encode() + b"\n")
+        else:
+            # row i's cells from the diagonal on, rows one after another
+            upper = np.empty(n * (n + 1) // 2, dtype="S24")
+            starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+            for i, row in enumerate(matrix):
+                own = [repr(v) for v in row[i:].tolist()]
+                upper[starts[i]:starts[i + 1]] = own
+                left = upper[starts[:i] + np.arange(i, 0, -1)].tolist()  # (j, i) of each row j < i
+                handle.write(b",".join(left + [",".join(own).encode()]) + b"\n")
     _write_json(str(path) + ".provenance.json", provenance)
 
 
@@ -129,9 +132,10 @@ def _load_matrix(path) -> np.ndarray:
 def _load_gram(path) -> np.ndarray:
     """A kappa Gram file: a finite matrix with entries in [-1, 1] up to rounding."""
     gram = _load_matrix(path)
-    outside = np.abs(gram) > 1.0 + 1e-9
-    if outside.any():
-        r, c = np.argwhere(outside)[0]
+    # max and min first, so an in-range Gram needs no n x n mask
+    bound = 1.0 + 1e-9
+    if gram.max(initial=-bound) > bound or gram.min(initial=bound) < -bound:
+        r, c = np.argwhere(np.abs(gram) > bound)[0]
         raise GramRangeError(
             f"{Path(path).name}: kappa value {float(gram[r, c])!r} at ({r}, {c}) outside [-1, 1]"
         )

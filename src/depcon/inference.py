@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import CriticalScale
 from .errors import DimensionMismatchError, SmallSampleWarning
-from .kernel import _features_with_critical, _unit_vectors, _values
+from .kernel import _critical, _feature_sums, _values, _warn_degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +60,9 @@ def aggregate_statistic(
     threads=None,
 ) -> np.ndarray:
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
-    return _aggregate(*_features_with_critical(_values(data), alpha, convention, threads))
-
-
-def _aggregate(feats, critical) -> np.ndarray:
-    return feats.sum(axis=0) - feats.shape[0] * critical.values
+    values = _values(data)
+    critical = _critical(values, alpha, convention)
+    return _feature_sums(values, threads)[0] - values.shape[0] * critical.values
 
 
 def independence_test(
@@ -97,11 +95,6 @@ def independence_test(
     )
 
 
-def _unit_sum(feats, critical) -> np.ndarray:
-    """sum_i u_i over one dataset's unit contribution vectors."""
-    return _unit_vectors(feats, critical).sum(axis=0)
-
-
 def structure_difference_score(
     data_a,
     data_b,
@@ -123,10 +116,11 @@ def structure_difference_score(
     sign-level sample-set distance is positive, i.e. when the estimated
     structures lie at a positive graph distance.
 
-    Each dataset's contribution features are built once, and both
-    aggregate statistics are derived from those two stacks. The cross-Gram
-    total is sum_i sum_i' <u_i, u'_i'> = <sum_i u_i, sum_i' u'_i'> over the
-    unit contribution vectors, so no n x n' matrix is built.
+    Each dataset's contribution features are built once, a row block at
+    a time, and folded into its aggregate statistic and its sum of unit
+    contribution vectors as they are built. The cross-Gram total is
+    sum_i sum_i' <u_i, u'_i'> = <sum_i u_i, sum_i' u'_i'>, so neither an
+    (n, m, m) stack nor an n x n' matrix is built.
     """
     values_a = _values(data_a)
     values_b = _values(data_b)
@@ -134,11 +128,15 @@ def structure_difference_score(
         raise DimensionMismatchError(
             f"feature counts differ: {values_a.shape[1]} vs {values_b.shape[1]}"
         )
-    feats_a, crit_a = _features_with_critical(values_a, alpha, convention, threads)
-    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads)
-    score = float(_unit_sum(feats_a, crit_a) @ _unit_sum(feats_b, crit_b))
-    stat_a = _aggregate(feats_a, crit_a)
-    stat_b = _aggregate(feats_b, crit_b)
+    crit_a = _critical(values_a, alpha, convention)
+    total_a, units_a, degenerate_a = _feature_sums(values_a, threads, crit_a)
+    crit_b = _critical(values_b, alpha, convention)
+    total_b, units_b, degenerate_b = _feature_sums(values_b, threads, crit_b)
+    _warn_degenerate(degenerate_a, stacklevel=2)
+    _warn_degenerate(degenerate_b, stacklevel=2)
+    score = float(units_a @ units_b)
+    stat_a = total_a - values_a.shape[0] * crit_a.values
+    stat_b = total_b - values_b.shape[0] * crit_b.values
     m = values_a.shape[1]
     witnesses = tuple(
         (j, j2)

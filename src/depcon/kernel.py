@@ -18,7 +18,10 @@ i's product is ``Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T`` where
 ``E_i[k] = |x_i - x_k| - a_k``: the double centring folds into a rank-one
 term. Products are built in row blocks of about ``DEFAULT_BLOCK_BYTES``
 scratch, each sample's on its own, so results are bit-identical for any
-block size and any thread count.
+block size and any thread count. Callers that need only sums over the
+samples (the tests' aggregate statistics, the mean contribution, the
+distance covariances, the two-sample score) fold each block into them as
+it is built, so they never hold the (n, m, m) stack.
 """
 
 from __future__ import annotations
@@ -107,9 +110,20 @@ def distance_moments(values: np.ndarray):
     return row_mean, grand_mean
 
 
+def _scaled_columns(values):
+    """``(x, a, grand_mean)``: the centred columns and the row-mean distances,
+    both in units of each column's mean distance."""
+    a, grand_mean = distance_moments(values)
+    x = values - values.mean(axis=0)  # centred before scaling: exact for offsets near 1e10
+    x /= grand_mean
+    a /= grand_mean
+    return x, a, grand_mean
+
+
 def _product_block(x, a, start, stop, out):
-    """Fill ``out[start:stop]`` with Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T."""
-    n, out = x.shape[0], out[start:stop]
+    """Fill ``out`` (stop - start, m, m) with Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T
+    for the rows i in [start, stop)."""
+    n = x.shape[0]
     e = x[start:stop, None, :] - x[None, :, :]
     np.abs(e, out=e)
     e -= a
@@ -121,6 +135,45 @@ def _product_block(x, a, start, stop, out):
     if redo.size:
         z = e[redo] - alpha[redo, None, :]
         out[redo] = np.matmul(z.transpose(0, 2, 1), z)
+
+
+def _product_blocks(x, a, threads, out=None):
+    """The products Z_i^T Z_i of consecutive groups of rows, in row order.
+
+    Each ``_product_block`` call builds one block of rows with about
+    ``DEFAULT_BLOCK_BYTES`` of scratch. Given an (n, m, m) ``out``, a group
+    is one block, built into its rows of ``out``. Otherwise a group is as
+    many blocks as fill about ``DEFAULT_BLOCK_BYTES / 16`` of products, built
+    into one buffer per worker that is valid until the next group is asked
+    for. Workers (``min(threads, groups, CPUs)``) build one group each at a
+    time, so at most one group per worker is live.
+    """
+    n, m = x.shape
+    step = max(1, min(n, DEFAULT_BLOCK_BYTES // max(n * m * 8, 1)))
+    # a block's products take m / n of its scratch, so a caller folding one
+    # block at a time paid about 9% of structure_difference_score at n = 1500,
+    # m = 20 in per-block overhead; groups make that 5-10 times rarer
+    per_group = 1 if out is not None else max(1, DEFAULT_BLOCK_BYTES // 16 // (step * m * m * 8))
+    rows = step * per_group
+    spans = [(start, min(start + rows, n)) for start in range(0, n, rows)]
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    scratch = np.empty((workers, rows, m, m)) if out is None else None
+
+    def build(job):
+        slot, (start, stop) = job
+        group = out[start:stop] if out is not None else scratch[slot, : stop - start]
+        for first in range(start, stop, step):
+            last = min(first + step, stop)
+            _product_block(x, a, first, last, group[first - start:last - start])
+        return group
+
+    if workers == 1:
+        for span in spans:
+            yield build((0, span))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, len(spans), workers):
+            yield from list(pool.map(build, enumerate(spans[first:first + workers])))
 
 
 def contribution_features(data, standardize=True, threads=None) -> np.ndarray:
@@ -135,37 +188,70 @@ def contribution_features(data, standardize=True, threads=None) -> np.ndarray:
     threads = _resolve_threads(threads)
     values = _values(data)
     n, m = values.shape
-    a, grand_mean = distance_moments(values)
-    x = values - values.mean(axis=0)  # centred before scaling: exact for offsets near 1e10
-    x /= grand_mean
-    a /= grand_mean
+    x, a, grand_mean = _scaled_columns(values)
     out = np.empty((n, m, m), dtype=np.float64)
-    step = max(1, min(n, DEFAULT_BLOCK_BYTES // max(n * m * 8, 1)))
-    spans = [(start, min(start + step, n)) for start in range(0, n, step)]
-    workers = min(threads, len(spans), os.cpu_count() or 1)
-    if workers == 1:
-        for start, stop in spans:
-            _product_block(x, a, start, stop, out)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: _product_block(x, a, *span, out), spans))
+    for _ in _product_blocks(x, a, threads, out):
+        pass
     if not standardize:
         out *= np.outer(grand_mean, grand_mean)
     return out
 
 
+def _fold(total, rows):
+    """``total`` plus each of ``rows`` in order; the sum of ``rows`` when ``total`` is None.
+
+    NumPy sums an (n, ...) stack over axis 0 one row after another when a row
+    holds at least two values, so folding its row blocks in order this way
+    gives ``stack.sum(axis=0)`` bit for bit.
+    """
+    if total is not None:
+        rows = np.concatenate((total[None], rows))
+    return rows.sum(axis=0)
+
+
+def _feature_sums(values, threads, critical=None, standardize=True):
+    """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)``, without the stack.
+
+    Each group of row blocks is folded as soon as it is built (``_fold``),
+    so both sums equal the ``sum(axis=0)`` of the stack and of its unit
+    vectors bit for bit when m >= 2. The unit vectors are summed only given
+    ``critical`` (else None, and the mask is empty). Unstandardized, each
+    product is C_i^T C_i, scaled as ``contribution_features`` scales it.
+    """
+    threads = _resolve_threads(threads)
+    x, a, grand_mean = _scaled_columns(values)
+    scale = None if standardize else np.outer(grand_mean, grand_mean)
+    total = units = None
+    degenerate = [np.zeros(0, dtype=bool)]
+    for block in _product_blocks(x, a, threads):
+        if scale is not None:
+            block *= scale
+        total = _fold(total, block)
+        if critical is not None:
+            phi, zero = _unit_rows(block, critical)
+            units = _fold(units, phi)
+            degenerate.append(zero)
+    return total, units, np.concatenate(degenerate)
+
+
 def distance_cov_matrix(data) -> np.ndarray:
     """m x m matrix of squared sample distance covariances, (1/n^2) L^T L."""
-    feats = contribution_features(data, standardize=False)
-    n = feats.shape[0]
-    return np.maximum(feats.sum(axis=0) / (n * n), 0.0)
+    values = _values(data)
+    n = values.shape[0]
+    total = _feature_sums(values, None, standardize=False)[0]
+    return np.maximum(total / (n * n), 0.0)
+
+
+def _critical(values, alpha, convention):
+    """The critical matrix of an (n, m) dataset."""
+    n, m = values.shape
+    return critical_matrix(m, n, alpha, convention)
 
 
 def _features_with_critical(data, alpha, convention, threads=None):
     """One dataset's (n, m, m) contribution features and its critical matrix."""
     values = _values(data)
-    n, m = values.shape
-    critical = critical_matrix(m, n, alpha, convention)
+    critical = _critical(values, alpha, convention)
     return contribution_features(values, threads=threads), critical
 
 
@@ -193,24 +279,36 @@ def gram_matrix(
     return _gram_from_features(feats_a, crit_a, feats_b, crit_b)
 
 
-def _unit_vectors(feats, critical):
-    """Rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples."""
+def _unit_rows(feats, critical):
+    """``(rows vec(phi_i) / ||phi_i||, degenerate mask)``; a degenerate sample's row is 0."""
     n = feats.shape[0]
     phi = feats.reshape(n, -1) - critical.values.reshape(-1)
     sq_norms = np.einsum("ij,ij->i", phi, phi)
     degenerate = sq_norms < DEGENERATE_SQ_NORM
-    if degenerate.any():
-        index = np.flatnonzero(degenerate)
-        shown = ", ".join(str(i) for i in index[:10]) + (", ..." if index.size > 10 else "")
-        warnings.warn(
-            f"{index.size} of {n} samples have (near-)zero contribution norm; "
-            f"their kernel rows are set to 0: {shown}",
-            DegenerateSampleWarning,
-            stacklevel=4,
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
         phi /= np.sqrt(sq_norms)[:, None]
     phi[degenerate] = 0.0
+    return phi, degenerate
+
+
+def _warn_degenerate(degenerate, stacklevel):
+    """Name the samples the mask ``degenerate`` flags, if any, in one warning;
+    ``stacklevel`` counts from the caller, as ``warnings.warn``'s does."""
+    index = np.flatnonzero(degenerate)
+    if index.size:
+        shown = ", ".join(str(i) for i in index[:10]) + (", ..." if index.size > 10 else "")
+        warnings.warn(
+            f"{index.size} of {degenerate.size} samples have (near-)zero contribution norm; "
+            f"their kernel rows are set to 0: {shown}",
+            DegenerateSampleWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _unit_vectors(feats, critical):
+    """Rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples, which are named in a warning."""
+    phi, degenerate = _unit_rows(feats, critical)
+    _warn_degenerate(degenerate, stacklevel=4)
     return phi
 
 
@@ -233,8 +331,10 @@ def mean_contribution(
     threads=None,
 ) -> np.ndarray:
     """Mean of the contribution matrices over all samples: mean_i(phi_i)."""
-    feats, critical = _features_with_critical(data, alpha, convention, threads)
-    return feats.mean(axis=0) - critical.values
+    values = _values(data)
+    critical = _critical(values, alpha, convention)
+    # feats.mean(axis=0) divides the same sum by n
+    return _feature_sums(values, threads)[0] / values.shape[0] - critical.values
 
 
 def contribution_mean_distance(mean_a: np.ndarray, mean_b: np.ndarray) -> float:

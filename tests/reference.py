@@ -262,9 +262,14 @@ def gram_sum_variance_ratio(gram, labels):
 
 
 def sq_distances(y, s, norms, centers):
-    """Squared distances ``|y_i - c_j|^2_s`` (n x len(centers)); ``norms`` is ``|y_i|^2_s``."""
+    """Squared distances ``|y_i - c_j|^2_s`` (n x len(centers)); ``norms`` is ``|y_i|^2_s``.
+
+    The product is formed k x n, as ``depcon.clustering`` forms it: OpenBLAS
+    rounds the n x k product differently once k is large (from k = 220 at
+    n = 240), and the bitwise oracle comparisons must hold at any k.
+    """
     signed = centers * s
-    return norms[:, None] - 2.0 * (y @ signed.T) + (centers * signed).sum(axis=1)
+    return norms[:, None] - 2.0 * (signed @ y.T).T + (centers * signed).sum(axis=1)
 
 
 def plusplus_seeds(y, s, norms, k, rng):

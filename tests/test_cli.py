@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,40 @@ def test_gram_thread_count_invariant(bench, tmp_path):
     assert run("gram", bench, "-o", out1, "--threads", "1") == 0
     assert run("gram", bench, "-o", out2, "--threads", "4") == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pipeline_900(tmp_path_factory):
+    """The benchmark pipeline's dataset (6 models x 150 samples, m = 8) and its Gram file."""
+    root = tmp_path_factory.mktemp("pipeline_900")
+    data, gram = root / "data.csv", root / "gram.csv"
+    assert run("synth", "-o", data, "--models", 6, "--samples", 150, "--features", 8,
+               "--nonlinear", "--seed", 1) == 0
+    assert run("gram", data, "-o", gram) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "command, bound",
+    [
+        # the Gram, and a table of the reprs of its upper triangle (24 bytes each)
+        (("gram", "data.csv", "-o", "out.csv"), 3.0),
+        # the Gram and its double-centred copy; the rest is O(n) or one block
+        (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.75),
+        (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.75),
+    ],
+    ids=["gram", "cluster", "kpca"],
+)
+def test_command_peak_memory(pipeline_900, command, bound):
+    # Python allocations traced while the command runs, in units of one n x n float64 array
+    argv = [pipeline_900 / a if str(a).endswith((".csv", ".json")) else a for a in command]
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 900 * 900 * 8
 
 
 def test_gram_missing_file_exit_code(tmp_path):
@@ -391,6 +426,7 @@ def test_bad_gram_file_exit_codes(tmp_path, capsys, recwarn, command, text, erro
         ('{"values": [[1.0, true], [true, 1.0]]}', NonNumericCellError),
         ('{"values": [[1.0, 0.5], [0.5]]}', RaggedRowsError),
         ('{"values": []}', NotSquareError),
+        ('{"values": [[]]}', NotSquareError),  # no cell: the range check must not raise
     ],
 )
 @pytest.mark.parametrize("command", ["cluster", "kpca"])
@@ -439,19 +475,32 @@ def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
     specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5,
                 np.nextafter(1.0, 2.0), 1e300, -1.5, 1.0]
     rng = np.random.default_rng(11)
-    matrix = rng.standard_normal((7, 9))
-    matrix.flat[: len(specials)] = specials
-    matrix[3, 4] = matrix[4, 3] = matrix[0, 0]  # repeated values
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in matrix:
-        writer.writerow([repr(float(v)) for v in row])
-    path = tmp_path / "m.csv"
-    _write_matrix_csv(path, matrix, {"command": "test"})
-    assert path.read_bytes() == buf.getvalue().encode()
-    back = _load_matrix(path)
-    assert back.shape == matrix.shape
-    assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
+    wide = rng.standard_normal((7, 9))
+    wide.flat[: len(specials)] = specials
+    wide[3, 4] = wide[4, 3] = wide[0, 0]  # repeated values
+    # bitwise symmetric, with mirrored -0.0 and 5e-324 and values repeated across rows
+    mirrored = rng.standard_normal((6, 6))
+    mirrored[0, 5], mirrored[2, 3] = -0.0, 5e-324
+    mirrored[1, 4] = mirrored[0, 2] = mirrored[3, 3] = -1.5
+    below = np.tril_indices(6, -1)
+    mirrored[below] = mirrored.T[below]
+    assert mirrored.tobytes() == mirrored.T.tobytes(order="C")
+    one_ulp = mirrored.copy()  # asymmetric by one ulp in one cell
+    one_ulp[4, 1] = np.nextafter(one_ulp[4, 1], np.inf)
+    zero_pair = mirrored.copy()  # 0.0 mirrored by -0.0
+    zero_pair[5, 0] = 0.0
+    for matrix in (wide, mirrored, one_ulp, zero_pair, np.array([[-0.0]]), np.zeros((1, 0))):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in matrix:
+            writer.writerow([repr(float(v)) for v in row])
+        path = tmp_path / "m.csv"
+        _write_matrix_csv(path, matrix, {"command": "test"})
+        assert path.read_bytes() == buf.getvalue().encode()
+        if matrix.size:
+            back = _load_matrix(path)
+            assert back.shape == matrix.shape
+            assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
 
 
 def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):

@@ -41,6 +41,7 @@ from reference import (
     rbf_gram,
     seed_labels,
     spy_factor_routes,
+    sq_distances,
 )
 
 
@@ -345,6 +346,20 @@ def test_select_k_seeds_match_single_restart_oracle(monkeypatch):
     assert len(starts) == 6
     for k, child, got in zip(range(2, 8), children, starts):
         assert np.array_equal(got, start_labels(y, s, k, "plusplus", 5, child))
+
+
+def test_oracle_distances_match_library_at_large_k():
+    # n x k and k x n products first round apart at n = 240, k = 220; the
+    # oracle forms k x n as the library does, so it stays bitwise equal there
+    from depcon import clustering
+
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((240, 36))
+    s = np.where(np.arange(36) < 30, 1.0, -1.0)
+    norms = (y * y) @ s
+    centers = y[rng.choice(240, 220, replace=False)]
+    expected = clustering._distances(y, s, norms, centers).T
+    assert np.array_equal(sq_distances(y, s, norms, centers), expected)
 
 
 def spy_stacked_distances(monkeypatch):

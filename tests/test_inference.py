@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,14 +144,15 @@ def _structure_pair():
 def test_structure_builds_features_once_per_dataset(monkeypatch):
     from depcon import kernel
 
+    # every feature build, stacked or folded, runs the one row-block core
     calls = []
-    original = kernel.contribution_features
+    original = kernel._product_blocks
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "contribution_features", counted)
+    monkeypatch.setattr(kernel, "_product_blocks", counted)
     structure_difference_score(*_structure_pair())
     assert len(calls) == 2
 
@@ -167,3 +170,21 @@ def test_structure_parts_match_standalone_results():
         # the score is the cross Gram's total, summed without the n x n' matrix
         total = float(gram_matrix(a, b, alpha=0.1, convention=convention).values.sum())
         assert result.score == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("test", ["independence", "structure"])
+def test_aggregate_callers_hold_no_feature_stack(test):
+    # each row block is folded as it is built: the Python allocations traced
+    # stay below one (n, m, m) contribution stack
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((4000, 10)), rng.standard_normal((4000, 10))
+    tracemalloc.start()
+    try:
+        if test == "independence":
+            independence_test(a, threads=1)
+        else:
+            structure_difference_score(a, b, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 10 * 10 * 8

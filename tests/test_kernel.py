@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from depcon.errors import (
     DimensionMismatchError,
     OutOfRangeError,
 )
+from depcon.inference import aggregate_statistic, structure_difference_score
 from depcon.kernel import (
     _resolve_threads,
+    _unit_vectors,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
@@ -388,6 +392,52 @@ def test_features_block_and_thread_invariant(monkeypatch):
             for threads in (1, 2):
                 other = contribution_features(x, standardize=standardize, threads=threads)
                 assert np.array_equal(base, other)
+
+
+def _warnings_of(call):
+    """``call()``'s result and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, caught
+
+
+def test_folded_aggregates_match_the_stack(monkeypatch):
+    # the aggregate callers fold each row block as it is built: every sum must
+    # be the stack's, bit for bit, at any block size and thread count, and
+    # degenerate samples must be named exactly as the stack names them
+    rng = np.random.default_rng(157)
+    a, b = random_dataset(rng, 200, 4), random_dataset(rng, 150, 4)
+    crit_a, crit_b = critical_matrix(4, 200, 0.1), critical_matrix(4, 150, 0.1)
+    feats_a, feats_b = contribution_features(a, threads=1), contribution_features(b, threads=1)
+    # the 12 samples of b with the smallest contribution norms count as degenerate
+    phi = feats_b.reshape(150, -1) - crit_b.values.reshape(-1)
+    sq_norms = np.sort(np.einsum("ij,ij->i", phi, phi))
+    monkeypatch.setattr(depcon.kernel, "DEGENERATE_SQ_NORM", (sq_norms[11] + sq_norms[12]) / 2)
+    (units_a, units_b), caught = _warnings_of(
+        lambda: [_unit_vectors(f, c).sum(axis=0) for f, c in ((feats_a, crit_a), (feats_b, crit_b))]
+    )
+    expected_warnings = [str(w.message) for w in caught]
+    assert expected_warnings[-1].startswith("12 of 150 samples") and expected_warnings[-1].endswith(", ...")
+    score = float(units_a @ units_b)
+    stat_a = feats_a.sum(axis=0) - 200 * crit_a.values
+    stat_b = feats_b.sum(axis=0) - 150 * crit_b.values
+    mean_a = feats_a.mean(axis=0) - crit_a.values
+    dcov_b = np.maximum(contribution_features(b, standardize=False).sum(axis=0) / 150**2, 0.0)
+    # a row of scratch is 200 * 4 doubles = 6400 bytes: one-row, 3-row and default blocks
+    for block_bytes in (1, 3 * 6400, DEFAULT_BLOCK_BYTES):
+        monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
+        for threads in (1, 2, 4):
+            assert np.array_equal(aggregate_statistic(a, threads=threads), stat_a)
+            assert np.array_equal(mean_contribution(a, threads=threads), mean_a)
+            monkeypatch.setenv("DEPCON_THREADS", str(threads))
+            assert np.array_equal(distance_cov_matrix(b), dcov_b)
+            result, caught = _warnings_of(lambda: structure_difference_score(a, b, threads=threads))
+            assert [str(w.message) for w in caught] == expected_warnings
+            assert all(w.filename == __file__ for w in caught)  # named at the caller
+            assert result.score == score
+            assert np.array_equal(result.statistic_a, stat_a)
+            assert np.array_equal(result.statistic_b, stat_b)
 
 
 def test_default_block_rows_at_least_one(monkeypatch):
