@@ -4,16 +4,20 @@ Every output carries a provenance block (JSON outputs embed it, CSV
 outputs get a ``<name>.provenance.json`` sidecar) recording the
 subcommand, math-relevant configuration, seed, and library version.
 The thread count is excluded, so reruns are byte-identical regardless of
-parallelism.
+parallelism. Each command runs with NumPy's OpenBLAS pinned to one thread,
+since a product split across threads rounds differently.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +75,8 @@ def _write_json(path, payload: dict, matrices=()):
     Path(path).write_text(text + "\n")
 
 
-def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
-    """One row per line, each cell the shortest round-trip repr of its float64.
+def _matrix_rows(matrix: np.ndarray, sep: bytes):
+    """Each row of ``matrix`` as its cells' shortest round-trip reprs joined by ``sep``.
 
     A square matrix equal to its transpose bit for bit (a Gram; ``-0.0``
     mirrored by ``0.0`` does not count) is streamed row by row: the cells of
@@ -82,22 +86,45 @@ def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
     characters hold any float64 repr, such as ``-2.2250738585072014e-308``.
     Any other matrix is ``repr``'d cell by cell, a row at a time.
     """
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
+    text_sep = sep.decode()
     n = matrix.shape[0]
+    if matrix.shape[1] != n or not _symmetric(matrix.view(np.uint64)):
+        for row in matrix:
+            yield text_sep.join(map(repr, row.tolist())).encode()
+        return
+    # row i's cells from the diagonal on, rows one after another
+    upper = np.empty(n * (n + 1) // 2, dtype="S24")
+    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+    for i, row in enumerate(matrix):
+        own = [repr(v) for v in row[i:].tolist()]
+        upper[starts[i]:starts[i + 1]] = own
+        left = upper[starts[:i] + np.arange(i, 0, -1)].tolist()  # (j, i) of each row j < i
+        yield sep.join(left + [text_sep.join(own).encode()])
+
+
+def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
+    """One row per line, each cell the shortest round-trip repr of its float64."""
+    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
     with open(path, "wb") as handle:
-        if matrix.shape[1] != n or not _symmetric(matrix.view(np.uint64)):
-            for row in matrix:
-                handle.write(",".join(map(repr, row.tolist())).encode() + b"\n")
-        else:
-            # row i's cells from the diagonal on, rows one after another
-            upper = np.empty(n * (n + 1) // 2, dtype="S24")
-            starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
-            for i, row in enumerate(matrix):
-                own = [repr(v) for v in row[i:].tolist()]
-                upper[starts[i]:starts[i + 1]] = own
-                left = upper[starts[:i] + np.arange(i, 0, -1)].tolist()  # (j, i) of each row j < i
-                handle.write(b",".join(left + [",".join(own).encode()]) + b"\n")
+        for line in _matrix_rows(matrix, b","):
+            handle.write(line + b"\n")
     _write_json(str(path) + ".provenance.json", provenance)
+
+
+def _write_gram_json(path, gram: np.ndarray, provenance: dict):
+    """``{"provenance": ..., "values": rows}`` exactly as ``_write_json`` writes it
+    (``json.dumps`` with indent 2), with the rows streamed as they are formed."""
+    if not np.isfinite(gram).all():  # JSON spells NaN and infinities its own way
+        _write_json(path, {"values": gram.tolist(), "provenance": provenance})
+        return
+    slot = json.dumps("\0values")  # argv and JSON keys hold no NUL, so it is unique
+    text = json.dumps({"provenance": provenance, "values": "\0values"}, indent=2, sort_keys=True)
+    head, tail = text.split(slot)
+    with open(path, "wb") as handle:
+        handle.write(head.encode() + b"[")
+        for i, row in enumerate(_matrix_rows(gram, b",\n      ")):
+            handle.write((b",\n" if i else b"\n") + b"    [\n      " + row + b"\n    ]")
+        handle.write(b"\n  ]" + tail.encode() + b"\n")
 
 
 def _load_any_dataset(path):
@@ -192,7 +219,7 @@ def cmd_gram(args) -> int:
     gram = gram_matrix(data, alpha=args.alpha, convention=args.convention, threads=args.threads)
     prov = _provenance("gram", vars(args))
     if args.format == "json":
-        _write_json(args.output, {"values": gram.values.tolist(), "provenance": prov})
+        _write_gram_json(args.output, gram.values, prov)
     else:
         _write_matrix_csv(args.output, gram.values, prov)
     return 0
@@ -469,6 +496,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS bundled with NumPy's
+    wheels, or None, with one warning, when no such library is loaded."""
+    import ctypes
+
+    for path in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            return get, put
+    warnings.warn(
+        "cannot set the BLAS thread count; outputs may differ in their last bits between "
+        "machines with different core counts",
+        RuntimeWarning,
+    )
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with NumPy's OpenBLAS on one thread, then restore its old count."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -476,7 +542,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except DepconError as exc:
         print(f"depcon {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -62,7 +62,7 @@ def aggregate_statistic(
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
     values = _values(data)
     critical = _critical(values, alpha, convention)
-    return _feature_sums(values, threads)[0] - values.shape[0] * critical.values
+    return _feature_sums(values, threads, critical)[0] - values.shape[0] * critical.values
 
 
 def independence_test(

@@ -21,12 +21,15 @@ scratch, each sample's on its own, so results are bit-identical for any
 block size and any thread count. Callers that need only sums over the
 samples (the tests' aggregate statistics, the mean contribution, the
 distance covariances, the two-sample score) fold each block into them as
-it is built, so they never hold the (n, m, m) stack.
+it is built, so they never hold the (n, m, m) stack. A dataset's standardized
+sums are built once per process for each critical matrix: later calls on the
+same values reuse them (``_feature_sums``).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +55,12 @@ DEGENERATE_SQ_NORM = 1e-24
 #: BLAS thread, 2-vCPU x86-64 VM) a build took 0.20 s with 256 KiB, 0.18 s with 1 MiB,
 #: 0.21 s with 4 MiB and 0.37 s with 128 MiB blocks; the size never changes a result bit.
 DEFAULT_BLOCK_BYTES = 2**20
+
+#: Datasets whose sums ``_feature_sums`` keeps, least recently used evicted first.
+#: One entry holds 2 m^2 doubles and n mask bytes.
+_SUMS_ENTRIES = 8
+_sums = {}
+_sums_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +218,7 @@ def _fold(total, rows):
     return rows.sum(axis=0)
 
 
-def _feature_sums(values, threads, critical=None, standardize=True):
+def _built_sums(values, threads, critical=None, standardize=True):
     """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)``, without the stack.
 
     Each group of row blocks is folded as soon as it is built (``_fold``),
@@ -218,7 +227,6 @@ def _feature_sums(values, threads, critical=None, standardize=True):
     ``critical`` (else None, and the mask is empty). Unstandardized, each
     product is C_i^T C_i, scaled as ``contribution_features`` scales it.
     """
-    threads = _resolve_threads(threads)
     x, a, grand_mean = _scaled_columns(values)
     scale = None if standardize else np.outer(grand_mean, grand_mean)
     total = units = None
@@ -234,11 +242,40 @@ def _feature_sums(values, threads, critical=None, standardize=True):
     return total, units, np.concatenate(degenerate)
 
 
+def _feature_sums(values, threads, critical):
+    """``_built_sums(values, threads, critical)``, built once per dataset and critical matrix.
+
+    The sums are kept, read-only, under the shape and a digest of the
+    (C-contiguous float64) values and the critical values, which fold in
+    alpha, the convention, n and m. So a changed cell is a new dataset, and
+    another shape with the same bytes is too. The thread count and the block
+    size stay out of the key: they change no result bit. The threads are
+    checked before the lookup, so a bad count fails on a kept dataset too.
+    """
+    threads = _resolve_threads(threads)
+    import hashlib  # 5 ms to import, so not on depcon's import path
+
+    key = (values.shape, hashlib.blake2b(values).digest(), critical.values.tobytes())
+    with _sums_lock:
+        sums = _sums.pop(key, None)
+        if sums is not None:
+            _sums[key] = sums
+            return sums
+    sums = _built_sums(values, threads, critical)
+    for array in sums:
+        array.flags.writeable = False
+    with _sums_lock:
+        _sums[key] = sums
+        while len(_sums) > _SUMS_ENTRIES:
+            del _sums[next(iter(_sums))]
+    return sums
+
+
 def distance_cov_matrix(data) -> np.ndarray:
     """m x m matrix of squared sample distance covariances, (1/n^2) L^T L."""
     values = _values(data)
     n = values.shape[0]
-    total = _feature_sums(values, None, standardize=False)[0]
+    total = _built_sums(values, _resolve_threads(None), standardize=False)[0]
     return np.maximum(total / (n * n), 0.0)
 
 
@@ -334,7 +371,7 @@ def mean_contribution(
     values = _values(data)
     critical = _critical(values, alpha, convention)
     # feats.mean(axis=0) divides the same sum by n
-    return _feature_sums(values, threads)[0] / values.shape[0] - critical.values
+    return _feature_sums(values, threads, critical)[0] / values.shape[0] - critical.values
 
 
 def contribution_mean_distance(mean_a: np.ndarray, mean_b: np.ndarray) -> float:

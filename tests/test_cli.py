@@ -6,13 +6,21 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
-from depcon.cli import _load_any_dataset, _load_matrix, _write_matrix_csv, main
+from depcon.cli import (
+    _load_any_dataset,
+    _load_matrix,
+    _openblas_threads,
+    _write_gram_json,
+    _write_matrix_csv,
+    main,
+)
 from depcon.errors import (
     ConstantFeatureError,
     DimensionMismatchError,
@@ -71,7 +79,32 @@ def test_gram_csv_and_json(bench, tmp_path):
     assert run("gram", bench, "-o", gram_json, "--format", "json") == 0
     payload = json.loads(gram_json.read_text())
     assert payload["provenance"]["config"]["alpha"] == 0.1
-    assert np.allclose(np.asarray(payload["values"]), matrix)
+    # the streamed JSON is byte for byte one json.dumps of the whole Gram; the
+    # CSV holds round-trip reprs, so it gives back the Gram's exact values
+    expected = {"values": matrix.tolist(), "provenance": payload["provenance"]}
+    assert gram_json.read_bytes() == _json_dumps_file(expected)
+
+
+def _json_dumps_file(payload):
+    """The bytes of a JSON output written in one piece, as ``_write_json`` writes it."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(2),
+        np.array([[1.0, 0.0], [-0.0, 1.0]]),  # a -0.0 / 0.0 mirror is not symmetric bit for bit
+        np.random.default_rng(5).standard_normal((4, 4)),
+        np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+    ],
+    ids=["symmetric", "signed-zero", "asymmetric", "non-finite"],
+)
+def test_gram_json_writer_matches_one_piece_dump(tmp_path, matrix):
+    provenance = {"command": "gram", "config": {"data": "d\u00e9.csv"}}
+    _write_gram_json(tmp_path / "g.json", matrix, provenance)
+    expected = _json_dumps_file({"values": matrix.tolist(), "provenance": provenance})
+    assert (tmp_path / "g.json").read_bytes() == expected
 
 
 def test_gram_thread_count_invariant(bench, tmp_path):
@@ -97,11 +130,13 @@ def pipeline_900(tmp_path_factory):
     [
         # the Gram, and a table of the reprs of its upper triangle (24 bytes each)
         (("gram", "data.csv", "-o", "out.csv"), 3.0),
+        # the same, with the JSON rows written as they are formed
+        (("gram", "data.csv", "-o", "out.json", "--format", "json"), 3.0),
         # the Gram and its double-centred copy; the rest is O(n) or one block
         (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.75),
         (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.75),
     ],
-    ids=["gram", "cluster", "kpca"],
+    ids=["gram", "gram-json", "cluster", "kpca"],
 )
 def test_command_peak_memory(pipeline_900, command, bound):
     # Python allocations traced while the command runs, in units of one n x n float64 array
@@ -360,6 +395,78 @@ def test_silhouette_report_independent_of_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         reports.append((tmp_path / "labels.csv.report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_pipeline_outputs_independent_of_blas_threads(tmp_path):
+    # at n = 900 (6 x 150, m = 8, seed 1) the Gram product alone rounded 272
+    # cells differently under 1 and 2 BLAS threads before commands pinned one
+    script = """
+from depcon.cli import main
+for argv in (
+    ["synth", "-o", "data.csv", "--models", "6", "--samples", "150", "--features", "8",
+     "--nonlinear", "--seed", "1"],
+    ["gram", "data.csv", "-o", "gram.csv"],
+    ["cluster", "gram.csv", "-o", "labels.csv", "--k-range", "2", "8", "--restarts", "3",
+     "--seed", "1"],
+    ["kpca", "gram.csv", "-o", "coords.csv", "-d", "2", "--labels", "data.json"],
+    ["eval", "labels.csv", "--truth", "data.json", "-o", "eval.json"],
+    ["indep", "data.csv", "-o", "indep.json"],
+    ["test", "data.csv", "data.csv", "-o", "test.json"],
+):
+    assert main(argv) == 0
+"""
+    source = str(os.path.dirname(os.path.dirname(depcon.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        # relative paths, so the provenance blocks name the same files
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, cwd=out)
+        assert result.returncode == 0, result.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 12 and outputs[0].keys() == outputs[1].keys()
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+
+
+def test_commands_pin_blas_to_one_thread_and_restore(bench, tmp_path, monkeypatch):
+    get, put = _openblas_threads()
+    seen = []
+    original = depcon.cli.cmd_gram
+
+    def cmd_gram(args):
+        seen.append(get())
+        return original(args)
+
+    monkeypatch.setattr(depcon.cli, "cmd_gram", cmd_gram)
+    old = get()
+    put(2)
+    try:
+        assert run("gram", bench, "-o", tmp_path / "g.csv") == 0
+        assert run("gram", tmp_path / "missing.csv", "-o", tmp_path / "g.csv") == 2
+        assert seen == [1, 1]
+        assert get() == 2  # library callers keep their own count
+    finally:
+        put(old)
+
+
+def test_missing_blas_setter_warns_once(bench, tmp_path, monkeypatch):
+    # a NumPy without its bundled OpenBLAS: commands still run, with one warning
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    _openblas_threads.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("indep", bench, "-o", tmp_path / "a.json") == 0
+            assert run("indep", bench, "-o", tmp_path / "b.json") == 0
+    finally:
+        _openblas_threads.cache_clear()
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "BLAS thread count" in str(caught[0].message)
+    pairs = [json.loads((tmp_path / name).read_text())["pairs"] for name in ("a.json", "b.json")]
+    assert pairs[0] == pairs[1]
 
 
 def test_usage_error_exit_code():

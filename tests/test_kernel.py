@@ -428,6 +428,7 @@ def test_folded_aggregates_match_the_stack(monkeypatch):
     for block_bytes in (1, 3 * 6400, DEFAULT_BLOCK_BYTES):
         monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
         for threads in (1, 2, 4):
+            depcon.kernel._sums.clear()  # build again at this block size and thread count
             assert np.array_equal(aggregate_statistic(a, threads=threads), stat_a)
             assert np.array_equal(mean_contribution(a, threads=threads), mean_a)
             monkeypatch.setenv("DEPCON_THREADS", str(threads))
