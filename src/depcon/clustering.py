@@ -151,26 +151,51 @@ def _check_labels(n, labels, k=None):
 _CHECK_BLOCK_BYTES = 2**20
 
 
+class _Centred:
+    """The double-centred Gram HKH = K - 1 c^T - c 1^T + mean(K), c the column
+    means of the symmetric K, formed a row block at a time: each entry is
+    ((K_ij - c_j) - c_i) + mean(K), in that order."""
+
+    def __init__(self, values):
+        self.values = values
+        self.col_means = values.mean(axis=0)
+        self.mean = values.mean()
+
+    def rows(self, start, stop):
+        block = self.values[start:stop] - self.col_means
+        block -= self.col_means[start:stop, None]
+        block += self.mean
+        return block
+
+    def diagonal(self):
+        diagonal = np.diagonal(self.values) - self.col_means
+        diagonal -= self.col_means
+        diagonal += self.mean
+        return diagonal
+
+
 def _pivoted_cholesky(centred, tol):
-    """L (n x r) with ``centred = L L^T`` to within ``tol`` entrywise, or None.
+    """L (n x r) with HKH = L L^T to within ``tol`` entrywise, or None;
+    ``centred`` is HKH's ``_Centred``.
 
     Pivoted (incomplete) Cholesky: each step takes the largest residual
     diagonal as pivot (``argmax`` breaks ties toward the lowest index) and
     stops once no residual diagonal exceeds ``tol``. A positive semidefinite
     matrix of rank r costs O(n r^2) plus O(n^2 r) for the check, which forms
-    L L^T - ``centred`` in row blocks of about ``_CHECK_BLOCK_BYTES``.
-    None when that check fails (an indefinite matrix: a residual with a small
-    diagonal need not be small) or when the rank would pass about n/4. The
-    cap bounds the steps thrown away before the ``eigh`` fallback: measured
-    with one BLAS thread at n = 200..900, n/4 steps cost 3-11% of an
-    ``eigh`` and n/2 steps 13-24%, while an accepted factor at rank n/4
-    costs 6-14% of one (at rank 3n/4 still 29-57%).
+    L L^T - HKH in row blocks of about ``_CHECK_BLOCK_BYTES``. It reads only
+    the diagonal, the pivot rows and one row block at a time, so HKH is never
+    held whole. None when that check fails (an indefinite matrix: a residual
+    with a small diagonal need not be small) or when the rank would pass
+    about n/4. The cap bounds the steps thrown away before the ``eigh``
+    fallback: measured with one BLAS thread at n = 200..900, n/4 steps cost
+    3-11% of an ``eigh`` and n/2 steps 13-24%, while an accepted factor at
+    rank n/4 costs 6-14% of one (at rank 3n/4 still 29-57%).
     """
-    n = centred.shape[0]
+    residual = centred.diagonal()
+    n = residual.shape[0]
     cap = (n + 3) // 4
     # row t holds column t of L, so each step reads whole contiguous rows
     rows = np.empty((cap, n))
-    residual = np.diagonal(centred).copy()
     rank = 0
     while True:
         pivot = int(np.argmax(residual))
@@ -178,7 +203,7 @@ def _pivoted_cholesky(centred, tol):
             break
         if rank == cap:
             return None
-        column = centred[pivot] - rows[:rank, pivot] @ rows[:rank]
+        column = centred.rows(pivot, pivot + 1)[0] - rows[:rank, pivot] @ rows[:rank]
         column /= math.sqrt(residual[pivot])
         rows[rank] = column
         residual -= column * column
@@ -187,7 +212,7 @@ def _pivoted_cholesky(centred, tol):
     step = max(1, _CHECK_BLOCK_BYTES // (8 * n))
     for start in range(0, n, step):
         error = factor[start:start + step] @ factor.T
-        error -= centred[start:start + step]
+        error -= centred.rows(start, start + step)
         if max(error.max(), -error.min()) > tol:
             return None
     return factor
@@ -200,32 +225,27 @@ def _factor(values):
     HKH is the double-centred Gram, H = I - 11^T/n: K + a 1^T + 1 a^T leaves
     every Gram-sum distance of k-means unchanged, so HKH serves k-means as
     well as K, and kernel PCA is defined on it. A pivoted Cholesky factor L
-    with ``s = 1`` is tried first, to the tolerance n * eps * max|diag HKH|.
-    When it declines (indefinite or nearly full-rank Grams), a symmetric
-    eigendecomposition is used instead: components with |eigenvalue| at most
-    n * eps * max|eigenvalue| (the ``numpy.linalg.matrix_rank`` rule) are
-    dropped, and negative eigenvalues keep their sign in ``s``, so an
-    indefinite Gram becomes a pseudo-Euclidean embedding in which every
-    Gram-sum distance of kernel k-means is reproduced exactly. On that route
-    ``eigenvalues`` holds the kept eigenvalues, ascending, and column j of
-    ``y`` is an eigenvector scaled by sqrt|eigenvalues[j]|; for a Cholesky
-    factor it is None.
+    with ``s = 1`` is tried first, to the tolerance n * eps * max|diag HKH|,
+    with HKH formed a row block at a time (``_Centred``). When it declines
+    (indefinite or nearly full-rank Grams), HKH is formed whole and a
+    symmetric eigendecomposition is used instead: components with
+    |eigenvalue| at most n * eps * max|eigenvalue| (the
+    ``numpy.linalg.matrix_rank`` rule) are dropped, and negative eigenvalues
+    keep their sign in ``s``, so an indefinite Gram becomes a
+    pseudo-Euclidean embedding in which every Gram-sum distance of kernel
+    k-means is reproduced exactly. On that route ``eigenvalues`` holds the
+    kept eigenvalues, ascending, and column j of ``y`` is an eigenvector
+    scaled by sqrt|eigenvalues[j]|; for a Cholesky factor it is None.
     """
     n = values.shape[0]
-    col_means = values.mean(axis=0)
-    # K - 1 c^T - c 1^T + mean(K), the same steps in the same order, in one n x n array
-    centred = values - col_means[None, :]
-    centred -= col_means[:, None]
-    centred += values.mean()
-    diagonal = np.diagonal(centred)
+    centred = _Centred(values)
+    diagonal = centred.diagonal()
     scale = max(diagonal.max(), -diagonal.min())
     factor = _pivoted_cholesky(centred, n * np.finfo(np.float64).eps * scale)
     if factor is not None:
         return factor, np.ones(factor.shape[1]), None
     # eigh reads one triangle, so no symmetrising pass is needed
-    eigenvalues, vectors = np.linalg.eigh(centred)
-    # release HKH and scale in place, so no more than two n x n arrays are live
-    del centred, diagonal
+    eigenvalues, vectors = np.linalg.eigh(centred.rows(0, n))
     size = np.abs(eigenvalues)
     keep = size > n * np.finfo(np.float64).eps * size.max()
     y = vectors[:, keep]
@@ -365,10 +385,15 @@ def _lloyd(y, s, norms, k, labels, max_iter):
     changing, or unconverged once they return to those of two steps back
     (a step depends on the labels alone, so they would alternate forever).
     The rules of a lone run hold for each restart: empty clusters are
-    repaired, a point changes cluster only for a mean closer by more than
-    rounding, and a pure assignment step must not raise the objective.
+    repaired, and a point changes cluster only for a mean closer by more
+    than rounding. Under s = 1 a pure assignment step cannot raise the
+    objective, and an error is raised if it does. Under an indefinite ``s``
+    (a pseudo-Euclidean embedding) a cluster's mean is a saddle point of its
+    spread, not a minimiser, so the objective may rise; such runs end by
+    convergence, by the two-step cycle rule or at ``max_iter``.
     """
     restarts, n = labels.shape
+    euclidean = bool((s > 0).all())
     # rounding scale of the expanded distances |y|^2 - 2 y.c + |c|^2
     tol = 1e-12 * float(np.abs(norms).max())
     # dist.take((labels + offsets) * n + points) reads dist[r, labels[r, i], i]
@@ -408,8 +433,11 @@ def _lloyd(y, s, norms, k, labels, max_iter):
         objectives = np.maximum(own, 0.0).sum(axis=1)
         for a, r in enumerate(active):
             trace, objective = traces[r], float(objectives[a])
-            # reseeding an empty cluster may raise the objective; assignment alone may not
-            if trace and not moves[a] and objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
+            # reseeding an empty cluster may raise the objective; under s = 1
+            # assignment alone may not
+            if euclidean and trace and not moves[a] and (
+                objective > trace[-1] + 1e-9 * max(1.0, abs(trace[-1]))
+            ):
                 raise RuntimeError("k-means objective increased on a pure assignment step")
             trace.append(objective)
         repairs[active] += moves
@@ -515,12 +543,17 @@ def lloyd_kmeans(
 
 def _calinski_harabasz(y, s, labels, k) -> float:
     """Calinski-Harabasz index of centred coordinates ``y`` under the signed
-    inner product ``s``; between is total minus within dispersion, clipped at 0."""
+    inner product ``s``; between is total minus within dispersion, clipped at 0.
+
+    Each point's squared distance, to its own mean (within) or to the centre
+    (total), counts as at least 0, as in the k-means objective: under an
+    indefinite ``s`` one can be negative. Under s = 1 none is, so nothing is
+    clipped."""
     n = y.shape[0]
     if k >= n:
         raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
-    within = float(_residuals(y, s, labels, k).sum())
-    total = float(((y * y) @ s).sum())
+    within = float(np.maximum(_residuals(y, s, labels, k), 0.0).sum())
+    total = float(np.maximum((y * y) @ s, 0.0).sum())
     between = max(total - within, 0.0)
     if within <= 0.0:
         return math.inf

@@ -18,12 +18,19 @@ i's product is ``Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T`` where
 ``E_i[k] = |x_i - x_k| - a_k``: the double centring folds into a rank-one
 term. Products are built in row blocks of about ``DEFAULT_BLOCK_BYTES``
 scratch, each sample's on its own, so results are bit-identical for any
-block size and any thread count. Callers that need only sums over the
-samples (the tests' aggregate statistics, the mean contribution, the
+block size and any thread count. ``concurrent.futures`` is imported only
+when a build runs more than one worker. Callers that need only sums over
+the samples (the tests' aggregate statistics, the mean contribution, the
 distance covariances, the two-sample score) fold each block into them as
-it is built, so they never hold the (n, m, m) stack. A dataset's standardized
-sums are built once per process for each critical matrix: later calls on the
-same values reuse them (``_feature_sums``).
+it is built, so they never hold the (n, m, m) stack. A dataset's
+standardized sums are built once per process for each critical matrix:
+later calls on the same values reuse them (``_feature_sums``).
+
+Each column is first scaled by the power of two that brings its largest
+|value| into [1/2, 1). That is exact, kappa and the standardized products
+do not see it, and no mean, difference or prefix sum can overflow after
+it. Outputs in the data's units are scaled back exactly, and raise
+NonFiniteValueError when the true value overflows float64.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +48,7 @@ from .errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
     DimensionMismatchError,
+    NonFiniteValueError,
     OutOfRangeError,
 )
 
@@ -90,14 +97,35 @@ def _values(data) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
 
 
+def _unit_columns(values):
+    """``(values * 2^-e, e)``: each column scaled by the power of two 2^-e that
+    brings its largest |value| into [1/2, 1), exactly (``np.frexp`` cannot
+    overflow), and ``values`` itself when every e is 0."""
+    top = np.maximum(values.max(axis=0), -values.min(axis=0))
+    exponents = np.frexp(top)[1]
+    return (np.ldexp(values, -exponents) if exponents.any() else values), exponents
+
+
+def _scaled_back(scaled, exponents):
+    """``scaled * 2^exponents`` in place, exact; NonFiniteValueError when it overflows."""
+    with np.errstate(over="ignore"):  # reported as the typed error below
+        np.ldexp(scaled, exponents, out=scaled)
+    if not np.isfinite(scaled).all():
+        raise NonFiniteValueError(
+            "a result in the data's units overflows float64 (kappa and the test statistics do not)"
+        )
+    return scaled
+
+
 def distance_moments(values: np.ndarray):
     """Row means and grand mean of each per-feature distance matrix.
 
     Uses the sorted prefix-sum identity, O(n log n) per feature, so no
     n x n matrix is formed. Raises ConstantFeatureError when a feature's
-    grand mean distance would be zero.
+    grand mean distance would be zero. Computed on the power-of-two scaled
+    columns of ``_unit_columns`` and scaled back exactly.
     """
-    values = _values(values)
+    values, exponents = _unit_columns(_values(values))
     n, m = values.shape
     spread = values.max(axis=0) - values.min(axis=0)
     for j in np.nonzero(spread <= 0.0)[0]:
@@ -116,17 +144,21 @@ def distance_moments(values: np.ndarray):
     np.put_along_axis(row_sums, order, sums, axis=0)
     row_mean = row_sums / n
     grand_mean = row_mean.mean(axis=0)
-    return row_mean, grand_mean
+    return _scaled_back(row_mean, exponents), _scaled_back(grand_mean, exponents)
 
 
 def _scaled_columns(values):
-    """``(x, a, grand_mean)``: the centred columns and the row-mean distances,
-    both in units of each column's mean distance."""
+    """``(x, a, grand_mean, e)``: the centred columns and the row-mean distances,
+    both in units of each column's mean distance, and that mean distance of
+    each column scaled by 2^-e (``_unit_columns``)."""
+    values, exponents = _unit_columns(values)
+    # through the public function, which the benchmark tracer times; on scaled
+    # columns its own exponents are all 0, so it scales nothing
     a, grand_mean = distance_moments(values)
     x = values - values.mean(axis=0)  # centred before scaling: exact for offsets near 1e10
     x /= grand_mean
     a /= grand_mean
-    return x, a, grand_mean
+    return x, a, grand_mean, exponents
 
 
 def _product_block(x, a, start, stop, out):
@@ -180,6 +212,10 @@ def _product_blocks(x, a, threads, out=None):
         for span in spans:
             yield build((0, span))
         return
+    # imported here: concurrent.futures loads logging, about 0.65 MB and 5 ms
+    # that no one-thread build needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for first in range(0, len(spans), workers):
             yield from list(pool.map(build, enumerate(spans[first:first + workers])))
@@ -189,20 +225,22 @@ def contribution_features(data, standardize=True, threads=None) -> np.ndarray:
     """(n, m, m) stack of per-sample products Z_i^T Z_i (C_i^T C_i when unstandardized).
 
     Built by the folded identity of the module docstring; C_i^T C_i is that
-    times the outer product of the mean distances. Row blocks do not depend
-    on the thread count and each sample's product is computed on its own, so
-    results are bit-identical for any number of workers. The pool holds
+    times the outer product of the mean distances, scaled back exactly to
+    the data's units (NonFiniteValueError if that overflows). Each sample's
+    product is computed on its own, so results are bit-identical for any
+    block size and any number of workers. The pool holds
     ``min(threads, blocks, CPUs)`` workers.
     """
     threads = _resolve_threads(threads)
     values = _values(data)
     n, m = values.shape
-    x, a, grand_mean = _scaled_columns(values)
+    x, a, grand_mean, exponents = _scaled_columns(values)
     out = np.empty((n, m, m), dtype=np.float64)
     for _ in _product_blocks(x, a, threads, out):
         pass
     if not standardize:
         out *= np.outer(grand_mean, grand_mean)
+        _scaled_back(out, exponents[:, None] + exponents[None, :])
     return out
 
 
@@ -218,17 +256,16 @@ def _fold(total, rows):
     return rows.sum(axis=0)
 
 
-def _built_sums(values, threads, critical=None, standardize=True):
-    """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)``, without the stack.
+def _built_sums(x, a, threads, critical=None, scale=None):
+    """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)`` of the columns
+    ``_scaled_columns`` gives, without the stack.
 
     Each group of row blocks is folded as soon as it is built (``_fold``),
     so both sums equal the ``sum(axis=0)`` of the stack and of its unit
     vectors bit for bit when m >= 2. The unit vectors are summed only given
-    ``critical`` (else None, and the mask is empty). Unstandardized, each
-    product is C_i^T C_i, scaled as ``contribution_features`` scales it.
+    ``critical`` (else None, and the mask is empty). Given ``scale`` (m x m),
+    each product is multiplied by it before it is summed.
     """
-    x, a, grand_mean = _scaled_columns(values)
-    scale = None if standardize else np.outer(grand_mean, grand_mean)
     total = units = None
     degenerate = [np.zeros(0, dtype=bool)]
     for block in _product_blocks(x, a, threads):
@@ -243,7 +280,8 @@ def _built_sums(values, threads, critical=None, standardize=True):
 
 
 def _feature_sums(values, threads, critical):
-    """``_built_sums(values, threads, critical)``, built once per dataset and critical matrix.
+    """The standardized ``_built_sums`` of ``values`` with ``critical``, built
+    once per dataset and critical matrix.
 
     The sums are kept, read-only, under the shape and a digest of the
     (C-contiguous float64) values and the critical values, which fold in
@@ -253,15 +291,19 @@ def _feature_sums(values, threads, critical):
     checked before the lookup, so a bad count fails on a kept dataset too.
     """
     threads = _resolve_threads(threads)
-    import hashlib  # 5 ms to import, so not on depcon's import path
+    try:
+        # hashlib's blake2b is this one; hashlib itself would map OpenSSL (3.6 MB)
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
-    key = (values.shape, hashlib.blake2b(values).digest(), critical.values.tobytes())
+    key = (values.shape, blake2b(values).digest(), critical.values.tobytes())
     with _sums_lock:
         sums = _sums.pop(key, None)
         if sums is not None:
             _sums[key] = sums
             return sums
-    sums = _built_sums(values, threads, critical)
+    sums = _built_sums(*_scaled_columns(values)[:2], threads, critical)
     for array in sums:
         array.flags.writeable = False
     with _sums_lock:
@@ -272,11 +314,17 @@ def _feature_sums(values, threads, critical):
 
 
 def distance_cov_matrix(data) -> np.ndarray:
-    """m x m matrix of squared sample distance covariances, (1/n^2) L^T L."""
+    """m x m matrix of squared sample distance covariances, (1/n^2) L^T L.
+
+    Computed on the power-of-two scaled columns and scaled back exactly;
+    NonFiniteValueError when a true covariance overflows float64.
+    """
     values = _values(data)
     n = values.shape[0]
-    total = _built_sums(values, _resolve_threads(None), standardize=False)[0]
-    return np.maximum(total / (n * n), 0.0)
+    x, a, grand_mean, exponents = _scaled_columns(values)
+    scale = np.outer(grand_mean, grand_mean)
+    total = _built_sums(x, a, _resolve_threads(None), scale=scale)[0]
+    return _scaled_back(np.maximum(total / (n * n), 0.0), exponents[:, None] + exponents[None, :])
 
 
 def _critical(values, alpha, convention):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,9 +133,9 @@ def pipeline_900(tmp_path_factory):
         (("gram", "data.csv", "-o", "out.csv"), 3.0),
         # the same, with the JSON rows written as they are formed
         (("gram", "data.csv", "-o", "out.json", "--format", "json"), 3.0),
-        # the Gram and its double-centred copy; the rest is O(n) or one block
-        (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.75),
-        (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.75),
+        # the Gram; HKH is formed a row block at a time, and the rest is O(n) or one block
+        (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.0),
+        (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.0),
     ],
     ids=["gram", "gram-json", "cluster", "kpca"],
 )
@@ -784,6 +785,47 @@ def _assert_csv_input_rejected(tmp_path, capsys, command, error, content):
     assert run(*argv) == error.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cluster_indefinite_gram(tmp_path):
+    # in a signed embedding a cluster's mean is a saddle point of its spread, so
+    # an assignment step may raise the objective; this Gram once ended in a
+    # RuntimeError, and its clipped VRC scores were infinite
+    values = np.random.default_rng(0).standard_normal((120, 120))
+    values = (values + values.T) / 2
+    values /= np.abs(values).max()
+    gram = tmp_path / "indef.csv"
+    gram.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    runs = [("--k-range", 2, 5, "--restarts", 3, "--seed", 1)]
+    runs += [("-k", 4, "--restarts", 10, "--seed", seed) for seed in range(4)]
+    for extra in runs:
+        out = tmp_path / "labels.csv"
+        assert run("cluster", gram, "-o", out, *extra) == 0
+        report = json.loads((tmp_path / "labels.csv.report.json").read_text())
+        labels = [int(line) for line in out.read_text().split()]
+        assert len(labels) == 120 and set(labels) == set(range(report["best_k"]))
+        numbers = [report["objective"], *report["objective_trace"], *report["scores"].values()]
+        assert all(math.isfinite(v) for v in numbers)
+
+
+def test_spread_beyond_float64_is_finite(tmp_path):
+    # the first column's spread (2e308) overflows float64: it once gave an
+    # all-NaN Gram and NaN statistics, with exit 0
+    rows = [(1e308, 1.0), (-1e308, 2.0), (0.0, 4.0), (5e307, 3.0)]
+    data, scaled = tmp_path / "big.csv", tmp_path / "scaled.csv"
+    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
+    scaled.write_text("".join(f"{math.ldexp(a, -1000)!r},{b!r}\n" for a, b in rows))
+    outputs = {}
+    for path in (data, scaled):
+        gram, indep = tmp_path / f"{path.stem}.gram.csv", tmp_path / f"{path.stem}.indep.json"
+        assert run("gram", path, "-o", gram) == 0
+        assert run("indep", path, "-o", indep) == 0
+        pairs = json.loads(indep.read_text())["pairs"]
+        outputs[path.stem] = gram.read_bytes(), pairs
+        assert "nan" not in outputs[path.stem][0].decode()
+        assert all(math.isfinite(pair["statistic"]) for pair in pairs)
+    # kappa and the statistics do not see a power-of-two scale
+    assert outputs["big"] == outputs["scaled"]
 
 
 def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch):

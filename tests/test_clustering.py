@@ -921,6 +921,23 @@ def test_ari_fewer_than_two_items():
         adjusted_rand_index([], [0])
 
 
+def test_indefinite_gram_objective_may_rise():
+    # a signed embedding's cluster mean is a saddle point of its spread, so a
+    # pure assignment step may raise the objective there: each run ends by
+    # convergence, by the two-step cycle rule or at max_iter, never in an error
+    values = np.random.default_rng(0).standard_normal((120, 120))
+    gram = (values + values.T) / 2
+    gram /= np.abs(gram).max()
+    _, s, _ = _factor(gram)
+    assert (s < 0).any()
+    result = select_k(gram, range(2, 6), restarts=3, seed=1)
+    assert all(np.isfinite(score) for score in result.scores.values())
+    for seed in range(4):
+        assignment = kernel_kmeans(gram, 4, restarts=10, seed=seed)
+        assert np.array_equal(np.unique(assignment.labels), np.arange(4))
+        assert assignment.iterations <= 100 and np.isfinite(assignment.objective)
+
+
 def test_objective_rise_on_assignment_step_raises(monkeypatch):
     # the guard is an explicit check, so it also holds under python -O
     from depcon import clustering

@@ -1,12 +1,14 @@
 """Fuzz the commands that read data files.
 
 Every input, however malformed, must end in a documented exit code with no
-traceback, and a command that fails must leave no output file behind.
+traceback, a command that fails must leave no output file behind, and a
+command that succeeds must write only finite numbers.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -38,6 +40,31 @@ CSV_TEXT = st.builds(
     LINE_ENDS,
 )
 
+# well-formed numeric datasets at the edges of float64: cells near +-1.8e308,
+# subnormals, a column of distinct values across the whole exponent range,
+# near-constant columns
+EDGE_CELLS = st.sampled_from(
+    [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -9e307, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e-310, 0.0, -0.0, 1.0, 1e10]
+)
+SPREAD = [sign * math.ldexp(1.0, e) for e in range(-1074, 1024, 97) for sign in (1, -1)]
+
+
+def _column(n):
+    return st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | EDGE_CELLS,
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from(SPREAD), min_size=n, max_size=n, unique=True),
+        (st.floats(allow_nan=False, allow_infinity=False) | EDGE_CELLS).map(
+            lambda c: [c] * (n - 1) + [math.nextafter(c, math.inf)]
+        ),
+    )
+
+
+NUMERIC_CSV = st.integers(2, 8).flatmap(
+    lambda n: st.lists(_column(n), min_size=1, max_size=3)
+).map(lambda columns: "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns)).encode())
+
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
     st.sampled_from([10**400, -(2**63), 2**63]),
@@ -62,6 +89,11 @@ def files(key):
         st.sampled_from([".csv", ".json"]),
         st.one_of(st.binary(max_size=80), CSV_TEXT, json_text(key)),
     )
+
+
+def dataset_files():
+    """``files("rows")``, and numeric CSV datasets at the edges of float64."""
+    return files("rows") | st.tuples(st.just(".csv"), NUMERIC_CSV)
 
 
 VERTICES = st.one_of(st.integers(-1, 5), JSON_LEAVES)
@@ -89,6 +121,28 @@ def graph_files():
     )
 
 
+def _numbers(path):
+    """Every number an output file holds: JSON numbers, or CSV cells that parse as floats."""
+    text = path.read_text()
+    try:
+        stack = [json.loads(text)]  # json reads NaN and Infinity as floats
+    except ValueError:
+        stack = text.replace("\n", ",").split(",")
+    found = []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                found.append(float(value))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append(value)
+    return found
+
+
 def _check(build_argv, suffix, content):
     """Run the command ``build_argv`` makes with the fuzzed file and fixed others."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,6 +161,11 @@ def _check(build_argv, suffix, content):
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
             assert not out.exists()
+            return
+        inputs = {fuzzed, gram, pred}
+        for path in tmp.iterdir():
+            if path not in inputs:
+                assert all(math.isfinite(v) for v in _numbers(path)), path.name
 
 
 # inputs that once escaped as tracebacks: a lone carriage return ends a line,
@@ -117,12 +176,33 @@ HUGE_INT = (".json", b'{"values": [[1, %s], [%s, 1]], "rows": [[%s, 1], [1, 1]]}
 HUGE_LABEL = (".csv", b"9223372036854775808\n")
 
 
+# a column whose spread overflows float64 once gave an all-NaN Gram and NaN statistics
+OVERFLOW = (".csv", b"1e308,1\n-1e308,2\n0,4\n5e307,3\n")
+
+
 @FUZZ
-@given(files("rows"))
+@given(dataset_files())
 @example(CR_LINES)
 @example(HUGE_INT)
+@example(OVERFLOW)
 def test_gram_reads_any_dataset_file(file):
     _check(lambda data, gram, pred, out: ("gram", data, "-o", out), *file)
+
+
+@FUZZ
+@given(dataset_files())
+@example(CR_LINES)
+@example(OVERFLOW)
+def test_indep_reads_any_dataset_file(file):
+    _check(lambda data, gram, pred, out: ("indep", data, "-o", out), *file)
+
+
+@FUZZ
+@given(dataset_files())
+@example(CR_LINES)
+@example(OVERFLOW)
+def test_test_reads_any_dataset_file(file):
+    _check(lambda data, gram, pred, out: ("test", data, data, "-o", out), *file)
 
 
 @FUZZ

@@ -1,4 +1,6 @@
+import concurrent.futures
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
     DimensionMismatchError,
+    NonFiniteValueError,
     OutOfRangeError,
 )
 from depcon.inference import aggregate_statistic, structure_difference_score
@@ -449,6 +452,42 @@ def test_default_block_rows_at_least_one(monkeypatch):
     assert _block_spans(monkeypatch, x) == [(0, 5)]
 
 
+@pytest.mark.parametrize("shift", [-1000, -60, 3, 500])
+def test_power_of_two_scaling_is_exact(shift):
+    # each column is brought into [-1, 1) by a power of two before any sum, so
+    # outputs in the data's units scale exactly and kappa does not move a bit
+    x = random_dataset(np.random.default_rng(157), 40, 3)
+    big = x.copy()
+    big[:, 1] = np.ldexp(big[:, 1], shift)
+    row_mean, grand_mean = distance_moments(x)
+    big_row_mean, big_grand_mean = distance_moments(big)
+    assert np.array_equal(big_row_mean[:, 1], np.ldexp(row_mean[:, 1], shift))
+    assert np.array_equal(big_grand_mean, grand_mean * [1.0, 2.0**shift, 1.0])
+    pair_shift = np.array([0, shift, 0])[:, None] + np.array([0, shift, 0])
+    assert np.array_equal(distance_cov_matrix(big), np.ldexp(distance_cov_matrix(x), pair_shift))
+    unstandardized = contribution_features(x, standardize=False)
+    assert np.array_equal(
+        contribution_features(big, standardize=False), np.ldexp(unstandardized, pair_shift)
+    )
+    assert np.array_equal(gram_matrix(big).values, gram_matrix(x).values)
+    assert np.array_equal(aggregate_statistic(big), aggregate_statistic(x))
+
+
+def test_overflowing_outputs_raise_non_finite():
+    # spreads near 3.4e308: kappa and the statistics are finite, while the
+    # mean distances and the covariances in the data's units overflow
+    x = np.array([[1.7e308, 1.0], [-1.7e308, 3.0], [-1.7e308, 2.0], [0.0, 5.0]])
+    assert np.isfinite(gram_matrix(x).values).all()
+    assert np.isfinite(aggregate_statistic(x)).all()
+    for call in (
+        distance_moments,
+        distance_cov_matrix,
+        partial(contribution_features, standardize=False),
+    ):
+        with pytest.raises(NonFiniteValueError):
+            call(x)
+
+
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records ``max_workers``, runs blocks in order."""
 
@@ -483,7 +522,8 @@ def test_thread_pool_is_bounded(monkeypatch, threads, cpus, block_bytes, workers
     x = random_dataset(np.random.default_rng(149), 20, 3)
     base = contribution_features(x, threads=1)
     _SerialPool.sizes = []
-    monkeypatch.setattr(depcon.kernel, "ThreadPoolExecutor", _SerialPool)
+    # the pool's module is imported only when a build runs more than one worker
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(depcon.kernel.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
     assert np.array_equal(contribution_features(x, threads=threads), base)

@@ -1,6 +1,10 @@
 """The public surface of the package."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -61,3 +65,25 @@ def test_benchmark_contract(tmp_path):
     argv = ["synth", "-o", data, "--models", 2, "--samples", 12, "--features", 3, "--nonlinear",
             "--seed", 0]
     assert depcon.cli.main([str(arg) for arg in argv]) == 0 and data.exists()
+
+
+def test_import_footprint():
+    # the thread pool is imported only by a build with more than one worker,
+    # and the sums memo hashes with _blake2: importing depcon maps no pool
+    # (which loads logging) and no OpenSSL, and an independence test no OpenSSL
+    script = """
+import sys
+import depcon, depcon.cli
+loaded = [name for name in ("concurrent.futures", "logging", "_hashlib") if name in sys.modules]
+assert not loaded, loaded
+import numpy as np
+depcon.independence_test(np.sin(np.outer(np.arange(1.0, 41.0), [1.0, 2.3, 3.7])))
+try:
+    import _blake2  # noqa: F401
+except ImportError:  # then the memo takes blake2b from hashlib
+    pass
+else:
+    assert "_hashlib" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(depcon.__file__).resolve().parent.parent))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
