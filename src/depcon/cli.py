@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -23,20 +24,28 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import _gram_values, _select, _symmetric, adjusted_rand_index, select_k
+from .clustering import _gram_values, _select, adjusted_rand_index, select_k
 from .critical import CriticalScale
-from .dataset import _filled_rows, _integer, _read_table, load_dataset, load_dataset_json
+from .dataset import (
+    _check_finite,
+    _filled_rows,
+    _integer,
+    _read_table,
+    load_dataset,
+    load_dataset_json,
+)
 from .embedding import kpca_fit, kpca_transform
 from .errors import (
     DepconError,
     GramRangeError,
     LengthMismatchError,
+    NonFiniteValueError,
     NonNumericCellError,
     NotSquareError,
 )
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
-from .kernel import BACKEND_NAME, gram_matrix
+from .kernel import BACKEND_NAME, _features_with_critical, _gram_bands, _unit_vectors
 from .synth import BenchmarkConfig, build_benchmark, model_descriptor
 
 EXIT_FILE_NOT_FOUND = 2
@@ -63,66 +72,96 @@ def _provenance(command: str, config: dict) -> dict:
     }
 
 
+def _json_text(payload, **layout) -> str:
+    """``json.dumps``; NonFiniteValueError for a NaN or infinite number, which
+    standard JSON cannot spell."""
+    try:
+        return json.dumps(payload, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise NonFiniteValueError(f"cannot write a non-finite number as JSON: {exc}") from None
+
+
 def _write_json(path, payload: dict, matrices=()):
     """Sorted keys, indent 2; each row of the top-level lists of rows named in
     ``matrices`` goes on one line, so an m x m 0/1 relation takes m lines."""
     # argv and JSON keys hold no NUL, so each placeholder string is unique
     slots = {key: f"\0{key}" for key in matrices}
-    text = json.dumps({**payload, **slots}, indent=2, sort_keys=True)
+    text = _json_text({**payload, **slots}, indent=2, sort_keys=True)
     for key, slot in slots.items():
-        rows = ",\n".join("    " + json.dumps(row) for row in payload[key])
+        rows = ",\n".join("    " + _json_text(row) for row in payload[key])
         text = text.replace(json.dumps(slot), f"[\n{rows}\n  ]" if rows else "[]")
     Path(path).write_text(text + "\n")
 
 
 def _matrix_rows(matrix: np.ndarray, sep: bytes):
-    """Each row of ``matrix`` as its cells' shortest round-trip reprs joined by ``sep``.
+    """Each row of ``matrix`` as its cells' shortest round-trip reprs joined by ``sep``."""
+    text_sep = sep.decode()
+    for row in matrix:
+        yield text_sep.join(map(repr, row.tolist())).encode()
 
-    A square matrix equal to its transpose bit for bit (a Gram; ``-0.0``
-    mirrored by ``0.0`` does not count) is streamed row by row: the cells of
-    row i from the diagonal on are ``repr``'d into one fixed-width table of
-    the upper triangle, and the cells left of the diagonal are read back from
-    the rows above, so each mirrored pair is ``repr``'d once. 24 ASCII
-    characters hold any float64 repr, such as ``-2.2250738585072014e-308``.
-    Any other matrix is ``repr``'d cell by cell, a row at a time.
+
+def _gram_rows(u: np.ndarray, sep: bytes):
+    """Each row of the Gram of the unit vectors ``u`` as its cells' shortest
+    round-trip reprs joined by ``sep``, the cells of ``gram_matrix``'s Gram.
+
+    The upper triangle comes a band at a time from ``_gram_bands`` and each
+    of its cells is ``repr``'d once; a cell left of the diagonal is read back
+    from a table of the reprs still to be written. That table is a set of
+    tiles, one per band and band-wide column chunk right of it, each dropped
+    once its columns are written, so it holds about n^2/4 reprs at most. 24
+    ASCII characters hold any float64 repr, such as
+    ``-2.2250738585072014e-308``. A non-finite band is NonFiniteValueError.
     """
     text_sep = sep.decode()
-    n = matrix.shape[0]
-    if matrix.shape[1] != n or not _symmetric(matrix.view(np.uint64)):
-        for row in matrix:
-            yield text_sep.join(map(repr, row.tolist())).encode()
-        return
-    # row i's cells from the diagonal on, rows one after another
-    upper = np.empty(n * (n + 1) // 2, dtype="S24")
-    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
-    for i, row in enumerate(matrix):
-        own = [repr(v) for v in row[i:].tolist()]
-        upper[starts[i]:starts[i + 1]] = own
-        left = upper[starts[:i] + np.arange(i, 0, -1)].tolist()  # (j, i) of each row j < i
-        yield sep.join(left + [text_sep.join(own).encode()])
+    n = u.shape[0]
+    # tiles[c]: per band above chunk c, its (rows, chunk width) reprs there
+    tiles = {}
+    for start, band in _gram_bands(u):
+        rows = band.shape[0]
+        stop = start + rows
+        _check_finite(band, f"the Gram's rows {start}..{stop - 1} from column {start}")
+        block = np.empty((rows, rows), dtype="S24")
+        chunks = range(stop, n, rows)  # the later bands' columns; only a last band is shorter
+        ahead = [np.empty((rows, min(rows, n - c)), dtype="S24") for c in chunks]
+        above = tiles.pop(start, [])
+        for r, row in enumerate(band):
+            own = [repr(v) for v in row[r:].tolist()]
+            left = []
+            for tile in above:
+                left += tile[:, r].tolist()
+            yield sep.join(left + block[:r, r].tolist() + [text_sep.join(own).encode()])
+            block[r, r:] = own[:rows - r]
+            for c, tile in zip(chunks, ahead):
+                tile[r] = own[c - start - r:c - start - r + tile.shape[1]]
+        for c, tile in zip(chunks, ahead):
+            tiles.setdefault(c, []).append(tile)
+
+
+def _write_csv_rows(path, rows, provenance: dict):
+    """One line per row of ``rows(b",")``, and the provenance sidecar."""
+    with open(path, "wb") as handle:
+        for line in rows(b","):
+            handle.write(line + b"\n")
+    _write_json(str(path) + ".provenance.json", provenance)
 
 
 def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
     """One row per line, each cell the shortest round-trip repr of its float64."""
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
-    with open(path, "wb") as handle:
-        for line in _matrix_rows(matrix, b","):
-            handle.write(line + b"\n")
-    _write_json(str(path) + ".provenance.json", provenance)
+    _write_csv_rows(path, functools.partial(_matrix_rows, matrix), provenance)
 
 
-def _write_gram_json(path, gram: np.ndarray, provenance: dict):
+def _write_gram_json(path, rows, provenance: dict):
     """``{"provenance": ..., "values": rows}`` exactly as ``_write_json`` writes it
-    (``json.dumps`` with indent 2), with the rows streamed as they are formed."""
-    if not np.isfinite(gram).all():  # JSON spells NaN and infinities its own way
-        _write_json(path, {"values": gram.tolist(), "provenance": provenance})
-        return
+    (``json.dumps`` with indent 2), the rows of ``rows(sep)`` streamed as they
+    are formed, each cell a finite float64's repr."""
     slot = json.dumps("\0values")  # argv and JSON keys hold no NUL, so it is unique
-    text = json.dumps({"provenance": provenance, "values": "\0values"}, indent=2, sort_keys=True)
-    head, tail = text.split(slot)
+    head, tail = _json_text(
+        {"provenance": provenance, "values": "\0values"}, indent=2, sort_keys=True
+    ).split(slot)
     with open(path, "wb") as handle:
         handle.write(head.encode() + b"[")
-        for i, row in enumerate(_matrix_rows(gram, b",\n      ")):
+        for i, row in enumerate(rows(b",\n      ")):
             handle.write((b",\n" if i else b"\n") + b"    [\n      " + row + b"\n    ]")
         handle.write(b"\n  ]" + tail.encode() + b"\n")
 
@@ -216,12 +255,15 @@ def _load_labels(path) -> np.ndarray:
 
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
-    gram = gram_matrix(data, alpha=args.alpha, convention=args.convention, threads=args.threads)
+    # the unit vectors gram_matrix uses; the file is streamed from them in bands
+    feats, critical = _features_with_critical(data, args.alpha, args.convention, args.threads)
+    rows = functools.partial(_gram_rows, _unit_vectors(feats, critical))
+    del feats
     prov = _provenance("gram", vars(args))
     if args.format == "json":
-        _write_gram_json(args.output, gram.values, prov)
+        _write_gram_json(args.output, rows, prov)
     else:
-        _write_matrix_csv(args.output, gram.values, prov)
+        _write_csv_rows(args.output, rows, prov)
     return 0
 
 
@@ -320,7 +362,11 @@ def cmd_cluster(args) -> int:
         "best_k": result.best_k,
         "criterion": args.criterion,
         "criterion_space": "kernel",
-        "scores": {str(k): result.scores[k] for k in sorted(result.scores)},
+        # inf (a partition with no within dispersion) has no JSON number: null
+        "scores": {
+            str(k): score if math.isfinite(score) else None
+            for k, score in sorted(result.scores.items())
+        },
         "objective": chosen.objective,
         "objective_trace": list(chosen.objective_trace),
         "iterations": chosen.iterations,

@@ -12,6 +12,9 @@ The central objects, for a dataset ``S`` of n samples by m features:
 
 Every Gram matrix, over one dataset or across two, is ``U_a U_b^T`` over
 those unit vectors, clipped to [-1, 1]; a degenerate sample's vector is 0.
+A square Gram's upper triangle comes in bands of ``GRAM_BAND_ROWS`` rows
+(``_gram_bands``), mirrored into the lower one, so it is exactly symmetric
+and the CLI can stream the same cells to a file without the n x n matrix.
 The n x n x m distance tensor is never materialized. With each column in
 units of its mean distance, row-mean distances a and alpha = a - 1, sample
 i's product is ``Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T`` where
@@ -62,6 +65,10 @@ DEGENERATE_SQ_NORM = 1e-24
 #: BLAS thread, 2-vCPU x86-64 VM) a build took 0.20 s with 256 KiB, 0.18 s with 1 MiB,
 #: 0.21 s with 4 MiB and 0.37 s with 128 MiB blocks; the size never changes a result bit.
 DEFAULT_BLOCK_BYTES = 2**20
+
+#: Rows of one band of a square Gram (``_gram_bands``). Fixed, so the library
+#: Gram and the streamed Gram file round every cell the same way.
+GRAM_BAND_ROWS = 128
 
 #: Datasets whose sums ``_feature_sums`` keeps, least recently used evicted first.
 #: One entry holds 2 m^2 doubles and n mask bytes.
@@ -182,19 +189,20 @@ def _product_blocks(x, a, threads, out=None):
     """The products Z_i^T Z_i of consecutive groups of rows, in row order.
 
     Each ``_product_block`` call builds one block of rows with about
-    ``DEFAULT_BLOCK_BYTES`` of scratch. Given an (n, m, m) ``out``, a group
-    is one block, built into its rows of ``out``. Otherwise a group is as
-    many blocks as fill about ``DEFAULT_BLOCK_BYTES / 16`` of products, built
-    into one buffer per worker that is valid until the next group is asked
-    for. Workers (``min(threads, groups, CPUs)``) build one group each at a
+    ``DEFAULT_BLOCK_BYTES`` of scratch, and a group is as many blocks as
+    fill about ``DEFAULT_BLOCK_BYTES / 16`` of products. Given an (n, m, m)
+    ``out``, a group is built into its rows of ``out``; otherwise into one
+    buffer per worker that is valid until the next group is asked for.
+    Workers (``min(threads, groups, CPUs)``) build one group each at a
     time, so at most one group per worker is live.
     """
     n, m = x.shape
     step = max(1, min(n, DEFAULT_BLOCK_BYTES // max(n * m * 8, 1)))
     # a block's products take m / n of its scratch, so a caller folding one
     # block at a time paid about 9% of structure_difference_score at n = 1500,
-    # m = 20 in per-block overhead; groups make that 5-10 times rarer
-    per_group = 1 if out is not None else max(1, DEFAULT_BLOCK_BYTES // 16 // (step * m * m * 8))
+    # m = 20 in per-block overhead, and two workers handed one-row blocks at
+    # n = 8000, m = 10 were 42% slower than one; groups make that 5-10 times rarer
+    per_group = max(1, DEFAULT_BLOCK_BYTES // 16 // (step * m * m * 8))
     rows = step * per_group
     spans = [(start, min(start + rows, n)) for start in range(0, n, rows)]
     workers = min(threads, len(spans), os.cpu_count() or 1)
@@ -397,14 +405,37 @@ def _unit_vectors(feats, critical):
     return phi
 
 
+def _gram_bands(u, out=None):
+    """``(start, clip(U[start:stop] U[start:]^T))`` for consecutive bands of
+    ``GRAM_BAND_ROWS`` rows: each band holds its rows' cells from the diagonal
+    on, so the bands cover the square Gram's upper triangle. Only that
+    triangle of a band's first ``stop - start`` columns is the Gram's: its
+    lower one is the mirror's, which a band product need not round alike.
+    Given an n x n ``out``, each band is its view ``out[start:stop, start:]``
+    (BLAS writes a strided output without a copy, and rounds it alike)."""
+    n = u.shape[0]
+    for start in range(0, n, GRAM_BAND_ROWS):
+        stop = start + GRAM_BAND_ROWS
+        view = None if out is None else out[start:stop, start:]
+        band = np.matmul(u[start:stop], u[start:].T, out=view)
+        np.clip(band, -1.0, 1.0, out=band)
+        yield start, band
+
+
 def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
     """Kappa Gram ``U_a U_b^T`` from feature stacks: square over one stack, n x n' across two."""
     u_a = _unit_vectors(feats_a, crit_a)
-    u_b = u_a if feats_b is None else _unit_vectors(feats_b, crit_b)
-    # NumPy runs a product of one buffer with its own transpose as BLAS syrk
-    # and mirrors the triangle, so the square Gram is exactly symmetric
-    kappa = u_a @ u_b.T
-    np.clip(kappa, -1.0, 1.0, out=kappa)
+    if feats_b is not None:
+        kappa = u_a @ _unit_vectors(feats_b, crit_b).T
+        np.clip(kappa, -1.0, 1.0, out=kappa)
+        return GramMatrix(values=kappa)
+    n = u_a.shape[0]
+    kappa = np.empty((n, n))
+    for start, band in _gram_bands(u_a, out=kappa):
+        stop = start + band.shape[0]
+        kappa[stop:, start:stop] = band[:, stop - start:].T
+        block = kappa[start:stop, start:stop]
+        np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
     return GramMatrix(values=kappa)
 
 

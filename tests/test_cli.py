@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -17,8 +18,10 @@ from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_cr
 from depcon.cli import (
     _load_any_dataset,
     _load_matrix,
+    _matrix_rows,
     _openblas_threads,
     _write_gram_json,
+    _write_json,
     _write_matrix_csv,
     main,
 )
@@ -97,13 +100,12 @@ def _json_dumps_file(payload):
         np.eye(2),
         np.array([[1.0, 0.0], [-0.0, 1.0]]),  # a -0.0 / 0.0 mirror is not symmetric bit for bit
         np.random.default_rng(5).standard_normal((4, 4)),
-        np.array([[1.0, np.nan], [np.inf, -np.inf]]),
     ],
-    ids=["symmetric", "signed-zero", "asymmetric", "non-finite"],
+    ids=["symmetric", "signed-zero", "asymmetric"],
 )
 def test_gram_json_writer_matches_one_piece_dump(tmp_path, matrix):
     provenance = {"command": "gram", "config": {"data": "d\u00e9.csv"}}
-    _write_gram_json(tmp_path / "g.json", matrix, provenance)
+    _write_gram_json(tmp_path / "g.json", functools.partial(_matrix_rows, matrix), provenance)
     expected = _json_dumps_file({"values": matrix.tolist(), "provenance": provenance})
     assert (tmp_path / "g.json").read_bytes() == expected
 
@@ -129,10 +131,11 @@ def pipeline_900(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, bound",
     [
-        # the Gram, and a table of the reprs of its upper triangle (24 bytes each)
-        (("gram", "data.csv", "-o", "out.csv"), 3.0),
+        # the unit vectors, one band of the Gram and the reprs still to be
+        # written, at most n^2 / 4 of 24 bytes each
+        (("gram", "data.csv", "-o", "out.csv"), 1.7),
         # the same, with the JSON rows written as they are formed
-        (("gram", "data.csv", "-o", "out.json", "--format", "json"), 3.0),
+        (("gram", "data.csv", "-o", "out.json", "--format", "json"), 1.7),
         # the Gram; HKH is formed a row block at a time, and the rest is O(n) or one block
         (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.0),
         (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.0),
@@ -806,6 +809,33 @@ def test_cluster_indefinite_gram(tmp_path):
         assert len(labels) == 120 and set(labels) == set(range(report["best_k"]))
         numbers = [report["objective"], *report["objective_trace"], *report["scores"].values()]
         assert all(math.isfinite(v) for v in numbers)
+
+
+def test_cluster_perfect_partition_scores_null(tmp_path):
+    # two blocks, 1.0 within and 0.2 across: each cluster's points coincide, so
+    # the within dispersion is 0 and the VRC is infinite, which JSON cannot spell
+    values = np.full((6, 6), 0.2)
+    values[:3, :3] = values[3:, 3:] = 1.0
+    gram = tmp_path / "blocks.csv"
+    gram.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    for extra in (("-k", 2), ("--k-range", 2, 3)):
+        out = tmp_path / "labels.csv"
+        assert run("cluster", gram, "-o", out, *extra) == 0
+        text = (tmp_path / "labels.csv.report.json").read_text()
+        report = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+        assert report["best_k"] == 2 and report["scores"]["2"] is None
+        assert report["labels"][:3] == [report["labels"][0]] * 3
+        assert set(report["labels"][:3]).isdisjoint(report["labels"][3:])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_outputs_refuse_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NonFiniteValueError):
+        _write_json(path, {"x": [1.0, value]})
+    with pytest.raises(NonFiniteValueError):
+        _write_json(path, {"rows": [[value]]}, matrices=("rows",))
+    assert not path.exists()
 
 
 def test_spread_beyond_float64_is_finite(tmp_path):

@@ -1,0 +1,100 @@
+"""The Gram file `depcon gram` streams from the unit vectors in row bands."""
+
+import json
+
+import numpy as np
+import pytest
+
+import depcon.cli
+import depcon.kernel
+from depcon.cli import _load_matrix, _one_blas_thread, _write_matrix_csv, main
+from depcon.errors import NonFiniteValueError
+from depcon.kernel import GRAM_BAND_ROWS, gram_matrix
+
+B = GRAM_BAND_ROWS
+
+
+def _dataset(tmp_path, n, seed=5):
+    """A dependent (n, 4) dataset and its CSV file, which reads back bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 4))
+    x[:, 1] += np.sin(2.0 * x[:, 0])
+    path = tmp_path / "data.csv"
+    _write_matrix_csv(path, x, {"command": "test"})
+    return x, path
+
+
+def _library_gram(x):
+    # the CLI pins BLAS to one thread; a product split across threads rounds differently
+    with _one_blas_thread():
+        return gram_matrix(x).values
+
+
+@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1, 900])
+def test_gram_file_is_the_library_gram(tmp_path, n):
+    x, data = _dataset(tmp_path, n)
+    gram = _library_gram(x)
+    assert gram.tobytes() == gram.T.tobytes(order="C")  # exactly symmetric
+    assert np.abs(np.diagonal(gram) - 1.0).max() <= 4 * np.finfo(np.float64).eps
+    assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
+    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    assert main(["gram", str(data), "-o", str(tmp_path / "g.json"), "--format", "json"]) == 0
+    values = json.loads((tmp_path / "g.json").read_text())["values"]
+    assert np.array(values, dtype=np.float64).tobytes() == gram.tobytes()
+
+
+def test_gram_file_reprs_each_upper_cell_once(tmp_path, monkeypatch):
+    n = 2 * B + 1
+    x, data = _dataset(tmp_path, n)
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return repr(value)
+
+    # module globals come before builtins, so the writer calls this one
+    monkeypatch.setattr(depcon.cli, "repr", counting_repr, raising=False)
+    assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
+    gram = _library_gram(x)
+    # each row's cells from the diagonal on, the rows in order, and nothing else
+    assert np.array(formatted).tobytes() == gram[np.triu_indices(n)].tobytes()
+    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
+
+
+def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):
+    # a band's diagonal block below the diagonal is the mirror's cells, which
+    # another BLAS may round differently; neither the library nor the file reads them
+    n = 2 * B + 1
+    x, data = _dataset(tmp_path, n)
+    gram = _library_gram(x)
+    bands = depcon.kernel._gram_bands
+
+    def spoiled(u, out=None):
+        for start, band in bands(u, out):
+            rows = band.shape[0]
+            band[:, :rows][np.tri(rows, k=-1, dtype=bool)] = 7.0
+            yield start, band
+
+    monkeypatch.setattr(depcon.kernel, "_gram_bands", spoiled)
+    monkeypatch.setattr(depcon.cli, "_gram_bands", spoiled)
+    assert _library_gram(x).tobytes() == gram.tobytes()
+    assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
+    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt):
+    _, data = _dataset(tmp_path, 20)
+    units = depcon.cli._unit_vectors
+
+    def with_nan(feats, critical):
+        u = units(feats, critical)
+        u[3, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(depcon.cli, "_unit_vectors", with_nan)
+    out = tmp_path / f"g.{fmt}"
+    assert main(["gram", str(data), "-o", str(out), "--format", fmt]) == (
+        NonFiniteValueError.exit_code
+    )
+    assert "non-finite value in the Gram's rows 0..19" in capsys.readouterr().err
