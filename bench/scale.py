@@ -119,7 +119,7 @@ def main(argv=None):
             (Path(workdir) / "gram.csv").unlink(missing_ok=True)
             print(json.dumps(cells[-1]), flush=True)
     result = {
-        "what": __doc__.split("\n\n")[1].replace("\n", " "),
+        "what": __doc__.split("\n\n")[2].replace("\n", " ").strip(),
         "label": args.label,
         "sha": sha,
         "python": platform.python_version(),
