@@ -1,16 +1,19 @@
-"""Scale grid, quick tier: `gram_matrix` and `depcon gram` at large n.
+"""Scale grid, quick tier: the feature build, the aggregate statistic,
+`gram_matrix` and `depcon gram` at large n.
 
     python bench/scale.py --label change
     python bench/scale.py --label parent --src ../parent/src --sha <sha>
+    python bench/scale.py --cell gram_matrix 200 5   # one cell, its record on stdout
 
 Each cell runs in a fresh process with one BLAS thread and one library
 thread, and measures only itself: wall time (``perf_counter``), CPU time
 (``process_time``) and the process's peak RSS (``getrusage``), besides the
 RSS it had before the timed call. The data are
 ``default_rng(7).standard_normal((n, m))`` with column 1 plus sin(column 0).
-The `depcon gram` cells read that data from a CSV file and write the Gram
-CSV (about 1.2 GB at n = 8,000) to a temporary directory, which is deleted.
-The result goes to ``BENCH_scale_<label>.json`` in the current directory.
+A `depcon gram` cell first writes that data to a CSV file in a temporary
+directory, then times the command, which writes the Gram CSV (about 1.2 GB
+at n = 8,000) there; the directory is deleted. The result goes to
+``BENCH_scale_<label>.json`` in the current directory.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CELLS = [(layer, n, 10) for n in (2000, 8000) for layer in ("gram_matrix", "cli_gram")]
+LAYERS = ("contribution_features", "aggregate_statistic", "gram_matrix", "cli_gram")
+GRID = [(n, m) for n in (2000, 8000) for m in (5, 10, 20)]
+CELLS = (
+    [(layer, n, m) for layer in LAYERS[:2] for n, m in GRID + [(16000, 10)]]
+    + [("gram_matrix", n, m) for n, m in GRID]
+    + [("cli_gram", n, 10) for n in (2000, 8000)]
+)
 THREAD_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
@@ -42,7 +51,7 @@ def data(n, m):
     return x
 
 
-def run_cell(layer, n, m, workdir):
+def run_cell(layer, n, m):
     """Time one layer in this process; print its JSON record."""
     import resource
     import time
@@ -50,22 +59,24 @@ def run_cell(layer, n, m, workdir):
     import numpy as np
 
     import depcon.cli
-    from depcon.kernel import gram_matrix
+    from depcon.inference import aggregate_statistic
+    from depcon.kernel import contribution_features, gram_matrix
 
-    if layer == "gram_matrix":
-        x = data(n, m)
-
-        def call():
-            gram_matrix(x)
-    else:
-        source, output = Path(workdir) / f"data_{n}_{m}.csv", Path(workdir) / "gram.csv"
-
-        def call():
-            assert depcon.cli.main(["gram", str(source), "-o", str(output)]) == 0
+    x = data(n, m)
+    workdir = tempfile.TemporaryDirectory(prefix="depcon-scale-")
+    source, output = Path(workdir.name) / "data.csv", Path(workdir.name) / "gram.csv"
+    call = {
+        "contribution_features": lambda: contribution_features(x),
+        "aggregate_statistic": lambda: aggregate_statistic(x),
+        "gram_matrix": lambda: gram_matrix(x),
+        "cli_gram": lambda: depcon.cli.main(["gram", str(source), "-o", str(output)]),
+    }[layer]
+    if layer == "cli_gram":
+        depcon.cli._write_matrix_csv(source, x, {})
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     wall, cpu = time.perf_counter(), time.process_time()
-    call()
+    result = call()
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record = {
@@ -79,7 +90,9 @@ def run_cell(layer, n, m, workdir):
         "numpy": np.__version__,
     }
     if layer == "cli_gram":
+        assert result == 0, f"depcon gram exited {result}"
         record["file_bytes"] = output.stat().st_size
+    workdir.cleanup()
     print(json.dumps(record))
 
 
@@ -88,12 +101,12 @@ def main(argv=None):
     parser.add_argument("--label", help="names BENCH_scale_<label>.json")
     parser.add_argument("--src", default=str(ROOT / "src"), help="the depcon tree to measure")
     parser.add_argument("--sha", default=None, help="its commit (default: git HEAD of --src)")
-    parser.add_argument("--cell", nargs=3, metavar=("LAYER", "N", "M"), help=argparse.SUPPRESS)
-    parser.add_argument("--workdir", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--cell", nargs=3, metavar=("LAYER", "N", "M"),
+                        help=f"time one cell in this process; LAYER is one of {', '.join(LAYERS)}")
     args = parser.parse_args(argv)
     if args.cell:
         layer, n, m = args.cell
-        run_cell(layer, int(n), int(m), args.workdir)
+        run_cell(layer, int(n), int(m))
         return 0
     if not args.label:
         parser.error("--label is required")
@@ -104,20 +117,13 @@ def main(argv=None):
     ).stdout.strip() or None
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
     cells = []
-    with tempfile.TemporaryDirectory(prefix="depcon-scale-") as workdir:
-        sys.path.insert(0, str(src))
-        from depcon.cli import _write_matrix_csv
-
-        for n, m in sorted({(n, m) for _, n, m in CELLS}):
-            _write_matrix_csv(Path(workdir) / f"data_{n}_{m}.csv", data(n, m), {})
-        for layer, n, m in CELLS:
-            out = subprocess.run(
-                [sys.executable, __file__, "--cell", layer, str(n), str(m), "--workdir", workdir],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            cells.append(json.loads(out.splitlines()[-1]))
-            (Path(workdir) / "gram.csv").unlink(missing_ok=True)
-            print(json.dumps(cells[-1]), flush=True)
+    for layer, n, m in CELLS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--cell", layer, str(n), str(m)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        cells.append(json.loads(out.splitlines()[-1]))
+        print(json.dumps(cells[-1]), flush=True)
     result = {
         "what": __doc__.split("\n\n")[2].replace("\n", " ").strip(),
         "label": args.label,

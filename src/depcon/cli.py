@@ -45,7 +45,7 @@ from .errors import (
 )
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
-from .kernel import BACKEND_NAME, _features_with_critical, _gram_bands, _unit_vectors
+from .kernel import BACKEND_NAME, _gram_bands, _unit_vectors
 from .synth import BenchmarkConfig, build_benchmark, model_descriptor
 
 EXIT_FILE_NOT_FOUND = 2
@@ -256,9 +256,8 @@ def _load_labels(path) -> np.ndarray:
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
     # the unit vectors gram_matrix uses; the file is streamed from them in bands
-    feats, critical = _features_with_critical(data, args.alpha, args.convention, args.threads)
-    rows = functools.partial(_gram_rows, _unit_vectors(feats, critical))
-    del feats
+    units = _unit_vectors(data, args.alpha, args.convention, args.threads)
+    rows = functools.partial(_gram_rows, units)
     prov = _provenance("gram", vars(args))
     if args.format == "json":
         _write_gram_json(args.output, rows, prov)

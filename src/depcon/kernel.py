@@ -22,12 +22,12 @@ i's product is ``Z_i^T Z_i = E_i^T E_i - n alpha_i alpha_i^T`` where
 term. Products are built in row blocks of about ``DEFAULT_BLOCK_BYTES``
 scratch, each sample's on its own, so results are bit-identical for any
 block size and any thread count. ``concurrent.futures`` is imported only
-when a build runs more than one worker. Callers that need only sums over
-the samples (the tests' aggregate statistics, the mean contribution, the
-distance covariances, the two-sample score) fold each block into them as
-it is built, so they never hold the (n, m, m) stack. A dataset's
-standardized sums are built once per process for each critical matrix:
-later calls on the same values reuse them (``_feature_sums``).
+when a build runs more than one worker. Every consumer takes the products
+a group of rows at a time from one path (``_product_blocks``), folding each
+group into its sums or into the Gram's unit vectors (``_unit_vectors``) as
+it is built; only ``contribution_features`` assembles the (n, m, m) stack.
+A dataset's standardized sums are built once per process for each critical
+matrix: later calls on the same values reuse them (``_feature_sums``).
 
 Each column is first scaled by the power of two that brings its largest
 |value| into [1/2, 1). That is exact, kappa and the standardized products
@@ -185,13 +185,12 @@ def _product_block(x, a, start, stop, out):
         out[redo] = np.matmul(z.transpose(0, 2, 1), z)
 
 
-def _product_blocks(x, a, threads, out=None):
-    """The products Z_i^T Z_i of consecutive groups of rows, in row order.
+def _product_blocks(x, a, threads):
+    """``(start, group)``: the products Z_i^T Z_i of consecutive row groups, in order.
 
     Each ``_product_block`` call builds one block of rows with about
     ``DEFAULT_BLOCK_BYTES`` of scratch, and a group is as many blocks as
-    fill about ``DEFAULT_BLOCK_BYTES / 16`` of products. Given an (n, m, m)
-    ``out``, a group is built into its rows of ``out``; otherwise into one
+    fill about ``DEFAULT_BLOCK_BYTES / 16`` of products, built into one
     buffer per worker that is valid until the next group is asked for.
     Workers (``min(threads, groups, CPUs)``) build one group each at a
     time, so at most one group per worker is live.
@@ -206,15 +205,15 @@ def _product_blocks(x, a, threads, out=None):
     rows = step * per_group
     spans = [(start, min(start + rows, n)) for start in range(0, n, rows)]
     workers = min(threads, len(spans), os.cpu_count() or 1)
-    scratch = np.empty((workers, rows, m, m)) if out is None else None
+    scratch = np.empty((workers, rows, m, m))
 
     def build(job):
         slot, (start, stop) = job
-        group = out[start:stop] if out is not None else scratch[slot, : stop - start]
+        group = scratch[slot, : stop - start]
         for first in range(start, stop, step):
             last = min(first + step, stop)
             _product_block(x, a, first, last, group[first - start:last - start])
-        return group
+        return start, group
 
     if workers == 1:
         for span in spans:
@@ -232,20 +231,19 @@ def _product_blocks(x, a, threads, out=None):
 def contribution_features(data, standardize=True, threads=None) -> np.ndarray:
     """(n, m, m) stack of per-sample products Z_i^T Z_i (C_i^T C_i when unstandardized).
 
-    Built by the folded identity of the module docstring; C_i^T C_i is that
-    times the outer product of the mean distances, scaled back exactly to
-    the data's units (NonFiniteValueError if that overflows). Each sample's
-    product is computed on its own, so results are bit-identical for any
-    block size and any number of workers. The pool holds
-    ``min(threads, blocks, CPUs)`` workers.
+    The only builder of the stack, from the groups of ``_product_blocks``.
+    C_i^T C_i is that times the outer product of the mean distances, scaled
+    back exactly to the data's units (NonFiniteValueError if that
+    overflows). Each sample's product is computed on its own, so results
+    are bit-identical for any block size and any number of workers.
     """
     threads = _resolve_threads(threads)
     values = _values(data)
     n, m = values.shape
     x, a, grand_mean, exponents = _scaled_columns(values)
     out = np.empty((n, m, m), dtype=np.float64)
-    for _ in _product_blocks(x, a, threads, out):
-        pass
+    for start, group in _product_blocks(x, a, threads):
+        out[start:start + len(group)] = group
     if not standardize:
         out *= np.outer(grand_mean, grand_mean)
         _scaled_back(out, exponents[:, None] + exponents[None, :])
@@ -276,7 +274,7 @@ def _built_sums(x, a, threads, critical=None, scale=None):
     """
     total = units = None
     degenerate = [np.zeros(0, dtype=bool)]
-    for block in _product_blocks(x, a, threads):
+    for _, block in _product_blocks(x, a, threads):
         if scale is not None:
             block *= scale
         total = _fold(total, block)
@@ -341,13 +339,6 @@ def _critical(values, alpha, convention):
     return critical_matrix(m, n, alpha, convention)
 
 
-def _features_with_critical(data, alpha, convention, threads=None):
-    """One dataset's (n, m, m) contribution features and its critical matrix."""
-    values = _values(data)
-    critical = _critical(values, alpha, convention)
-    return contribution_features(values, threads=threads), critical
-
-
 def gram_matrix(
     data_a,
     data_b=None,
@@ -361,15 +352,15 @@ def gram_matrix(
     The square single-dataset Gram is exactly symmetric with unit diagonal
     up to rounding (0 on degenerate samples); the cross case is n x n'.
     """
-    feats_a, crit_a = _features_with_critical(data_a, alpha, convention, threads)
+    values_a = _values(data_a)
+    u_a = _unit_vectors(values_a, alpha, convention, threads)
     if data_b is None:
-        return _gram_from_features(feats_a, crit_a)
-    m = feats_a.shape[1]
+        return _gram_from_units(u_a)
+    m = values_a.shape[1]
     values_b = _values(data_b)
     if values_b.shape[1] != m:
         raise DimensionMismatchError(f"feature counts differ: {m} vs {values_b.shape[1]}")
-    feats_b, crit_b = _features_with_critical(values_b, alpha, convention, threads)
-    return _gram_from_features(feats_a, crit_a, feats_b, crit_b)
+    return _gram_from_units(u_a, _unit_vectors(values_b, alpha, convention, threads))
 
 
 def _unit_rows(feats, critical):
@@ -398,11 +389,21 @@ def _warn_degenerate(degenerate, stacklevel):
         )
 
 
-def _unit_vectors(feats, critical):
-    """Rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples, which are named in a warning."""
-    phi, degenerate = _unit_rows(feats, critical)
-    _warn_degenerate(degenerate, stacklevel=4)
-    return phi
+def _unit_vectors(data, alpha, convention, threads=None):
+    """One dataset's (n, m^2) rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples,
+    named in one warning at the caller's caller. Each product group goes through
+    ``_unit_rows`` as it is built, so no stack is held; every row equals that
+    of ``_unit_rows(contribution_features(data), critical)`` bit for bit."""
+    threads = _resolve_threads(threads)
+    values = _values(data)
+    critical = _critical(values, alpha, convention)
+    u = np.empty((values.shape[0], critical.m * critical.m))
+    degenerate = np.empty(values.shape[0], dtype=bool)
+    for start, group in _product_blocks(*_scaled_columns(values)[:2], threads):
+        stop = start + len(group)
+        u[start:stop], degenerate[start:stop] = _unit_rows(group, critical)
+    _warn_degenerate(degenerate, stacklevel=3)
+    return u
 
 
 def _gram_bands(u, out=None):
@@ -422,11 +423,10 @@ def _gram_bands(u, out=None):
         yield start, band
 
 
-def _gram_from_features(feats_a, crit_a, feats_b=None, crit_b=None) -> GramMatrix:
-    """Kappa Gram ``U_a U_b^T`` from feature stacks: square over one stack, n x n' across two."""
-    u_a = _unit_vectors(feats_a, crit_a)
-    if feats_b is not None:
-        kappa = u_a @ _unit_vectors(feats_b, crit_b).T
+def _gram_from_units(u_a, u_b=None) -> GramMatrix:
+    """Kappa Gram ``U_a U_b^T`` of unit vectors: square over one set, n x n' across two."""
+    if u_b is not None:
+        kappa = u_a @ u_b.T
         np.clip(kappa, -1.0, 1.0, out=kappa)
         return GramMatrix(values=kappa)
     n = u_a.shape[0]

@@ -5,6 +5,8 @@ tests only.
 The kernel reference materializes the full n x n x m distance tensor and
 works one sample pair at a time, straight from the definitions, so the fast
 paths in ``depcon.kernel`` can be checked against it. Memory is O(n^2 m).
+``extended_products`` is the large-n oracle: one sample's product at a time
+in extended precision, with O(n m) memory.
 The Gram-factor helpers build test Grams of known rank and record or force
 the route ``depcon.clustering._factor`` takes: the pivoted Cholesky, or its
 ``eigh`` fallback. The Variance Ratio Criterion reference reads Gram sums one
@@ -64,6 +66,28 @@ def distance_tensor(data) -> CenteredDistanceTensor:
     c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
     z = c / grand_mean
     return CenteredDistanceTensor(d=d, c=c, z=z, feature_mean_distance=grand_mean)
+
+
+def extended_products(data, rows):
+    """``Z_i^T Z_i`` of the samples ``rows`` in ``np.longdouble``, one sample at a
+    time from the definition: O(n m^2) each. The row-mean distances come from a
+    sorted prefix sum, so no n x n array is built and large n stays cheap."""
+    x = np.asarray(data, dtype=np.longdouble)
+    n, m = x.shape
+    order = np.argsort(x, axis=0, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=0)
+    prefix = np.vstack([np.zeros((1, m), dtype=np.longdouble), np.cumsum(ordered, axis=0)])
+    ranks = np.arange(n, dtype=np.longdouble)[:, None]
+    # sum_k |v_r - v_k| for the r-th sorted value v_r
+    sums = ordered * (2 * ranks + 1 - n) + prefix[-1] - prefix[:-1] - prefix[1:]
+    row_mean = np.empty_like(x)
+    np.put_along_axis(row_mean, order, sums / n, axis=0)
+    grand_mean = row_mean.mean(axis=0)
+    products = []
+    for i in rows:
+        z = (np.abs(x[i] - x) - row_mean[i] - row_mean + grand_mean) / grand_mean
+        products.append(z.T @ z)
+    return np.array(products)
 
 
 def phi_map(tensor: CenteredDistanceTensor, critical: CriticalMatrix, i: int):

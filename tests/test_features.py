@@ -6,7 +6,7 @@ import pytest
 import depcon.kernel
 from depcon.inference import aggregate_statistic
 from depcon.kernel import contribution_features
-from reference import distance_tensor
+from reference import distance_tensor, extended_products
 
 
 def _random(rng):
@@ -81,6 +81,16 @@ def test_heavy_tails_match_extended_precision():
     z /= grand_mean
     reference = np.einsum("ikj,ikl->ijl", z, z)
     assert _relative_to_diagonals(contribution_features(x), reference) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+def test_heavy_tails_at_scale_match_extended_precision():
+    # at n = 8000 the float64 tensor would take 1.5 GB and be off by about 1e-12
+    # itself; the per-sample oracle checks each column's largest sample and 13 others
+    x = np.random.default_rng(1).pareto(0.5, (8000, 3))
+    rows = np.concatenate([x.argmax(axis=0), np.random.default_rng(2).choice(8000, 13, replace=False)])
+    reference = extended_products(x, rows)
+    assert _relative_to_diagonals(contribution_features(x)[rows], reference) <= 1e-12
 
 
 @pytest.mark.parametrize("make", [_random, _heavy_tails])

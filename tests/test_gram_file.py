@@ -87,8 +87,8 @@ def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt):
     _, data = _dataset(tmp_path, 20)
     units = depcon.cli._unit_vectors
 
-    def with_nan(feats, critical):
-        u = units(feats, critical)
+    def with_nan(data, alpha, convention, threads):
+        u = units(data, alpha, convention, threads)
         u[3, 0] = np.nan
         return u
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import depcon.kernel
+from depcon.cli import _load_matrix, _one_blas_thread, _write_matrix_csv, main
 from depcon.critical import CriticalScale, critical_matrix
 from depcon.dataset import Dataset
 from depcon.errors import (
@@ -17,8 +18,10 @@ from depcon.errors import (
 )
 from depcon.inference import aggregate_statistic, structure_difference_score
 from depcon.kernel import (
+    _gram_from_units,
     _resolve_threads,
-    _unit_vectors,
+    _unit_rows,
+    _warn_degenerate,
     contribution_features,
     contribution_mean_distance,
     distance_cov_matrix,
@@ -405,10 +408,11 @@ def _warnings_of(call):
     return result, caught
 
 
-def test_folded_aggregates_match_the_stack(monkeypatch):
-    # the aggregate callers fold each row block as it is built: every sum must
-    # be the stack's, bit for bit, at any block size and thread count, and
-    # degenerate samples must be named exactly as the stack names them
+def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
+    # the aggregate callers and the Gram paths fold each row block as it is
+    # built: every sum and Gram must be the stack's, bit for bit, at any block
+    # size and thread count, and degenerate samples must be named exactly as
+    # the stack names them
     rng = np.random.default_rng(157)
     a, b = random_dataset(rng, 200, 4), random_dataset(rng, 150, 4)
     crit_a, crit_b = critical_matrix(4, 200, 0.1), critical_matrix(4, 150, 0.1)
@@ -417,16 +421,21 @@ def test_folded_aggregates_match_the_stack(monkeypatch):
     phi = feats_b.reshape(150, -1) - crit_b.values.reshape(-1)
     sq_norms = np.sort(np.einsum("ij,ij->i", phi, phi))
     monkeypatch.setattr(depcon.kernel, "DEGENERATE_SQ_NORM", (sq_norms[11] + sq_norms[12]) / 2)
-    (units_a, units_b), caught = _warnings_of(
-        lambda: [_unit_vectors(f, c).sum(axis=0) for f, c in ((feats_a, crit_a), (feats_b, crit_b))]
-    )
+    (u_a, zero_a), (u_b, zero_b) = _unit_rows(feats_a, crit_a), _unit_rows(feats_b, crit_b)
+    _, caught = _warnings_of(lambda: [_warn_degenerate(z, stacklevel=1) for z in (zero_a, zero_b)])
     expected_warnings = [str(w.message) for w in caught]
     assert expected_warnings[-1].startswith("12 of 150 samples") and expected_warnings[-1].endswith(", ...")
+    units_a, units_b = u_a.sum(axis=0), u_b.sum(axis=0)
     score = float(units_a @ units_b)
     stat_a = feats_a.sum(axis=0) - 200 * crit_a.values
     stat_b = feats_b.sum(axis=0) - 150 * crit_b.values
     mean_a = feats_a.mean(axis=0) - crit_a.values
     dcov_b = np.maximum(contribution_features(b, standardize=False).sum(axis=0) / 150**2, 0.0)
+    # the CLI pins BLAS to one thread; a product split across threads rounds differently
+    with _one_blas_thread():
+        gram_b, cross = _gram_from_units(u_b).values, _gram_from_units(u_a, u_b).values
+    data_b = tmp_path / "b.csv"
+    _write_matrix_csv(data_b, b, {"command": "test"})
     # a row of scratch is 200 * 4 doubles = 6400 bytes: one-row, 3-row and default blocks
     for block_bytes in (1, 3 * 6400, DEFAULT_BLOCK_BYTES):
         monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
@@ -442,6 +451,19 @@ def test_folded_aggregates_match_the_stack(monkeypatch):
             assert result.score == score
             assert np.array_equal(result.statistic_a, stat_a)
             assert np.array_equal(result.statistic_b, stat_b)
+            with _one_blas_thread():
+                square, caught = _warnings_of(lambda: gram_matrix(b, threads=threads).values)
+                assert [str(w.message) for w in caught] == expected_warnings[-1:]
+                assert all(w.filename == __file__ for w in caught)
+                assert square.tobytes() == gram_b.tobytes()
+                both, caught = _warnings_of(lambda: gram_matrix(a, b, threads=threads).values)
+                assert [str(w.message) for w in caught] == expected_warnings
+                assert all(w.filename == __file__ for w in caught)
+                assert both.tobytes() == cross.tobytes()
+            args = ["gram", str(data_b), "-o", str(tmp_path / "g.csv"), "--threads", str(threads)]
+            status, caught = _warnings_of(lambda: main(args))
+            assert status == 0 and [str(w.message) for w in caught] == expected_warnings[-1:]
+            assert _load_matrix(tmp_path / "g.csv").tobytes() == gram_b.tobytes()
 
 
 def test_default_block_rows_at_least_one(monkeypatch):

@@ -1,6 +1,8 @@
 """The public surface of the package."""
 
+import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -87,3 +89,24 @@ else:
 """
     env = dict(os.environ, PYTHONPATH=str(Path(depcon.__file__).resolve().parent.parent))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_scale_script_runs_every_layer():
+    # bench/scale.py calls the kernel by name in fresh processes; a renamed
+    # entry point must fail here, not only when the scale grid is next run
+    script = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
+    spec = importlib.util.spec_from_file_location("scale", script)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    assert {layer for layer, _, _ in scale.CELLS} == set(scale.LAYERS)
+    env = dict(os.environ, **scale.THREAD_ENV,
+               PYTHONPATH=str(Path(depcon.__file__).resolve().parent.parent))
+    keys = {"layer", "n", "m", "wall_s", "cpu_s", "peak_rss_mb", "rss_before_mb", "numpy"}
+    for layer in scale.LAYERS:
+        out = subprocess.run(
+            [sys.executable, str(script), "--cell", layer, "200", "5"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        record = json.loads(out.splitlines()[-1])
+        assert set(record) == keys | ({"file_bytes"} if layer == "cli_gram" else set()), layer
+        assert (record["layer"], record["n"], record["m"]) == (layer, 200, 5)
