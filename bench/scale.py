@@ -8,7 +8,9 @@
 Each cell runs in a fresh process with one BLAS thread and one library
 thread, and measures only itself: wall time (``perf_counter``), CPU time
 (``process_time``) and the process's peak RSS (``getrusage``), besides the
-RSS it had before the timed call. The data are
+RSS it had before the timed call. The grid runs ``REPEATS`` times, one
+whole round after another, so a slow spell of the host hits every cell
+alike; the result keeps every run and each cell's medians. The data are
 ``default_rng(7).standard_normal((n, m))`` with column 1 plus sin(column 0).
 A `depcon gram` cell first writes that data to a CSV file in a temporary
 directory, then times the command, which writes the Gram CSV (about 1.2 GB
@@ -22,12 +24,16 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Rounds of the grid. One timing per cell could not resolve CPU differences
+#: below about 40% on a shared 2-vCPU VM; the median of interleaved rounds can.
+REPEATS = 3
 LAYERS = ("contribution_features", "aggregate_statistic", "gram_matrix", "cli_gram")
 GRID = [(n, m) for n in (2000, 8000) for m in (5, 10, 20)]
 CELLS = (
@@ -116,14 +122,21 @@ def main(argv=None):
         ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True
     ).stdout.strip() or None
     env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
+    runs = []
+    for repeat in range(REPEATS):
+        for layer, n, m in CELLS:
+            out = subprocess.run(
+                [sys.executable, __file__, "--cell", layer, str(n), str(m)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            runs.append({**json.loads(out.splitlines()[-1]), "repeat": repeat})
+            print(json.dumps(runs[-1]), flush=True)
     cells = []
-    for layer, n, m in CELLS:
-        out = subprocess.run(
-            [sys.executable, __file__, "--cell", layer, str(n), str(m)],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        cells.append(json.loads(out.splitlines()[-1]))
-        print(json.dumps(cells[-1]), flush=True)
+    for cell in CELLS:
+        own = [run for run in runs if (run["layer"], run["n"], run["m"]) == cell]
+        medians = {key: statistics.median(run[key] for run in own)
+                   for key in ("wall_s", "cpu_s", "peak_rss_mb")}
+        cells.append(dict(zip(("layer", "n", "m"), cell), **medians))
     result = {
         "what": __doc__.split("\n\n")[2].replace("\n", " ").strip(),
         "label": args.label,
@@ -131,7 +144,9 @@ def main(argv=None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "repeats": REPEATS,
         "cells": cells,
+        "runs": runs,
     }
     Path(f"BENCH_scale_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")
     return 0

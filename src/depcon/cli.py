@@ -81,16 +81,23 @@ def _json_text(payload, **layout) -> str:
         raise NonFiniteValueError(f"cannot write a non-finite number as JSON: {exc}") from None
 
 
-def _write_json(path, payload: dict, matrices=()):
-    """Sorted keys, indent 2; each row of the top-level lists of rows named in
-    ``matrices`` goes on one line, so an m x m 0/1 relation takes m lines."""
+def _write_json(path, payload: dict, rows=None):
+    """Sorted keys, indent 2, as one ``json.dumps`` writes them. Each list that
+    ``rows`` names is streamed from its iterable of preformatted rows (bytes),
+    one per line; the payload is formatted, and a NaN refused, before the file
+    is opened."""
+    rows = rows or {}
     # argv and JSON keys hold no NUL, so each placeholder string is unique
-    slots = {key: f"\0{key}" for key in matrices}
-    text = _json_text({**payload, **slots}, indent=2, sort_keys=True)
-    for key, slot in slots.items():
-        rows = ",\n".join("    " + _json_text(row) for row in payload[key])
-        text = text.replace(json.dumps(slot), f"[\n{rows}\n  ]" if rows else "[]")
-    Path(path).write_text(text + "\n")
+    text = _json_text({**payload, **{key: f"\0{key}" for key in rows}}, indent=2, sort_keys=True)
+    with open(path, "wb") as handle:
+        for key in sorted(rows):  # the placeholders' order in the text
+            head, text = text.split(json.dumps(f"\0{key}"))
+            handle.write(head.encode() + b"[")
+            count = 0
+            for count, row in enumerate(rows[key], 1):
+                handle.write((b",\n    " if count > 1 else b"\n    ") + row)
+            handle.write(b"\n  ]" if count else b"]")
+        handle.write(text.encode() + b"\n")
 
 
 def _matrix_rows(matrix: np.ndarray, sep: bytes):
@@ -137,10 +144,10 @@ def _gram_rows(u: np.ndarray, sep: bytes):
             tiles.setdefault(c, []).append(tile)
 
 
-def _write_csv_rows(path, rows, provenance: dict):
-    """One line per row of ``rows(b",")``, and the provenance sidecar."""
+def _write_csv(path, lines, provenance: dict):
+    """One line per row of ``lines`` (bytes), and the provenance sidecar."""
     with open(path, "wb") as handle:
-        for line in rows(b","):
+        for line in lines:
             handle.write(line + b"\n")
     _write_json(str(path) + ".provenance.json", provenance)
 
@@ -148,22 +155,7 @@ def _write_csv_rows(path, rows, provenance: dict):
 def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
     """One row per line, each cell the shortest round-trip repr of its float64."""
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
-    _write_csv_rows(path, functools.partial(_matrix_rows, matrix), provenance)
-
-
-def _write_gram_json(path, rows, provenance: dict):
-    """``{"provenance": ..., "values": rows}`` exactly as ``_write_json`` writes it
-    (``json.dumps`` with indent 2), the rows of ``rows(sep)`` streamed as they
-    are formed, each cell a finite float64's repr."""
-    slot = json.dumps("\0values")  # argv and JSON keys hold no NUL, so it is unique
-    head, tail = _json_text(
-        {"provenance": provenance, "values": "\0values"}, indent=2, sort_keys=True
-    ).split(slot)
-    with open(path, "wb") as handle:
-        handle.write(head.encode() + b"[")
-        for i, row in enumerate(rows(b",\n      ")):
-            handle.write((b",\n" if i else b"\n") + b"    [\n      " + row + b"\n    ]")
-        handle.write(b"\n  ]" + tail.encode() + b"\n")
+    _write_csv(path, _matrix_rows(matrix, b","), provenance)
 
 
 def _load_any_dataset(path):
@@ -257,12 +249,12 @@ def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
     # the unit vectors gram_matrix uses; the file is streamed from them in bands
     units = _unit_vectors(data, args.alpha, args.convention, args.threads)
-    rows = functools.partial(_gram_rows, units)
     prov = _provenance("gram", vars(args))
     if args.format == "json":
-        _write_gram_json(args.output, rows, prov)
+        rows = (b"[\n      " + row + b"\n    ]" for row in _gram_rows(units, b",\n      "))
+        _write_json(args.output, {"provenance": prov}, rows={"values": rows})
     else:
-        _write_csv_rows(args.output, rows, prov)
+        _write_csv(args.output, _gram_rows(units, b","), prov)
     return 0
 
 
@@ -338,7 +330,8 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     gram = _load_gram(args.gram)
     if args.k is not None:
-        # one k, seeded by --seed itself; unlike select_k, k = n is allowed
+        # one k, seeded by --seed itself; unlike select_k, k = n is allowed for the
+        # silhouette (VRC needs k < n)
         result = _select(
             _gram_values(gram), [(args.k, args.seed)], args.criterion,
             args.init, args.max_iter, args.restarts,
@@ -384,19 +377,12 @@ def cmd_kpca(args) -> int:
         raise LengthMismatchError(f"{labels.size} labels for a Gram of {gram.shape[0]} samples")
     model = kpca_fit(gram, args.components)
     coords = kpca_transform(model)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = [f"component_{i}" for i in range(coords.shape[1])]
+    lines = _matrix_rows(coords, b",")
     if labels is not None:
         header.append("label")
-    writer.writerow(header)
-    for idx, row in enumerate(coords):
-        out = [_fmt(v) for v in row]
-        if labels is not None:
-            out.append(str(int(labels[idx])))
-        writer.writerow(out)
-    Path(args.output).write_text(buf.getvalue())
-    _write_json(str(args.output) + ".provenance.json", _provenance("kpca", vars(args)))
+        lines = (line + b",%d" % label for line, label in zip(lines, labels.tolist()))
+    _write_csv(args.output, [",".join(header).encode(), *lines], _provenance("kpca", vars(args)))
     return 0
 
 
@@ -442,11 +428,14 @@ def cmd_graphdist(args) -> int:
     payload = {
         "vertices": graph_a.m,
         "distance": graph_distance(rep_a, rep_b),
-        "connected_a": rep_a.connected.astype(int).tolist(),
-        "connected_b": rep_b.connected.astype(int).tolist(),
         "provenance": _provenance("graphdist", vars(args)),
     }
-    _write_json(args.output, payload, matrices=("connected_a", "connected_b"))
+    # each row of an m x m 0/1 relation on one line, so it takes m lines
+    rows = {
+        key: [_json_text(row).encode() for row in rep.connected.astype(int).tolist()]
+        for key, rep in (("connected_a", rep_a), ("connected_b", rep_b))
+    }
+    _write_json(args.output, payload, rows=rows)
     return 0
 
 

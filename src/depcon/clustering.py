@@ -91,15 +91,9 @@ def _mirror_blocks(values):
             yield values[i:i + b, j:j + b], values[j:j + b, i:i + b].T
 
 
-def _symmetric(values) -> bool:
-    """Whether square ``values`` equals its transpose; on a ``view(np.uint64)``,
-    bit for bit, so -0.0 and 0.0 differ."""
-    return all(np.array_equal(upper, lower) for upper, lower in _mirror_blocks(values))
-
-
 def _gram_values(gram) -> np.ndarray:
     values = _square_values(gram.values if isinstance(gram, GramMatrix) else gram, "Gram matrix")
-    if not _symmetric(values):
+    if not all(np.array_equal(upper, lower) for upper, lower in _mirror_blocks(values)):
         asymmetry = max(float(np.abs(u - l).max()) for u, l in _mirror_blocks(values))
         scale = max(1.0, float(values.max()), -float(values.min()))
         if asymmetry > values.shape[0] * np.finfo(np.float64).eps * scale:
@@ -644,9 +638,13 @@ def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
     """Best-of-``restarts`` kernel k-means for each ``(k, seed)`` of ``runs`` on
     checked Gram values, scored by ``criterion``; the best k is the first of
     the top score. The Gram is factored once for all runs, and so is the
-    silhouette's angular distance matrix; VRC is evaluated on the factor."""
+    silhouette's angular distance matrix; VRC is evaluated on the factor, and
+    needs every k below n."""
+    n = gram.shape[0]
     for k, _ in runs:
-        _check_k(k, gram.shape[0])
+        _check_k(k, n)
+        if criterion == "vrc" and k >= n:  # before any k-means: VRC scores no n clusters
+            raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
     if criterion == "silhouette":
         distances = _angles(gram)
     elif criterion != "vrc":

@@ -262,32 +262,12 @@ def _fold(total, rows):
     return rows.sum(axis=0)
 
 
-def _built_sums(x, a, threads, critical=None, scale=None):
-    """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)`` of the columns
-    ``_scaled_columns`` gives, without the stack.
-
-    Each group of row blocks is folded as soon as it is built (``_fold``),
-    so both sums equal the ``sum(axis=0)`` of the stack and of its unit
-    vectors bit for bit when m >= 2. The unit vectors are summed only given
-    ``critical`` (else None, and the mask is empty). Given ``scale`` (m x m),
-    each product is multiplied by it before it is summed.
-    """
-    total = units = None
-    degenerate = [np.zeros(0, dtype=bool)]
-    for _, block in _product_blocks(x, a, threads):
-        if scale is not None:
-            block *= scale
-        total = _fold(total, block)
-        if critical is not None:
-            phi, zero = _unit_rows(block, critical)
-            units = _fold(units, phi)
-            degenerate.append(zero)
-    return total, units, np.concatenate(degenerate)
-
-
 def _feature_sums(values, threads, critical):
-    """The standardized ``_built_sums`` of ``values`` with ``critical``, built
-    once per dataset and critical matrix.
+    """``(sum_i Z_i^T Z_i, sum_i u_i, degenerate-sample mask)`` of ``values``
+    with ``critical``, built once per dataset and critical matrix. Each
+    product group is folded as soon as it is built (``_fold``), so both sums
+    equal the ``sum(axis=0)`` of the stack and of its unit vectors bit for
+    bit when m >= 2, and no stack is held.
 
     The sums are kept, read-only, under the shape and a digest of the
     (C-contiguous float64) values and the critical values, which fold in
@@ -309,7 +289,14 @@ def _feature_sums(values, threads, critical):
         if sums is not None:
             _sums[key] = sums
             return sums
-    sums = _built_sums(*_scaled_columns(values)[:2], threads, critical)
+    total = units = None
+    degenerate = []
+    for _, group in _product_blocks(*_scaled_columns(values)[:2], threads):
+        total = _fold(total, group)
+        phi, zero = _unit_rows(group, critical)
+        units = _fold(units, phi)
+        degenerate.append(zero)
+    sums = total, units, np.concatenate(degenerate)
     for array in sums:
         array.flags.writeable = False
     with _sums_lock:
@@ -329,7 +316,10 @@ def distance_cov_matrix(data) -> np.ndarray:
     n = values.shape[0]
     x, a, grand_mean, exponents = _scaled_columns(values)
     scale = np.outer(grand_mean, grand_mean)
-    total = _built_sums(x, a, _resolve_threads(None), scale=scale)[0]
+    total = None
+    for _, group in _product_blocks(x, a, _resolve_threads(None)):
+        group *= scale  # before the fold, so the total is the scaled stack's sum
+        total = _fold(total, group)
     return _scaled_back(np.maximum(total / (n * n), 0.0), exponents[:, None] + exponents[None, :])
 
 

@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import math
@@ -15,18 +14,21 @@ import pytest
 
 import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
+from depcon.embedding import kpca_fit, kpca_transform
 from depcon.cli import (
+    _json_text,
     _load_any_dataset,
     _load_matrix,
     _matrix_rows,
+    _one_blas_thread,
     _openblas_threads,
-    _write_gram_json,
     _write_json,
     _write_matrix_csv,
     main,
 )
 from depcon.errors import (
     ConstantFeatureError,
+    DegenerateLabelsError,
     DimensionMismatchError,
     GramRangeError,
     InvalidGraphError,
@@ -100,12 +102,15 @@ def _json_dumps_file(payload):
         np.eye(2),
         np.array([[1.0, 0.0], [-0.0, 1.0]]),  # a -0.0 / 0.0 mirror is not symmetric bit for bit
         np.random.default_rng(5).standard_normal((4, 4)),
+        np.zeros((0, 3)),
     ],
-    ids=["symmetric", "signed-zero", "asymmetric"],
+    ids=["symmetric", "signed-zero", "asymmetric", "empty"],
 )
 def test_gram_json_writer_matches_one_piece_dump(tmp_path, matrix):
     provenance = {"command": "gram", "config": {"data": "d\u00e9.csv"}}
-    _write_gram_json(tmp_path / "g.json", functools.partial(_matrix_rows, matrix), provenance)
+    # the rows as depcon gram --format json streams them
+    rows = (b"[\n      " + row + b"\n    ]" for row in _matrix_rows(matrix, b",\n      "))
+    _write_json(tmp_path / "g.json", {"provenance": provenance}, rows={"values": rows})
     expected = _json_dumps_file({"values": matrix.tolist(), "provenance": provenance})
     assert (tmp_path / "g.json").read_bytes() == expected
 
@@ -247,6 +252,44 @@ def test_cluster_fixed_k_matches_library(bench, tmp_path, criterion, score):
     report = json.loads((tmp_path / "labels.csv.report.json").read_text())
     assert report["best_k"] == 4
     assert report["scores"] == {"4": score(values, expected)}
+
+
+def test_cluster_vrc_k_equal_n_refused_before_kmeans(tmp_path, monkeypatch, capsys):
+    # VRC scores no partition into n clusters, so -k n fails before any restart
+    # runs; the silhouette scores one (every point its own cluster)
+    gram, labels = tmp_path / "gram.csv", tmp_path / "labels.csv"
+    _write_matrix_csv(gram, depcon.gram_matrix(np.random.default_rng(4).random((6, 3))).values, {})
+    best_of_restarts = depcon.clustering._best_of_restarts
+    calls = []
+
+    def spy(y, s, k, *rest):
+        calls.append(k)
+        return best_of_restarts(y, s, k, *rest)
+
+    monkeypatch.setattr(depcon.clustering, "_best_of_restarts", spy)
+    assert run("cluster", gram, "-o", labels, "-k", 6) == DegenerateLabelsError.exit_code
+    assert "need k < n, got k=6, n=6" in capsys.readouterr().err
+    assert calls == [] and not labels.exists()
+    assert run("cluster", gram, "-o", labels, "-k", 6, "--criterion", "silhouette") == 0
+    assert calls == [6] and sorted(map(int, labels.read_text().split())) == list(range(6))
+
+
+@pytest.mark.parametrize("with_labels", [False, True], ids=["coords", "labelled"])
+def test_kpca_csv_bytes(bench, tmp_path, with_labels):
+    gram, coords = tmp_path / "gram.csv", tmp_path / "coords.csv"
+    assert run("gram", bench, "-o", gram) == 0
+    extra = ("--labels", tmp_path / "bench.json") if with_labels else ()
+    assert run("kpca", gram, "-o", coords, "-d", 3, *extra) == 0
+    with _one_blas_thread():  # as the command runs
+        expected = kpca_transform(kpca_fit(_load_matrix(gram), 3))
+    header = ["component_0", "component_1", "component_2"]
+    lines = [[repr(float(v)) for v in row] for row in expected]
+    if with_labels:
+        header.append("label")
+        truth = json.loads((tmp_path / "bench.json").read_text())["labels"]
+        lines = [line + [str(label)] for line, label in zip(lines, truth)]
+    text = "".join(",".join(line) + "\n" for line in [header] + lines)
+    assert coords.read_bytes() == text.encode()
 
 
 def test_pipeline_rerun_with_threads_byte_identical(bench, tmp_path):
@@ -834,7 +877,9 @@ def test_json_outputs_refuse_non_finite_numbers(tmp_path, value):
     with pytest.raises(NonFiniteValueError):
         _write_json(path, {"x": [1.0, value]})
     with pytest.raises(NonFiniteValueError):
-        _write_json(path, {"rows": [[value]]}, matrices=("rows",))
+        _write_json(path, {"x": value}, rows={"rows": [b"[0]"]})
+    with pytest.raises(NonFiniteValueError):  # a row formatted as graphdist formats it
+        _write_json(path, {}, rows={"rows": [_json_text(row).encode() for row in [[value]]]})
     assert not path.exists()
 
 
