@@ -84,8 +84,8 @@ def _json_text(payload, **layout) -> str:
 def _write_json(path, payload: dict, rows=None):
     """Sorted keys, indent 2, as one ``json.dumps`` writes them. Each list that
     ``rows`` names is streamed from its iterable of preformatted rows (bytes),
-    one per line; the payload is formatted, and a NaN refused, before the file
-    is opened."""
+    one per line; the payload is formatted, and a NaN or infinity refused,
+    before the file is opened."""
     rows = rows or {}
     # argv and JSON keys hold no NUL, so each placeholder string is unique
     text = _json_text({**payload, **{key: f"\0{key}" for key in rows}}, indent=2, sort_keys=True)
