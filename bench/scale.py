@@ -2,15 +2,19 @@
 `gram_matrix` and `depcon gram` at large n.
 
     python bench/scale.py --label change
-    python bench/scale.py --label parent --src ../parent/src --sha <sha>
+    python bench/scale.py --label pr --src ../parent/src --src src   # parent, then change
     python bench/scale.py --cell gram_matrix 200 5   # one cell, its record on stdout
 
 Each cell runs in a fresh process with one BLAS thread and one library
 thread, and measures only itself: wall time (``perf_counter``), CPU time
 (``process_time``) and the process's peak RSS (``getrusage``), besides the
-RSS it had before the timed call. The grid runs ``REPEATS`` times, one
-whole round after another, so a slow spell of the host hits every cell
-alike; the result keeps every run and each cell's medians. The data are
+RSS it had before the timed call. The grid runs ``REPEATS`` rounds. Given
+two trees (``--src`` twice, the parent first), each round runs every cell
+on both trees back to back, and the tree that goes first swaps each round,
+so a slow spell of the host hits both trees alike; each cell then records
+its per-round change/parent ratios of CPU and wall time, their medians and
+in how many rounds the change was lower. The result keeps every run and
+each tree's per-cell medians. The data are
 ``default_rng(7).standard_normal((n, m))`` with column 1 plus sin(column 0).
 A `depcon gram` cell first writes that data to a CSV file in a temporary
 directory, then times the command, which writes the Gram CSV (about 1.2 GB
@@ -32,8 +36,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Rounds of the grid. One timing per cell could not resolve CPU differences
-#: below about 40% on a shared 2-vCPU VM; the median of interleaved rounds can.
-REPEATS = 3
+#: below about 40% on a shared 2-vCPU VM, nor could medians of two trees run
+#: one after the other (31% apart on the same code); alternated rounds can.
+REPEATS = 5
+TREES = ("parent", "change")
 LAYERS = ("contribution_features", "aggregate_statistic", "gram_matrix", "cli_gram")
 GRID = [(n, m) for n in (2000, 8000) for m in (5, 10, 20)]
 CELLS = (
@@ -78,7 +84,9 @@ def run_cell(layer, n, m):
         "cli_gram": lambda: depcon.cli.main(["gram", str(source), "-o", str(output)]),
     }[layer]
     if layer == "cli_gram":
-        depcon.cli._write_matrix_csv(source, x, {})
+        # each value's shortest round-trip repr, as depcon writes a dataset CSV
+        with open(source, "w") as handle:
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     wall, cpu = time.perf_counter(), time.process_time()
@@ -102,11 +110,29 @@ def run_cell(layer, n, m):
     print(json.dumps(record))
 
 
+def _medians(runs):
+    return {key: round(statistics.median(run[key] for run in runs), 4)
+            for key in ("wall_s", "cpu_s", "peak_rss_mb")}
+
+
+def _ratios(parent, change, key):
+    """Per-round change/parent ratios of ``key``, their median, and how many are below 1."""
+    ratios = [round(c[key] / p[key], 4) for p, c in zip(parent, change)]
+    return {
+        f"{key}_ratios": ratios,
+        f"{key}_ratio_median": round(statistics.median(ratios), 4),
+        f"{key}_rounds_lower": f"{sum(r < 1 for r in ratios)} of {len(ratios)}",
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="names BENCH_scale_<label>.json")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="the depcon tree to measure")
-    parser.add_argument("--sha", default=None, help="its commit (default: git HEAD of --src)")
+    parser.add_argument("--src", action="append",
+                        help="a depcon tree to measure (default: this checkout's); "
+                             "give it twice, the parent first, to compare two trees")
+    parser.add_argument("--sha", action="append",
+                        help="each --src's commit, in the same order (default: its git HEAD)")
     parser.add_argument("--cell", nargs=3, metavar=("LAYER", "N", "M"),
                         help=f"time one cell in this process; LAYER is one of {', '.join(LAYERS)}")
     args = parser.parse_args(argv)
@@ -116,31 +142,46 @@ def main(argv=None):
         return 0
     if not args.label:
         parser.error("--label is required")
+    srcs = [Path(src).resolve() for src in args.src or [ROOT / "src"]]
+    if len(srcs) > 2 or len(args.sha or srcs) != len(srcs):
+        parser.error("give --src at most twice, and --sha once per --src or not at all")
 
-    src = Path(args.src).resolve()
-    sha = args.sha or subprocess.run(
-        ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True
-    ).stdout.strip() or None
-    env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
+    names = TREES if len(srcs) == 2 else (args.label,)
+    trees = []
+    for name, src, sha in zip(names, srcs, args.sha or [None] * len(srcs)):
+        sha = sha or subprocess.run(
+            ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True
+        ).stdout.strip() or None
+        env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
+        trees.append({"name": name, "sha": sha, "env": env})
     runs = []
     for repeat in range(REPEATS):
+        # the tree that goes first swaps each round
+        order = trees[repeat % len(trees):] + trees[:repeat % len(trees)]
         for layer, n, m in CELLS:
-            out = subprocess.run(
-                [sys.executable, __file__, "--cell", layer, str(n), str(m)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            runs.append({**json.loads(out.splitlines()[-1]), "repeat": repeat})
-            print(json.dumps(runs[-1]), flush=True)
+            for tree in order:
+                out = subprocess.run(
+                    [sys.executable, __file__, "--cell", layer, str(n), str(m)],
+                    env=tree["env"], capture_output=True, text=True, check=True,
+                ).stdout
+                runs.append({**json.loads(out.splitlines()[-1]), "repeat": repeat,
+                             "tree": tree["name"]})
+                print(json.dumps(runs[-1]), flush=True)
     cells = []
     for cell in CELLS:
-        own = [run for run in runs if (run["layer"], run["n"], run["m"]) == cell]
-        medians = {key: statistics.median(run[key] for run in own)
-                   for key in ("wall_s", "cpu_s", "peak_rss_mb")}
-        cells.append(dict(zip(("layer", "n", "m"), cell), **medians))
+        own = {name: [run for run in runs
+                      if (run["layer"], run["n"], run["m"]) == cell and run["tree"] == name]
+               for name in names}
+        record = dict(zip(("layer", "n", "m"), cell))
+        record.update((name, _medians(own[name])) for name in names)
+        if len(names) == 2:
+            for key in ("cpu_s", "wall_s"):
+                record.update(_ratios(own["parent"], own["change"], key))
+        cells.append(record)
     result = {
         "what": __doc__.split("\n\n")[2].replace("\n", " ").strip(),
         "label": args.label,
-        "sha": sha,
+        "trees": [{"name": tree["name"], "sha": tree["sha"]} for tree in trees],
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

@@ -6,6 +6,10 @@ subcommand, math-relevant configuration, seed, and library version.
 The thread count is excluded, so reruns are byte-identical regardless of
 parallelism. Each command runs with NumPy's OpenBLAS pinned to one thread,
 since a product split across threads rounds differently.
+A command writes all of its files or none (``_publish``), so a failed one
+leaves an earlier file at its paths unchanged. An output path names a regular
+file in a writable directory: a symlink there is replaced, not followed, and
+``/dev/stdout`` exits 3.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -51,10 +56,7 @@ from .synth import BenchmarkConfig, build_benchmark, model_descriptor
 EXIT_FILE_NOT_FOUND = 2
 EXIT_IO_ERROR = 3
 EXIT_USAGE = 4
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+EXIT_OUT_OF_MEMORY = 18
 
 
 def _provenance(command: str, config: dict) -> dict:
@@ -81,23 +83,22 @@ def _json_text(payload, **layout) -> str:
         raise NonFiniteValueError(f"cannot write a non-finite number as JSON: {exc}") from None
 
 
-def _write_json(path, payload: dict, rows=None):
-    """Sorted keys, indent 2, as one ``json.dumps`` writes them. Each list that
-    ``rows`` names is streamed from its iterable of preformatted rows (bytes),
-    one per line; the payload is formatted, and a NaN or infinity refused,
-    before the file is opened."""
+def _json_chunks(payload: dict, rows=None):
+    """The bytes of ``payload`` with sorted keys and indent 2, as one
+    ``json.dumps`` writes them. Each list that ``rows`` names is streamed from
+    its iterable of preformatted rows (bytes), one per line; the payload is
+    formatted, and a NaN or infinity refused, before the first chunk."""
     rows = rows or {}
     # argv and JSON keys hold no NUL, so each placeholder string is unique
     text = _json_text({**payload, **{key: f"\0{key}" for key in rows}}, indent=2, sort_keys=True)
-    with open(path, "wb") as handle:
-        for key in sorted(rows):  # the placeholders' order in the text
-            head, text = text.split(json.dumps(f"\0{key}"))
-            handle.write(head.encode() + b"[")
-            count = 0
-            for count, row in enumerate(rows[key], 1):
-                handle.write((b",\n    " if count > 1 else b"\n    ") + row)
-            handle.write(b"\n  ]" if count else b"]")
-        handle.write(text.encode() + b"\n")
+    for key in sorted(rows):  # the placeholders' order in the text
+        head, text = text.split(json.dumps(f"\0{key}"))
+        yield head.encode() + b"["
+        count = 0
+        for count, row in enumerate(rows[key], 1):
+            yield (b",\n    " if count > 1 else b"\n    ") + row
+        yield b"\n  ]" if count else b"]"
+    yield text.encode() + b"\n"
 
 
 def _matrix_rows(matrix: np.ndarray, sep: bytes):
@@ -144,18 +145,33 @@ def _gram_rows(u: np.ndarray, sep: bytes):
             tiles.setdefault(c, []).append(tile)
 
 
-def _write_csv(path, lines, provenance: dict):
-    """One line per row of ``lines`` (bytes), and the provenance sidecar."""
-    with open(path, "wb") as handle:
-        for line in lines:
-            handle.write(line + b"\n")
-    _write_json(str(path) + ".provenance.json", provenance)
+def _csv_outputs(path, lines, provenance: dict):
+    """``_publish``'s pairs: a CSV file, a line per row of ``lines`` (bytes), and its sidecar."""
+    sidecar = (f"{path}.provenance.json", _json_chunks(provenance))
+    return (path, (line + b"\n" for line in lines)), sidecar
 
 
-def _write_matrix_csv(path, matrix: np.ndarray, provenance: dict):
-    """One row per line, each cell the shortest round-trip repr of its float64."""
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=np.float64)
-    _write_csv(path, _matrix_rows(matrix, b","), provenance)
+def _publish(*outputs):
+    """Stream each ``(path, chunks of bytes)`` to a temporary beside ``path`` and
+    move them all into place once all are complete; on any exception remove
+    them and raise it again, naming ``path``."""
+    temps = []
+    try:
+        for index, (path, chunks) in enumerate(outputs):
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(f"{path}: not a regular file")
+            temp = f"{path}.{os.getpid()}.{index}.tmp"
+            with open(temp, "xb") as handle:  # 0666 less the umask; tempfile's are 0600
+                temps.append(temp)
+                handle.writelines(chunks)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename, exc.filename2 = path, None  # the path given, not the temporary
+        raise
 
 
 def _load_any_dataset(path):
@@ -252,9 +268,9 @@ def cmd_gram(args) -> int:
     prov = _provenance("gram", vars(args))
     if args.format == "json":
         rows = (b"[\n      " + row + b"\n    ]" for row in _gram_rows(units, b",\n      "))
-        _write_json(args.output, {"provenance": prov}, rows={"values": rows})
+        _publish((args.output, _json_chunks({"provenance": prov}, rows={"values": rows})))
     else:
-        _write_csv(args.output, _gram_rows(units, b","), prov)
+        _publish(*_csv_outputs(args.output, _gram_rows(units, b","), prov))
     return 0
 
 
@@ -269,7 +285,7 @@ def cmd_indep(args) -> int:
         "pairs": result.pairs(),
         "provenance": _provenance("indep", vars(args)),
     }
-    _write_json(args.output, payload)
+    _publish((args.output, _json_chunks(payload)))
     return 0
 
 
@@ -298,7 +314,7 @@ def cmd_test(args) -> int:
         payload = _comparison_payload(data_a, data_b, args.alpha, args.convention, args.threads)
     payload["alpha"] = args.alpha
     payload["provenance"] = _provenance("test", vars(args))
-    _write_json(args.output, payload)
+    _publish((args.output, _json_chunks(payload)))
     return 0
 
 
@@ -315,7 +331,6 @@ def cmd_synth(args) -> int:
     )
     bench = build_benchmark(config)
     prov = _provenance("synth", vars(args))
-    _write_matrix_csv(args.output, bench.data.values, prov)
     sidecar = {
         "labels": bench.labels.tolist(),
         "models": [model_descriptor(model) for model in bench.models],
@@ -323,7 +338,8 @@ def cmd_synth(args) -> int:
         "seed": args.seed,
         "provenance": prov,
     }
-    _write_json(Path(args.output).with_suffix(".json"), sidecar)
+    data, provenance = _csv_outputs(args.output, _matrix_rows(bench.data.values, b","), prov)
+    _publish(data, (Path(args.output).with_suffix(".json"), _json_chunks(sidecar)), provenance)
     return 0
 
 
@@ -348,7 +364,6 @@ def cmd_cluster(args) -> int:
             seed=args.seed,
         )
     chosen = result.assignments[result.best_k]
-    Path(args.output).write_text("".join(f"{int(v)}\n" for v in chosen.labels))
     prov = _provenance("cluster", vars(args))
     report = {
         "best_k": result.best_k,
@@ -366,7 +381,9 @@ def cmd_cluster(args) -> int:
         "labels": chosen.labels.tolist(),
         "provenance": prov,
     }
-    _write_json(args.report or str(args.output) + ".report.json", report)
+    labels = (b"%d\n" % label for label in chosen.labels.tolist())
+    report_path = args.report or f"{args.output}.report.json"
+    _publish((args.output, labels), (report_path, _json_chunks(report)))
     return 0
 
 
@@ -382,7 +399,8 @@ def cmd_kpca(args) -> int:
     if labels is not None:
         header.append("label")
         lines = (line + b",%d" % label for line, label in zip(lines, labels.tolist()))
-    _write_csv(args.output, [",".join(header).encode(), *lines], _provenance("kpca", vars(args)))
+    lines = [",".join(header).encode(), *lines]
+    _publish(*_csv_outputs(args.output, lines, _provenance("kpca", vars(args))))
     return 0
 
 
@@ -408,15 +426,15 @@ def cmd_eval(args) -> int:
         "provenance": _provenance("eval", vars(args)),
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "ari", "k"])
-        for row in rows:
-            writer.writerow([row["name"], _fmt(row["ari"]), row["k"]])
-        Path(args.output).write_text(buf.getvalue())
-        _write_json(str(args.output) + ".provenance.json", payload["provenance"])
+        buf = io.StringIO()  # csv quotes a name that holds a comma, quote or newline
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["name", "ari", "k"]]
+            + [[row["name"], repr(float(row["ari"])), row["k"]] for row in rows]
+        )
+        lines = [line.encode(errors="surrogateescape") for line in buf.getvalue().split("\n")[:-1]]
+        _publish(*_csv_outputs(args.output, lines, payload["provenance"]))
     else:
-        _write_json(args.output, payload)
+        _publish((args.output, _json_chunks(payload)))
     return 0
 
 
@@ -435,7 +453,7 @@ def cmd_graphdist(args) -> int:
         key: [_json_text(row).encode() for row in rep.connected.astype(int).tolist()]
         for key, rep in (("connected_a", rep_a), ("connected_b", rep_b))
     }
-    _write_json(args.output, payload, rows=rows)
+    _publish((args.output, _json_chunks(payload, rows=rows)))
     return 0
 
 
@@ -584,6 +602,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"depcon {args.command}: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_FILE_NOT_FOUND
+    except MemoryError as exc:  # NumPy's names the allocation's size; Python's is blank
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"depcon {args.command}: out of memory{detail}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except OSError as exc:
         print(f"depcon {args.command}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

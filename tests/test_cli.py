@@ -16,14 +16,16 @@ import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
 from depcon.embedding import kpca_fit, kpca_transform
 from depcon.cli import (
+    _csv_outputs,
+    _json_chunks,
     _json_text,
     _load_any_dataset,
+    _load_labels,
     _load_matrix,
     _matrix_rows,
     _one_blas_thread,
     _openblas_threads,
-    _write_json,
-    _write_matrix_csv,
+    _publish,
     main,
 )
 from depcon.errors import (
@@ -92,7 +94,7 @@ def test_gram_csv_and_json(bench, tmp_path):
 
 
 def _json_dumps_file(payload):
-    """The bytes of a JSON output written in one piece, as ``_write_json`` writes it."""
+    """The bytes of a JSON output written in one piece, as ``_json_chunks`` streams it."""
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -110,7 +112,7 @@ def test_gram_json_writer_matches_one_piece_dump(tmp_path, matrix):
     provenance = {"command": "gram", "config": {"data": "d\u00e9.csv"}}
     # the rows as depcon gram --format json streams them
     rows = (b"[\n      " + row + b"\n    ]" for row in _matrix_rows(matrix, b",\n      "))
-    _write_json(tmp_path / "g.json", {"provenance": provenance}, rows={"values": rows})
+    _publish((tmp_path / "g.json", _json_chunks({"provenance": provenance}, rows={"values": rows})))
     expected = _json_dumps_file({"values": matrix.tolist(), "provenance": provenance})
     assert (tmp_path / "g.json").read_bytes() == expected
 
@@ -258,7 +260,8 @@ def test_cluster_vrc_k_equal_n_refused_before_kmeans(tmp_path, monkeypatch, caps
     # VRC scores no partition into n clusters, so -k n fails before any restart
     # runs; the silhouette scores one (every point its own cluster)
     gram, labels = tmp_path / "gram.csv", tmp_path / "labels.csv"
-    _write_matrix_csv(gram, depcon.gram_matrix(np.random.default_rng(4).random((6, 3))).values, {})
+    values = depcon.gram_matrix(np.random.default_rng(4).random((6, 3))).values
+    _publish(*_csv_outputs(gram, _matrix_rows(values, b","), {}))
     best_of_restarts = depcon.clustering._best_of_restarts
     calls = []
 
@@ -407,6 +410,22 @@ def test_eval_csv_format(bench, tmp_path):
                "-o", out, "--format", "csv") == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "name,ari,k"
+
+
+def test_eval_csv_quotes_names_and_keeps_their_bytes(bench, tmp_path):
+    # a name holding a comma and a quote is quoted; one that is not UTF-8 is
+    # written as the file system gave its bytes
+    truth = tmp_path / "bench.json"
+    names = ['a,"b".csv', os.fsdecode(b"p\xff.csv")]
+    for name in names:
+        (tmp_path / name).write_text("0\n1\n" * 50)
+    out = tmp_path / "eval.csv"
+    assert run("eval", *(tmp_path / name for name in names), "--truth", truth,
+               "-o", out, "--format", "csv") == 0
+    ari = repr(float(depcon.adjusted_rand_index(_load_labels(truth), np.tile([0, 1], 50))))
+    assert out.read_bytes() == (
+        b'name,ari,k\n"a,""b"".csv",%s,2\np\xff.csv,%s,2\n' % (ari.encode(), ari.encode())
+    )
 
 
 def test_console_entry_point(tmp_path):
@@ -649,7 +668,7 @@ def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
         for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
         path = tmp_path / "m.csv"
-        _write_matrix_csv(path, matrix, {"command": "test"})
+        _publish(*_csv_outputs(path, _matrix_rows(matrix, b","), {"command": "test"}))
         assert path.read_bytes() == buf.getvalue().encode()
         if matrix.size:
             back = _load_matrix(path)
@@ -875,11 +894,12 @@ def test_cluster_perfect_partition_scores_null(tmp_path):
 def test_json_outputs_refuse_non_finite_numbers(tmp_path, value):
     path = tmp_path / "out.json"
     with pytest.raises(NonFiniteValueError):
-        _write_json(path, {"x": [1.0, value]})
+        _publish((path, _json_chunks({"x": [1.0, value]})))
     with pytest.raises(NonFiniteValueError):
-        _write_json(path, {"x": value}, rows={"rows": [b"[0]"]})
+        _publish((path, _json_chunks({"x": value}, rows={"rows": [b"[0]"]})))
     with pytest.raises(NonFiniteValueError):  # a row formatted as graphdist formats it
-        _write_json(path, {}, rows={"rows": [_json_text(row).encode() for row in [[value]]]})
+        rows = {"rows": [_json_text(row).encode() for row in [[value]]]}
+        _publish((path, _json_chunks({}, rows=rows)))
     assert not path.exists()
 
 
@@ -946,3 +966,82 @@ def test_cluster_max_iter_and_restarts_below_one_exit_code(bench, tmp_path, caps
     assert run("cluster", gram, "-o", out, *runs) == OutOfRangeError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "labels.csv.report.json").exists()
+
+
+def test_cluster_report_in_missing_directory_leaves_no_labels(bench, tmp_path, capsys):
+    gram, labels = tmp_path / "gram.csv", tmp_path / "labels.csv"
+    assert run("gram", bench, "-o", gram) == 0
+    report = tmp_path / "missing" / "r.json"
+    assert run("cluster", gram, "-o", labels, "-k", 2, "--report", report) == 2
+    # the message names the path given, not the temporary written beside it
+    assert capsys.readouterr().err == f"depcon cluster: file not found: {report}\n"
+    assert not labels.exists() and not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "argv, first, last",
+    [
+        (("synth", "-o", "new.csv", "--models", 2, "--samples", 20, "--features", 4),
+         "new.csv", "new.json"),
+        (("gram", "bench.csv", "-o", "g.csv"), "g.csv", "g.csv.provenance.json"),
+        (("cluster", "gram.csv", "-o", "l.csv", "-k", 2, "--report", "r.json"), "l.csv", "r.json"),
+        (("kpca", "gram.csv", "-o", "k.csv"), "k.csv", "k.csv.provenance.json"),
+        (("eval", "pred.csv", "--truth", "bench.json", "-o", "e.csv", "--format", "csv"),
+         "e.csv", "e.csv.provenance.json"),
+    ],
+    ids=["synth", "gram", "cluster", "kpca", "eval-csv"],
+)
+def test_failed_last_file_leaves_every_file_as_it_was(bench, tmp_path, capsys, argv, first, last):
+    # the command's last file cannot be written (a directory stands at its
+    # path), so none of its files is: an earlier file at the first path stays
+    assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
+    (tmp_path / "pred.csv").write_text("0\n1\n" * 50)
+    (tmp_path / first).write_bytes(b"earlier\n")
+    (tmp_path / last).mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+    assert run(*argv) == 3
+    after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before  # no new file, no temporary, no changed byte
+    assert capsys.readouterr().err == f"depcon {argv[0]}: {tmp_path / last}: not a regular file\n"
+
+
+def test_output_symlink_is_replaced_not_followed(bench, tmp_path):
+    plain, link, target = tmp_path / "plain.csv", tmp_path / "g.csv", tmp_path / "target.csv"
+    assert run("gram", bench, "-o", plain) == 0
+    target.write_bytes(b"kept\n")
+    link.symlink_to(target)
+    assert run("gram", bench, "-o", link) == 0
+    assert not link.is_symlink() and link.read_bytes() == plain.read_bytes()
+    assert target.read_bytes() == b"kept\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_output_that_is_not_a_regular_file_exit_code(bench, tmp_path, capsys):
+    # a symlink to a device: nothing is written to the device or put in its place
+    link = tmp_path / "out.json"
+    link.symlink_to(os.devnull)
+    assert run("indep", bench, "-o", link) == 3
+    assert capsys.readouterr().err == f"depcon indep: {link}: not a regular file\n"
+    assert os.readlink(link) == os.devnull and not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "message, detail",
+    [("Unable to allocate 171. MiB for an array", " (Unable to allocate 171. MiB for an array)"),
+     ("", "")],
+    ids=["numpy", "bare"],
+)
+@pytest.mark.parametrize("command", ["cluster", "kpca"])
+def test_out_of_memory_exit_code(bench, tmp_path, monkeypatch, capsys, command, message, detail):
+    gram, out = tmp_path / "gram.csv", tmp_path / "out.csv"
+    assert run("gram", bench, "-o", gram) == 0
+
+    def no_memory(path):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(depcon.cli, "_load_gram", no_memory)
+    extra = ("-k", 2) if command == "cluster" else ()
+    assert run(command, gram, "-o", out, *extra) == 18
+    assert capsys.readouterr().err == f"depcon {command}: out of memory{detail}\n"
+    assert not out.exists() and not list(tmp_path.glob("out.csv*"))

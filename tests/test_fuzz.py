@@ -159,10 +159,10 @@ def _check(build_argv, suffix, content):
             code = main([str(a) for a in build_argv(fuzzed, gram, pred, out)])
         assert code in DOCUMENTED
         assert "Traceback" not in stderr.getvalue()
-        if code != 0:
-            assert not out.exists()
-            return
         inputs = {fuzzed, gram, pred}
+        if code != 0:  # no output, sidecar or temporary is left
+            assert set(tmp.iterdir()) == inputs
+            return
         for path in tmp.iterdir():
             if path not in inputs:
                 assert all(math.isfinite(v) for v in _numbers(path)), path.name

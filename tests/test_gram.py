@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import depcon.kernel
-from depcon.cli import _write_matrix_csv, main
+from depcon.cli import _csv_outputs, _matrix_rows, _publish, main
 from depcon.critical import critical_matrix
 from depcon.errors import DegenerateSampleWarning
 from depcon.inference import aggregate_statistic
@@ -65,7 +65,7 @@ def test_gram_paths_hold_no_feature_stack(tmp_path, monkeypatch):
         assert gram_matrix(x).values.shape == (40, 40)
         assert gram_matrix(x, x[:30]).values.shape == (40, 30)
         data = tmp_path / "data.csv"
-        _write_matrix_csv(data, x, {"command": "test"})
+        _publish(*_csv_outputs(data, _matrix_rows(x, b","), {"command": "test"}))
         assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
     # the Python allocations traced stay below the Gram, U and 0.6 of a stack
     n, m = 2000, 20

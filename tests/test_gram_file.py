@@ -7,7 +7,7 @@ import pytest
 
 import depcon.cli
 import depcon.kernel
-from depcon.cli import _load_matrix, _one_blas_thread, _write_matrix_csv, main
+from depcon.cli import _csv_outputs, _load_matrix, _matrix_rows, _one_blas_thread, _publish, main
 from depcon.errors import NonFiniteValueError
 from depcon.kernel import GRAM_BAND_ROWS, gram_matrix
 
@@ -20,7 +20,7 @@ def _dataset(tmp_path, n, seed=5):
     x = rng.standard_normal((n, 4))
     x[:, 1] += np.sin(2.0 * x[:, 0])
     path = tmp_path / "data.csv"
-    _write_matrix_csv(path, x, {"command": "test"})
+    _publish(*_csv_outputs(path, _matrix_rows(x, b","), {"command": "test"}))
     return x, path
 
 
@@ -84,17 +84,27 @@ def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt):
-    _, data = _dataset(tmp_path, 20)
+    # a NaN in row 200 of 300 spoils the first band's columns; the file is
+    # published only once every band is checked, so nothing is left behind
+    _, data = _dataset(tmp_path, 300)
     units = depcon.cli._unit_vectors
 
     def with_nan(data, alpha, convention, threads):
         u = units(data, alpha, convention, threads)
-        u[3, 0] = np.nan
+        u[200, 0] = np.nan
         return u
 
     monkeypatch.setattr(depcon.cli, "_unit_vectors", with_nan)
+    inputs = sorted(tmp_path.iterdir())
     out = tmp_path / f"g.{fmt}"
-    assert main(["gram", str(data), "-o", str(out), "--format", fmt]) == (
-        NonFiniteValueError.exit_code
-    )
-    assert "non-finite value in the Gram's rows 0..19" in capsys.readouterr().err
+    argv = ["gram", str(data), "-o", str(out), "--format", fmt]
+    assert main(argv) == NonFiniteValueError.exit_code
+    assert "non-finite value in the Gram's rows 0..127" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+    # a failed rerun leaves the files of an earlier run as they were
+    out.write_bytes(b"earlier\n")
+    (tmp_path / f"g.{fmt}.provenance.json").write_bytes(b"{}\n")
+    assert main(argv) == NonFiniteValueError.exit_code
+    assert out.read_bytes() == b"earlier\n"
+    assert (tmp_path / f"g.{fmt}.provenance.json").read_bytes() == b"{}\n"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import depcon.kernel
-from depcon.cli import _load_matrix, _one_blas_thread, _write_matrix_csv, main
+from depcon.cli import (
+    _csv_outputs,
+    _load_matrix,
+    _matrix_rows,
+    _one_blas_thread,
+    _publish,
+    main,
+)
 from depcon.critical import CriticalScale, critical_matrix
 from depcon.dataset import Dataset
 from depcon.errors import (
@@ -435,7 +442,7 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
     with _one_blas_thread():
         gram_b, cross = _gram_from_units(u_b).values, _gram_from_units(u_a, u_b).values
     data_b = tmp_path / "b.csv"
-    _write_matrix_csv(data_b, b, {"command": "test"})
+    _publish(*_csv_outputs(data_b, _matrix_rows(b, b","), {"command": "test"}))
     # a row of scratch is 200 * 4 doubles = 6400 bytes: one-row, 3-row and default blocks
     for block_bytes in (1, 3 * 6400, DEFAULT_BLOCK_BYTES):
         monkeypatch.setattr(depcon.kernel, "DEFAULT_BLOCK_BYTES", block_bytes)
