@@ -5,11 +5,8 @@ outputs get a ``<name>.provenance.json`` sidecar) recording the
 subcommand, math-relevant configuration, seed, and library version.
 The thread count is excluded, so reruns are byte-identical regardless of
 parallelism. Each command runs with NumPy's OpenBLAS pinned to one thread,
-since a product split across threads rounds differently.
-A command writes all of its files or none (``_publish``), so a failed one
-leaves an earlier file at its paths unchanged. An output path names a regular
-file in a writable directory: a symlink there is replaced, not followed, and
-``/dev/stdout`` exits 3.
+since a product split across threads rounds differently. A command writes all
+of its files or none (``_publish``); the README's CLI section gives the rules.
 """
 
 from __future__ import annotations
@@ -163,6 +160,8 @@ def _publish(*outputs):
             temp = f"{path}.{os.getpid()}.{index}.tmp"
             with open(temp, "xb") as handle:  # 0666 less the umask; tempfile's are 0600
                 temps.append(temp)
+                if os.path.exists(path):  # a rerun keeps the mode of the file it replaces
+                    os.chmod(temp, os.stat(path).st_mode & 0o7777)
                 handle.writelines(chunks)
         for temp, (path, _) in zip(temps, outputs):
             os.replace(temp, path)
@@ -364,7 +363,6 @@ def cmd_cluster(args) -> int:
             seed=args.seed,
         )
     chosen = result.assignments[result.best_k]
-    prov = _provenance("cluster", vars(args))
     report = {
         "best_k": result.best_k,
         "criterion": args.criterion,
@@ -379,7 +377,7 @@ def cmd_cluster(args) -> int:
         "iterations": chosen.iterations,
         "converged": chosen.converged,
         "labels": chosen.labels.tolist(),
-        "provenance": prov,
+        "provenance": _provenance("cluster", vars(args)),
     }
     labels = (b"%d\n" % label for label in chosen.labels.tolist())
     report_path = args.report or f"{args.output}.report.json"

@@ -1017,6 +1017,17 @@ def test_output_symlink_is_replaced_not_followed(bench, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_rerun_keeps_the_mode_of_the_file_it_replaces(bench, tmp_path):
+    out, probe = tmp_path / "g.csv", tmp_path / "probe"
+    out.write_bytes(b"earlier\n")
+    out.chmod(0o600)
+    probe.touch()  # a new file's mode: 0666 less the umask
+    assert run("gram", bench, "-o", out) == 0
+    assert out.read_bytes() != b"earlier\n" and out.stat().st_mode & 0o7777 == 0o600
+    sidecar = tmp_path / "g.csv.provenance.json"
+    assert sidecar.stat().st_mode & 0o7777 == probe.stat().st_mode & 0o7777
+
+
 def test_output_that_is_not_a_regular_file_exit_code(bench, tmp_path, capsys):
     # a symlink to a device: nothing is written to the device or put in its place
     link = tmp_path / "out.json"

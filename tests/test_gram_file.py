@@ -82,16 +82,25 @@ def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):
     assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt):
-    # a NaN in row 200 of 300 spoils the first band's columns; the file is
-    # published only once every band is checked, so nothing is left behind
-    _, data = _dataset(tmp_path, 300)
+@pytest.mark.parametrize(
+    "fmt, n, nan_row, rows",
+    [
+        # one short band: the message clips the band's end to n
+        pytest.param("csv", 20, 3, "0..19", id="csv"),
+        pytest.param("json", 20, 3, "0..19", id="json"),
+        # a NaN in row 200 of 300 spoils the first full band's columns
+        pytest.param("csv", 300, 200, "0..127", id="csv-300"),
+        pytest.param("json", 300, 200, "0..127", id="json-300"),
+    ],
+)
+def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt, n, nan_row, rows):
+    # the file is published only once every band is checked, so nothing is left behind
+    _, data = _dataset(tmp_path, n)
     units = depcon.cli._unit_vectors
 
     def with_nan(data, alpha, convention, threads):
         u = units(data, alpha, convention, threads)
-        u[200, 0] = np.nan
+        u[nan_row, 0] = np.nan
         return u
 
     monkeypatch.setattr(depcon.cli, "_unit_vectors", with_nan)
@@ -99,7 +108,7 @@ def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt):
     out = tmp_path / f"g.{fmt}"
     argv = ["gram", str(data), "-o", str(out), "--format", fmt]
     assert main(argv) == NonFiniteValueError.exit_code
-    assert "non-finite value in the Gram's rows 0..127" in capsys.readouterr().err
+    assert f"non-finite value in the Gram's rows {rows} " in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == inputs
     # a failed rerun leaves the files of an earlier run as they were
     out.write_bytes(b"earlier\n")
