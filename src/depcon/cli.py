@@ -28,21 +28,13 @@ import numpy as np
 from . import __version__
 from .clustering import _gram_values, _select, adjusted_rand_index, select_k
 from .critical import CriticalScale
-from .dataset import (
-    _check_finite,
-    _filled_rows,
-    _integer,
-    _read_table,
-    load_dataset,
-    load_dataset_json,
-)
+from .dataset import _check_finite, _load_any_dataset, _load_labels, _read_table
 from .embedding import kpca_fit, kpca_transform
 from .errors import (
     DepconError,
     GramRangeError,
     LengthMismatchError,
     NonFiniteValueError,
-    NonNumericCellError,
     NotSquareError,
 )
 from .graphs import graph_distance, graph_from_json, representative
@@ -173,29 +165,6 @@ def _publish(*outputs):
         raise
 
 
-def _load_any_dataset(path):
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return load_dataset_json(path)
-    return load_dataset(path, has_header=_sniff_header(path))
-
-
-def _sniff_header(path) -> bool:
-    """Whether the first filled row, the one ``load_dataset`` would take as
-    the header, has a cell that is not a number."""
-    # undecodable bytes and unreadable CSV are left for load_dataset to report
-    try:
-        with open(path, "r", newline="", encoding="utf-8", errors="replace") as handle:
-            first = next(_filled_rows(csv.reader(handle)), [])
-    except csv.Error:
-        return False
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        return True
-    return False
-
-
 def _load_matrix(path) -> np.ndarray:
     """A Gram file's finite matrix: CSV, or JSON ``{"values": rows}`` by extension."""
     json_key = "values" if Path(path).suffix.lower() == ".json" else None
@@ -213,51 +182,6 @@ def _load_gram(path) -> np.ndarray:
             f"{Path(path).name}: kappa value {float(gram[r, c])!r} at ({r}, {c}) outside [-1, 1]"
         )
     return gram
-
-
-def _label(r, value) -> int:
-    """``value`` as a label: an integral number within the int64 range."""
-    label = _integer(value)
-    if label is None or not -(2**63) <= label < 2**63:
-        raise NonNumericCellError(r, 0, repr(value))
-    return label
-
-
-def _load_labels(path) -> np.ndarray:
-    """Integer labels: a JSON ``labels`` list, or the first cell of each CSV row.
-
-    Only the first CSV row may be a non-numeric header. A JSON file that is
-    not JSON or has no ``labels`` list holds no labels at all.
-    """
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # undecodable bytes or JSON
-            raise LengthMismatchError(f"{path}: not valid JSON: {exc}") from None
-        labels = payload.get("labels") if isinstance(payload, dict) else None
-        if not isinstance(labels, list):
-            raise LengthMismatchError(f"{path}: no 'labels' list")
-        return np.asarray([_label(r, value) for r, value in enumerate(labels)], dtype=np.int64)
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
-        raise LengthMismatchError(f"{path}: unreadable text ({exc})") from None
-    values = []
-    first = True
-    for r, row in enumerate(rows):
-        if not row or row[0].strip() == "":
-            continue
-        try:
-            value = float(row[0])
-        except ValueError:
-            if not first:
-                raise NonNumericCellError(r, 0, row[0].strip()) from None
-        else:
-            values.append(_label(r, value))
-        first = False
-    return np.asarray(values, dtype=np.int64)
 
 
 def cmd_gram(args) -> int:
@@ -464,8 +388,8 @@ def _add_common(parser):
         help="critical-value scaling",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads, at most one per CPU (default: "
-                             "DEPCON_THREADS or 1); never changes the output")
+                        help="worker threads, at most one per CPU (default 1); "
+                             "never changes the output")
 
 
 def build_parser() -> argparse.ArgumentParser:

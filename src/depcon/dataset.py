@@ -1,9 +1,11 @@
-"""Dataset container and the one reader of numeric input tables.
+"""Dataset container and the one reader of input files.
 
 A dataset is an n x m real matrix: rows are samples, columns are features.
 ``_read_table`` parses every numeric table the package reads (CSV and JSON
-datasets, and the CLI's Gram files), so the input rules live in one place;
-``_check_finite`` and ``_integer`` also serve clustering, labels and graphs.
+datasets, and the CLI's Gram files), ``_load_labels`` every labels file,
+and ``_decode_json`` every JSON text, graphs' included, so the input rules
+live in one place; ``_check_finite`` and ``_integer`` also serve
+clustering, the kernel's arrays and graphs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    LengthMismatchError,
     NonFiniteValueError,
     NonNumericCellError,
     RaggedRowsError,
@@ -35,9 +38,7 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 2:
-            raise TooFewFeaturesError("dataset must be a 2-D matrix")
+        values = _matrix(self.values)
         n, m = values.shape
         if n < 2:
             raise TooFewSamplesError(f"need at least 2 samples, got {n}")
@@ -58,6 +59,14 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.values.shape[1]
+
+
+def _matrix(data) -> np.ndarray:
+    """``data`` as a C-contiguous float64 matrix; TooFewFeaturesError unless it is 2-D."""
+    values = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    if values.ndim != 2:
+        raise TooFewFeaturesError("dataset must be a 2-D matrix")
+    return values
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -83,6 +92,31 @@ def _filled_rows(reader):
     return (row for row in reader if len(row) > 1 or (row and row[0].strip()))
 
 
+def _is_header(row) -> bool:
+    """Whether ``row`` holds a cell that is not a number, so it can only be a header."""
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return True
+    return False
+
+
+def _float(r, c, cell) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise NonNumericCellError(r, c, cell.strip()) from None
+
+
+def _decode_json(text, error, name):
+    """The value of the JSON ``text`` (str, or bytes read as UTF-8); ``error``,
+    the caller's error class, when it is not UTF-8 JSON or nests too deep."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{name}: not valid JSON ({exc})") from None
+
+
 def _read_table(source, empty, *, json_key=None, has_header=False):
     """``(header or JSON payload, finite float matrix)`` from a path or stream.
 
@@ -90,7 +124,8 @@ def _read_table(source, empty, *, json_key=None, has_header=False):
     is a list of equal-length rows of JSON numbers; the whole object is
     returned with the matrix. Otherwise it is comma-separated text: blank
     and whitespace-only lines are skipped and, when ``has_header``, the
-    first filled row is returned as the header (cells stripped). A source
+    first filled row is returned as the header (cells stripped); when
+    ``has_header`` is None, it is the header if ``_is_header``. A source
     that is not UTF-8, not such a JSON object, not readable as CSV, or holds
     no data row raises ``empty``, the caller's error class. Non-numeric
     cells are reported before non-finite ones.
@@ -104,10 +139,7 @@ def _read_table(source, empty, *, json_key=None, has_header=False):
         if json_key is None:
             head, matrix = _read_csv(source, text, name, empty, has_header)
         else:
-            try:
-                head = json.loads(Path(source).read_text(encoding="utf-8") if text is None else text)
-            except (ValueError, RecursionError) as exc:
-                raise empty(f"{name}: not valid JSON ({exc})") from None
+            head = _decode_json(Path(source).read_bytes() if text is None else text, empty, name)
             rows = head.get(json_key) if isinstance(head, dict) else None
             if not isinstance(rows, list) or not rows:
                 raise empty(f'{name}: no "{json_key}" list of rows')
@@ -126,9 +158,11 @@ def _read_csv(path, text, name, empty, has_header):
     with handle:
         reader = csv.reader(handle)
         rows = _filled_rows(reader)
-        header = [cell.strip() for cell in next(rows, [])] if has_header else None
-        skip = reader.line_num
         first = next(rows, None)
+        header, skip = None, 0
+        if has_header or (has_header is None and _is_header(first or [])):
+            header, skip = [cell.strip() for cell in first or []], reader.line_num
+            first = next(rows, None)
         if first is None:
             raise empty(f"{name}: no data rows")
         try:
@@ -147,13 +181,7 @@ def _parse_rows(rows) -> np.ndarray:
     for r, row in enumerate(rows):
         if parsed and len(row) != len(parsed[0]):
             raise RaggedRowsError(r, len(parsed[0]), len(row))
-        values = []
-        for c, cell in enumerate(row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise NonNumericCellError(r, c, cell.strip()) from None
-        parsed.append(values)
+        parsed.append([_float(r, c, cell) for c, cell in enumerate(row)])
     return np.asarray(parsed, dtype=np.float64)
 
 
@@ -172,13 +200,45 @@ def _json_matrix(rows) -> np.ndarray:
         raise NonFiniteValueError("an integer cell exceeds the float64 range") from None
 
 
+def _label(r, value) -> int:
+    """``value`` as a label: an integral number within the int64 range."""
+    label = _integer(value)
+    if label is None or not -(2**63) <= label < 2**63:
+        raise NonNumericCellError(r, 0, repr(value))
+    return label
+
+
+def _load_labels(path) -> np.ndarray:
+    """Integer labels: a JSON ``labels`` list, or the first cell of each filled CSV row.
+
+    As in a dataset CSV, only the first filled row may be a non-numeric
+    header. A file that is not UTF-8, not readable as CSV, not JSON, or has
+    no ``labels`` list holds no labels at all.
+    """
+    path = Path(path)
+    try:
+        if path.suffix.lower() == ".json":
+            payload = _decode_json(path.read_bytes(), LengthMismatchError, path)
+            labels = payload.get("labels") if isinstance(payload, dict) else None
+            if not isinstance(labels, list):
+                raise LengthMismatchError(f"{path}: no 'labels' list")
+        else:
+            with open(path, "r", newline="", encoding="utf-8") as handle:
+                cells = [row[0] for row in _filled_rows(csv.reader(handle))]
+            cells = cells[1:] if _is_header(cells[:1]) else cells
+            labels = [_float(r, 0, cell) for r, cell in enumerate(cells)]
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
+        raise LengthMismatchError(f"{path}: unreadable text ({exc})") from None
+    return np.asarray([_label(r, value) for r, value in enumerate(labels)], dtype=np.int64)
+
+
 def load_dataset(source, has_header: bool = False) -> Dataset:
     """Parse a CSV stream or path into a Dataset.
 
     Comma-delimited, decimal-point floats, optional single header row (the
     first filled row); blank lines are skipped.
     """
-    names, values = _read_table(source, TooFewSamplesError, has_header=has_header)
+    names, values = _read_table(source, TooFewSamplesError, has_header=bool(has_header))
     return Dataset(values, tuple(names) if names else None)
 
 
@@ -192,4 +252,13 @@ def load_dataset_json(source) -> Dataset:
     names = payload.get("feature_names")
     if names is not None and not isinstance(names, list):
         raise RaggedRowsError("header", values.shape[1], type(names).__name__)
+    return Dataset(values, tuple(names) if names else None)
+
+
+def _load_any_dataset(path) -> Dataset:
+    """The CLI's dataset: JSON by its extension, else CSV whose first filled
+    row is a header when ``_is_header``."""
+    if Path(path).suffix.lower() == ".json":
+        return load_dataset_json(path)
+    names, values = _read_table(path, TooFewSamplesError, has_header=None)
     return Dataset(values, tuple(names) if names else None)

@@ -17,12 +17,11 @@ structure used throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _integer
+from .dataset import _decode_json, _integer
 from .errors import (
     DimensionMismatchError,
     InvalidGraphError,
@@ -264,10 +263,7 @@ def graph_from_json(payload) -> MixedGraph:
     integer; a bool, a string or ``1.5`` does not.
     """
     if isinstance(payload, (str, bytes)):
-        try:
-            payload = json.loads(payload.decode() if isinstance(payload, bytes) else payload)
-        except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON
-            raise InvalidGraphError(f"graph is not valid JSON ({exc})") from None
+        payload = _decode_json(payload, InvalidGraphError, "graph")
     if not isinstance(payload, dict):
         raise InvalidGraphError("graph JSON must be an object with a 'vertices' count")
     m = _integer(payload.get("vertices"))

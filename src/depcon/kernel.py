@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalScale, critical_matrix
-from .dataset import Dataset
+from .dataset import Dataset, _check_finite, _matrix
 from .errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -85,23 +85,18 @@ class GramMatrix:
 
 
 def _resolve_threads(threads) -> int:
-    """``threads``, or ``DEPCON_THREADS`` (default 1) when None; below 1 is an error."""
-    if threads is None:
-        env = os.environ.get("DEPCON_THREADS") or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise OutOfRangeError(f"DEPCON_THREADS={env!r} is not an integer") from None
-    threads = int(threads)
+    """``threads``, or 1 when None; below 1 is an error."""
+    threads = 1 if threads is None else int(threads)
     if threads < 1:
         raise OutOfRangeError(f"need at least 1 thread, got {threads}")
     return threads
 
 
 def _values(data) -> np.ndarray:
+    """A Dataset's values, or an array held to a Dataset's 2-D and finite checks."""
     if isinstance(data, Dataset):
         return data.values
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    return _check_finite(_matrix(data), "dataset")
 
 
 def _unit_columns(values):
@@ -317,7 +312,7 @@ def distance_cov_matrix(data) -> np.ndarray:
     x, a, grand_mean, exponents = _scaled_columns(values)
     scale = np.outer(grand_mean, grand_mean)
     total = None
-    for _, group in _product_blocks(x, a, _resolve_threads(None)):
+    for _, group in _product_blocks(x, a, 1):
         group *= scale  # before the fold, so the total is the scaled stack's sum
         total = _fold(total, group)
     return _scaled_back(np.maximum(total / (n * n), 0.0), exponents[:, None] + exponents[None, :])

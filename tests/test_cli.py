@@ -14,13 +14,12 @@ import pytest
 
 import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
+from depcon.dataset import _load_any_dataset, _load_labels
 from depcon.embedding import kpca_fit, kpca_transform
 from depcon.cli import (
     _csv_outputs,
     _json_chunks,
     _json_text,
-    _load_any_dataset,
-    _load_labels,
     _load_matrix,
     _matrix_rows,
     _one_blas_thread,
@@ -707,9 +706,10 @@ def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):
         ('{"labels": [0, true, 1]}', NonNumericCellError),
         ('{"labels": [0, 1e300, 1]}', NonNumericCellError),
         ('{"labels": [0, 1180591620717411303424, 1]}', NonNumericCellError),
+        pytest.param("[" * 200_000, LengthMismatchError, id="nested"),
     ],
 )
-@pytest.mark.parametrize("command", ["kpca", "eval"])
+@pytest.mark.parametrize("command", ["kpca", "eval", "eval-predictions"])
 def test_bad_json_labels_exit_codes(tmp_path, capsys, command, text, error):
     _assert_labels_rejected(tmp_path, capsys, command, "labels.json", text, error)
 
@@ -720,22 +720,24 @@ def _assert_labels_rejected(tmp_path, capsys, command, name, text, error):
     labels = tmp_path / name
     labels.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out.csv"
-    if command == "kpca":
-        argv = ("kpca", gram, "-o", out, "-d", "1", "--labels", labels)
-    else:
-        pred = tmp_path / "pred.csv"
-        pred.write_text("0\n1\n1\n")
-        argv = ("eval", pred, "--truth", labels, "-o", out)
+    other = tmp_path / "other.csv"
+    other.write_text("0\n1\n1\n")
+    argv = {
+        "kpca": ("kpca", gram, "-o", out, "-d", "1", "--labels", labels),
+        "eval": ("eval", other, "--truth", labels, "-o", out),
+        "eval-predictions": ("eval", labels, "--truth", other, "-o", out),
+    }[command]
     assert run(*argv) == error.exit_code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"depcon {argv[0]}: ") and err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "text",
-    ["0\n1.5\n1\n", "0\n1e300\n1\n", "label\n0\ninf\n1\n", "-1e-300\n0\n1\n"],
+    ["0\n1.5\n1\n", "0\n1e300\n1\n", "label\n0\ninf\n1\n", "-1e-300\n0\n1\n", "0\n,5\n1\n"],
 )
-@pytest.mark.parametrize("command", ["kpca", "eval"])
+@pytest.mark.parametrize("command", ["kpca", "eval", "eval-predictions"])
 def test_bad_csv_labels_exit_codes(tmp_path, capsys, command, text):
     _assert_labels_rejected(tmp_path, capsys, command, "labels.csv", text, NonNumericCellError)
 
@@ -795,6 +797,7 @@ def test_json_labels_accept_integral_numbers(tmp_path):
         ('{"feature_names": 5, "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
         ('{"feature_names": "ab", "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
         ('{"feature_names": {"a": 1}, "rows": [[0, 1], [1, 0], [2, 4]]}', RaggedRowsError),
+        pytest.param("[" * 200_000, TooFewSamplesError, id="nested"),
     ],
 )
 def test_bad_json_dataset_exit_codes(tmp_path, capsys, text, error):
@@ -923,23 +926,12 @@ def test_spread_beyond_float64_is_finite(tmp_path):
     assert outputs["big"] == outputs["scaled"]
 
 
-def test_threads_environment_not_integer_exit_code(bench, tmp_path, monkeypatch):
-    monkeypatch.setenv("DEPCON_THREADS", "abc")
-    out = tmp_path / "gram.csv"
-    assert run("gram", bench, "-o", out) == OutOfRangeError.exit_code
-    monkeypatch.setenv("DEPCON_THREADS", "2")
-    assert run("gram", bench, "-o", out) == 0
-
-
-@pytest.mark.parametrize("threads, env", [("0", None), ("-4", None), (None, "-3")])
-def test_threads_below_one_exit_code(bench, tmp_path, monkeypatch, capsys, threads, env):
-    if env is not None:
-        monkeypatch.setenv("DEPCON_THREADS", env)
-    extra = () if threads is None else ("--threads", threads)
+@pytest.mark.parametrize("threads", ["0", "-4"], ids=["0-None", "-4-None"])
+def test_threads_below_one_exit_code(bench, tmp_path, capsys, threads):
     out = tmp_path / "out.json"
     for command in ("gram", "indep"):
-        assert run(command, bench, "-o", out, *extra) == OutOfRangeError.exit_code
-    assert run("test", bench, bench, "-o", out, *extra) == OutOfRangeError.exit_code
+        assert run(command, bench, "-o", out, "--threads", threads) == OutOfRangeError.exit_code
+    assert run("test", bench, bench, "-o", out, "--threads", threads) == OutOfRangeError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 

@@ -179,12 +179,16 @@ HUGE_LABEL = (".csv", b"9223372036854775808\n")
 # a column whose spread overflows float64 once gave an all-NaN Gram and NaN statistics
 OVERFLOW = (".csv", b"1e308,1\n-1e308,2\n0,4\n5e307,3\n")
 
+# JSON nested deeper than the decoder's recursion limit once escaped the labels reader
+DEEP = (".json", b"[" * 200_000)
+
 
 @FUZZ
 @given(dataset_files())
 @example(CR_LINES)
 @example(HUGE_INT)
 @example(OVERFLOW)
+@example(DEEP)
 def test_gram_reads_any_dataset_file(file):
     _check(lambda data, gram, pred, out: ("gram", data, "-o", out), *file)
 
@@ -193,6 +197,7 @@ def test_gram_reads_any_dataset_file(file):
 @given(dataset_files())
 @example(CR_LINES)
 @example(OVERFLOW)
+@example(DEEP)
 def test_indep_reads_any_dataset_file(file):
     _check(lambda data, gram, pred, out: ("indep", data, "-o", out), *file)
 
@@ -201,6 +206,7 @@ def test_indep_reads_any_dataset_file(file):
 @given(dataset_files())
 @example(CR_LINES)
 @example(OVERFLOW)
+@example(DEEP)
 def test_test_reads_any_dataset_file(file):
     _check(lambda data, gram, pred, out: ("test", data, data, "-o", out), *file)
 
@@ -209,6 +215,7 @@ def test_test_reads_any_dataset_file(file):
 @given(files("values"))
 @example(CR_LINES)
 @example(HUGE_INT)
+@example(DEEP)
 def test_cluster_reads_any_gram_file(file):
     _check(lambda data, gram, pred, out: ("cluster", data, "-o", out, "-k", 2), *file)
 
@@ -217,6 +224,7 @@ def test_cluster_reads_any_gram_file(file):
 @given(files("labels"))
 @example(CR_LINES)
 @example(HUGE_LABEL)
+@example(DEEP)
 def test_kpca_reads_any_labels_file(file):
     _check(
         lambda data, gram, pred, out: ("kpca", gram, "-o", out, "-d", 1, "--labels", data),
@@ -228,6 +236,7 @@ def test_kpca_reads_any_labels_file(file):
 @given(files("labels"))
 @example(CR_LINES)
 @example(HUGE_LABEL)
+@example(DEEP)
 def test_eval_reads_any_truth_file(file):
     _check(lambda data, gram, pred, out: ("eval", pred, "--truth", data, "-o", out), *file)
 
@@ -236,5 +245,6 @@ def test_eval_reads_any_truth_file(file):
 @given(graph_files())
 @example((".json", b"\xff\xfe{}"))
 @example((".json", b'{"vertices": %s}' % BIG))
+@example(DEEP)
 def test_graphdist_reads_any_graph_file(file):
     _check(lambda data, gram, pred, out: ("graphdist", data, data, "-o", out), *file)

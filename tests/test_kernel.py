@@ -22,8 +22,9 @@ from depcon.errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     OutOfRangeError,
+    TooFewFeaturesError,
 )
-from depcon.inference import aggregate_statistic, structure_difference_score
+from depcon.inference import aggregate_statistic, independence_test, structure_difference_score
 from depcon.kernel import (
     _gram_from_units,
     _resolve_threads,
@@ -450,7 +451,6 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
             depcon.kernel._sums.clear()  # build again at this block size and thread count
             assert np.array_equal(aggregate_statistic(a, threads=threads), stat_a)
             assert np.array_equal(mean_contribution(a, threads=threads), mean_a)
-            monkeypatch.setenv("DEPCON_THREADS", str(threads))
             assert np.array_equal(distance_cov_matrix(b), dcov_b)
             result, caught = _warnings_of(lambda: structure_difference_score(a, b, threads=threads))
             assert [str(w.message) for w in caught] == expected_warnings
@@ -628,26 +628,38 @@ def test_cross_gram_per_side_scaling():
         )
 
 
-def test_threads_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("DEPCON_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2
-    monkeypatch.delenv("DEPCON_THREADS")
+def test_threads_default_is_one():
     assert _resolve_threads(None) == 1
-    monkeypatch.setenv("DEPCON_THREADS", "")
-    assert _resolve_threads(None) == 1
-    monkeypatch.setenv("DEPCON_THREADS", "abc")
-    with pytest.raises(OutOfRangeError):
-        _resolve_threads(None)
     assert _resolve_threads(2) == 2
 
 
-@pytest.mark.parametrize("threads, env", [(0, None), (-4, None), (None, "-3"), (None, "0")])
-def test_thread_count_below_one_rejected(monkeypatch, threads, env):
+@pytest.mark.parametrize("threads", [0, -4], ids=["0-None", "-4-None"])
+def test_thread_count_below_one_rejected(threads):
     x = random_dataset(np.random.default_rng(151), 10, 2)
-    if env is not None:
-        monkeypatch.setenv("DEPCON_THREADS", env)
     with pytest.raises(OutOfRangeError, match="at least 1 thread"):
         contribution_features(x, threads=threads)
     with pytest.raises(OutOfRangeError):
         gram_matrix(x, threads=threads)
+
+
+@pytest.mark.parametrize("fault", ["1-D", "NaN"])
+@pytest.mark.parametrize(
+    "entry",
+    [gram_matrix, aggregate_statistic, contribution_features, distance_cov_matrix, independence_test],
+    ids=lambda entry: entry.__name__,
+)
+def test_raw_arrays_meet_the_dataset_checks(entry, fault):
+    x = random_dataset(np.random.default_rng(152), 20, 3)
+    if fault == "1-D":
+        with pytest.raises(TooFewFeaturesError, match="dataset must be a 2-D matrix"):
+            entry(x[:, 0])
+    else:
+        x[4, 1] = np.nan
+        with pytest.raises(NonFiniteValueError, match=r"non-finite value in dataset at \(4, 1\)"):
+            entry(x)
+
+
+def test_one_feature_arrays_still_build():
+    x = random_dataset(np.random.default_rng(153), 20, 1)
+    assert contribution_features(x).shape == (20, 1, 1)
+    assert distance_cov_matrix(x).shape == (1, 1)

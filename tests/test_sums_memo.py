@@ -148,22 +148,18 @@ def test_key_holds_what_changes_the_sums(builds):
     assert len(builds) == len(cases) - 2
 
 
-def test_bad_thread_count_fails_with_kept_sums(tmp_path, monkeypatch):
+def test_bad_thread_count_fails_with_kept_sums(tmp_path):
     a, _ = _pair()
     data, out = tmp_path / "a.csv", tmp_path / "out.json"
     np.savetxt(data, a, delimiter=",", fmt="%.17g")
     assert main(["indep", str(data), "-o", str(tmp_path / "kept.json")]) == 0
     assert len(kernel._sums) == 1
-    for flag, env in (("0", None), (None, "0")):
-        if env is not None:
-            monkeypatch.setenv("DEPCON_THREADS", env)
-        extra = [] if flag is None else ["--threads", flag]
-        assert main(["indep", str(data), "-o", str(out), *extra]) == OutOfRangeError.exit_code
-        assert main(["test", str(data), str(data), "-o", str(out), *extra]) == 17
-        with pytest.raises(OutOfRangeError):
-            independence_test(a, threads=None if flag is None else 0)
-        with pytest.raises(OutOfRangeError):
-            mean_contribution(a, threads=None if flag is None else 0)
+    assert main(["indep", str(data), "-o", str(out), "--threads", "0"]) == OutOfRangeError.exit_code
+    assert main(["test", str(data), str(data), "-o", str(out), "--threads", "0"]) == 17
+    with pytest.raises(OutOfRangeError):
+        independence_test(a, threads=0)
+    with pytest.raises(OutOfRangeError):
+        mean_contribution(a, threads=0)
     assert not out.exists()
 
 
