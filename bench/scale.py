@@ -8,18 +8,13 @@
 Each cell runs in a fresh process with one BLAS thread and one library
 thread, and measures only itself: wall time (``perf_counter``), CPU time
 (``process_time``) and the process's peak RSS (``getrusage``), besides the
-RSS it had before the timed call. Around the timed call it takes perfbench's
-calibration (``perfbench/worker.py``'s ``calibrate``, about 11 MB of
-scratch, so no cell's peak RSS reads below that floor) once before and once
-after, and records both and the CPU time over their mean, which moves less
-with the host's speed than the raw CPU time. The grid runs ``REPEATS``
-rounds. Given two trees (``--src`` twice, the parent first), each round
-runs every cell on both trees back to back, and the tree that goes first
-swaps each round, so a slow spell of the host hits both trees alike; each
-cell then records its per-round change/parent ratios of raw CPU time, of
-CPU time per calibration and of wall time, their medians and in how many
-rounds the change was lower. The result keeps every run and each tree's
-per-cell medians. The data are
+RSS it had before the timed call. The grid runs ``REPEATS`` rounds. Given
+two trees (``--src`` twice, the parent first), each round runs every cell on
+both trees back to back, and the tree that goes first swaps each round, so a
+slow spell of the host hits both trees alike; each cell then records its
+per-round change/parent ratios of CPU time and of wall time, their medians
+and in how many rounds the change was lower. The result keeps every run and
+each tree's per-cell medians. The data are
 ``default_rng(7).standard_normal((n, m))`` with column 1 plus sin(column 0).
 A `depcon gram` cell first writes that data to a CSV file in a temporary
 directory, then times the command, which writes the Gram CSV (about 1.2 GB
@@ -58,7 +53,7 @@ THREAD_ENV = {
     "MKL_NUM_THREADS": "1",
 }
 #: Run keys that ``_medians`` and ``_ratios`` summarise.
-KEYS = ("cpu_s", "cpu_per_calibration", "wall_s")
+KEYS = ("cpu_s", "wall_s")
 
 
 def data(n, m):
@@ -80,9 +75,6 @@ def run_cell(layer, n, m):
     from depcon.inference import aggregate_statistic
     from depcon.kernel import contribution_features, gram_matrix
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from worker import calibrate
-
     x = data(n, m)
     workdir = tempfile.TemporaryDirectory(prefix="depcon-scale-")
     source, output = Path(workdir.name) / "data.csv", Path(workdir.name) / "gram.csv"
@@ -97,21 +89,17 @@ def run_cell(layer, n, m):
         with open(source, "w") as handle:
             handle.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
 
-    calibration = [calibrate(np)]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     wall, cpu = time.perf_counter(), time.process_time()
     result = call()
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    calibration.append(calibrate(np))
     record = {
         "layer": layer,
         "n": n,
         "m": m,
         "wall_s": round(wall, 3),
         "cpu_s": round(cpu, 3),
-        "calibration_s": [round(c, 5) for c in calibration],
-        "cpu_per_calibration": round(cpu / statistics.fmean(calibration), 3),
         "peak_rss_mb": round(peak / 1024, 1),
         "rss_before_mb": round(before / 1024, 1),
         "numpy": np.__version__,

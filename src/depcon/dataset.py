@@ -213,7 +213,8 @@ def _load_labels(path) -> np.ndarray:
 
     As in a dataset CSV, only the first filled row may be a non-numeric
     header. A file that is not UTF-8, not readable as CSV, not JSON, or has
-    no ``labels`` list holds no labels at all.
+    no ``labels`` list holds no labels at all; neither may any file hold an
+    empty list.
     """
     path = Path(path)
     try:
@@ -229,6 +230,8 @@ def _load_labels(path) -> np.ndarray:
             labels = [_float(r, 0, cell) for r, cell in enumerate(cells)]
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell beyond csv's size limit
         raise LengthMismatchError(f"{path}: unreadable text ({exc})") from None
+    if not labels:
+        raise LengthMismatchError(f"{path}: no labels")
     return np.asarray([_label(r, value) for r, value in enumerate(labels)], dtype=np.int64)
 
 

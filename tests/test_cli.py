@@ -742,6 +742,19 @@ def test_bad_csv_labels_exit_codes(tmp_path, capsys, command, text):
     _assert_labels_rejected(tmp_path, capsys, command, "labels.csv", text, NonNumericCellError)
 
 
+@pytest.mark.parametrize("text", ["", "label\n", "\n\n", '{"labels": []}'])
+def test_empty_labels_exit_code(tmp_path, capsys, text):
+    # the same empty file as truth and prediction: lengths agree, so only an
+    # emptiness check stops `ari` 1.0 over k = 0 clusters
+    labels = tmp_path / ("labels.json" if text.startswith("{") else "labels.csv")
+    labels.write_text(text)
+    out = tmp_path / "eval.json"
+    assert run("eval", labels, "--truth", labels, "-o", out) == LengthMismatchError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("depcon eval: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [labels]
+
+
 def test_csv_labels_accept_integral_numbers(tmp_path):
     pred = tmp_path / "pred.csv"
     pred.write_text("0\n1\n1\n")

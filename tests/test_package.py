@@ -101,8 +101,7 @@ def test_scale_script_runs_every_layer():
     assert {layer for layer, _, _ in scale.CELLS} == set(scale.LAYERS)
     env = dict(os.environ, **scale.THREAD_ENV,
                PYTHONPATH=str(Path(depcon.__file__).resolve().parent.parent))
-    keys = {"layer", "n", "m", "wall_s", "cpu_s", "calibration_s", "cpu_per_calibration",
-            "peak_rss_mb", "rss_before_mb", "numpy"}
+    keys = {"layer", "n", "m", "wall_s", "cpu_s", "peak_rss_mb", "rss_before_mb", "numpy"}
     for layer in scale.LAYERS:
         out = subprocess.run(
             [sys.executable, str(script), "--cell", layer, "200", "5"],
