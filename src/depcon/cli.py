@@ -143,7 +143,15 @@ def _csv_outputs(path, lines, provenance: dict):
 def _publish(*outputs):
     """Stream each ``(path, chunks of bytes)`` to a temporary beside ``path`` and
     move them all into place once all are complete; on any exception remove
-    them and raise it again, naming ``path``."""
+    them and raise it again, naming ``path``. Two paths with one resolved
+    directory and one name are refused before anything is written."""
+    targets = set()
+    for path, _ in outputs:
+        head, name = os.path.split(path)
+        target = (os.path.realpath(head), name)  # a symlink at the path itself is replaced
+        if target in targets:
+            raise OSError(f"{path}: named by two outputs of one command")
+        targets.add(target)
     temps = []
     try:
         for index, (path, chunks) in enumerate(outputs):

@@ -63,7 +63,6 @@ class SelectKResult:
     best_k: int
     scores: dict
     assignments: dict
-    criterion: str
 
 
 def _square_values(matrix, what) -> np.ndarray:
@@ -661,7 +660,7 @@ def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
             scores[k] = silhouette_from_distances(distances, assignment.labels)
     # max keeps the first of equal scores
     best_k = max(scores, key=scores.get)
-    return SelectKResult(best_k=best_k, scores=scores, assignments=assignments, criterion=criterion)
+    return SelectKResult(best_k=best_k, scores=scores, assignments=assignments)
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -50,11 +50,9 @@ class ConstantFeatureError(DepconError):
 
     exit_code = 15
 
-    def __init__(self, feature, name=None):
-        label = f"{feature}" if name is None else f"{feature} ({name})"
-        super().__init__(f"feature {label} is constant; standardization would divide by zero")
+    def __init__(self, feature):
+        super().__init__(f"feature {feature} is constant; standardization would divide by zero")
         self.feature = feature
-        self.name = name
 
 
 class DimensionMismatchError(DepconError):

@@ -39,7 +39,9 @@ _MAX_VERTICES = 1000
 
 @dataclass(frozen=True, eq=False)
 class MixedGraph:
-    """Ancestral mixed graph over vertices 0..m-1, with m at most 1000."""
+    """Ancestral mixed graph over vertices 0..m-1, with m at most 1000. ``edges``
+    maps each pair (j, k) to its type as seen from j; a None type is no edge, so
+    a graph can be rebuilt from ``edge_type``'s outputs."""
 
     m: int
     edges: dict
@@ -52,8 +54,7 @@ class MixedGraph:
                 f"graph has {self.m} vertices, more than the {_MAX_VERTICES} supported"
             )
         canonical = {}
-        items = self.edges.items() if isinstance(self.edges, dict) else self.edges
-        for (j, k), etype in items:
+        for (j, k), etype in self.edges.items():
             if etype is None:
                 continue
             if etype not in EDGE_TYPES:
@@ -179,14 +180,12 @@ def hamming_product(a, b):
     Accepts two MixedGraphs (returns a bidirected-only MixedGraph) or two
     representatives (returns a representative).
     """
+    if a.m != b.m:
+        raise DimensionMismatchError(f"vertex counts differ: {a.m} vs {b.m}")
     if isinstance(a, BidirectedRepresentative) and isinstance(b, BidirectedRepresentative):
-        if a.m != b.m:
-            raise DimensionMismatchError(f"vertex counts differ: {a.m} vs {b.m}")
         agree = a.connected == b.connected
         np.fill_diagonal(agree, False)
         return BidirectedRepresentative(m=a.m, connected=agree)
-    if a.m != b.m:
-        raise DimensionMismatchError(f"vertex counts differ: {a.m} vs {b.m}")
     edges = {}
     for j in range(a.m):
         for k in range(j + 1, a.m):

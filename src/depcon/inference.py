@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalScale
-from .errors import DimensionMismatchError, SmallSampleWarning
-from .kernel import _critical, _feature_sums, _values, _warn_degenerate
+from .errors import SmallSampleWarning
+from .kernel import _check_same_features, _critical, _feature_sums, _values, _warn_degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +124,7 @@ def structure_difference_score(
     """
     values_a = _values(data_a)
     values_b = _values(data_b)
-    if values_a.shape[1] != values_b.shape[1]:
-        raise DimensionMismatchError(
-            f"feature counts differ: {values_a.shape[1]} vs {values_b.shape[1]}"
-        )
+    _check_same_features(values_a, values_b)
     crit_a = _critical(values_a, alpha, convention)
     total_a, units_a, degenerate_a = _feature_sums(values_a, threads, crit_a)
     crit_b = _critical(values_b, alpha, convention)

@@ -318,6 +318,13 @@ def distance_cov_matrix(data) -> np.ndarray:
     return _scaled_back(np.maximum(total / (n * n), 0.0), exponents[:, None] + exponents[None, :])
 
 
+def _check_same_features(values_a, values_b):
+    """DimensionMismatchError unless two datasets' values have one feature count."""
+    m, m_b = values_a.shape[1], values_b.shape[1]
+    if m != m_b:
+        raise DimensionMismatchError(f"feature counts differ: {m} vs {m_b}")
+
+
 def _critical(values, alpha, convention):
     """The critical matrix of an (n, m) dataset."""
     n, m = values.shape
@@ -338,13 +345,11 @@ def gram_matrix(
     up to rounding (0 on degenerate samples); the cross case is n x n'.
     """
     values_a = _values(data_a)
-    u_a = _unit_vectors(values_a, alpha, convention, threads)
     if data_b is None:
-        return _gram_from_units(u_a)
-    m = values_a.shape[1]
+        return _gram_from_units(_unit_vectors(values_a, alpha, convention, threads))
     values_b = _values(data_b)
-    if values_b.shape[1] != m:
-        raise DimensionMismatchError(f"feature counts differ: {m} vs {values_b.shape[1]}")
+    _check_same_features(values_a, values_b)
+    u_a = _unit_vectors(values_a, alpha, convention, threads)
     return _gram_from_units(u_a, _unit_vectors(values_b, alpha, convention, threads))
 
 
@@ -467,6 +472,7 @@ def sample_set_distance(
     (m^2 - mean_{i,i'} gamma) / 2, which matches the graph distance exactly
     when both mean contribution matrices are sign matrices.
     """
+    _check_same_features(_values(data_a), _values(data_b))
     mean_a = mean_contribution(data_a, alpha=alpha, convention=convention, threads=threads)
     mean_b = mean_contribution(data_b, alpha=alpha, convention=convention, threads=threads)
     return contribution_mean_distance(mean_a, mean_b)

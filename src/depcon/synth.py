@@ -8,11 +8,10 @@ the injected dependence carries no linear correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clustering import _as_seed_sequence
 from .dataset import Dataset
 from .errors import AdjacentPairError, OddModelCountError, OutOfRangeError
 from .graphs import MixedGraph
@@ -82,21 +81,17 @@ def random_dag(m: int, edge_probability: float, seed) -> RandomDag:
     return RandomDag(m=m, parent_sets=tuple(parent_sets), edge_probability=edge_probability)
 
 
-def random_linear_sem(
-    dag: RandomDag,
-    seed,
-    weight_range=(0.5, 1.5),
-    noise_range=(0.5, 1.0),
-) -> LinearSem:
-    """Random SEM parameters: signed weights away from zero, per-vertex noise scales."""
+def random_linear_sem(dag: RandomDag, seed) -> LinearSem:
+    """Random SEM parameters: weights with |w| ~ U(0.5, 1.5) and a random sign,
+    per-vertex noise scales ~ U(0.5, 1.0)."""
     rng = np.random.default_rng(seed)
     weights = {}
     for v in range(dag.m):
         for p in dag.parent_sets[v]:
-            magnitude = rng.uniform(*weight_range)
+            magnitude = rng.uniform(0.5, 1.5)
             sign = 1.0 if rng.random() < 0.5 else -1.0
             weights[(p, v)] = sign * magnitude
-    noise = rng.uniform(noise_range[0], noise_range[1], size=dag.m)
+    noise = rng.uniform(0.5, 1.0, size=dag.m)
     return LinearSem(dag=dag, weights=weights, noise_scale=noise)
 
 
@@ -185,7 +180,6 @@ class LabeledDataset:
     data: Dataset
     labels: np.ndarray
     models: tuple
-    config: BenchmarkConfig = field(default=None)
 
 
 def model_descriptor(model) -> dict:
@@ -217,7 +211,7 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
     if config.num_models < 1 or config.samples_per_model < 1:
         raise OutOfRangeError("model and sample counts must be positive")
     _check_max_pairs(config.max_pairs)
-    root = _as_seed_sequence(config.seed)
+    root = np.random.SeedSequence(config.seed)
     models = []
     if config.nonlinear:
         if config.num_models % 2 != 0:
@@ -252,8 +246,5 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
         labels.extend([index] * config.samples_per_model)
     data = Dataset(np.vstack(blocks))
     return LabeledDataset(
-        data=data,
-        labels=np.asarray(labels, dtype=np.int64),
-        models=tuple(models),
-        config=config,
+        data=data, labels=np.asarray(labels, dtype=np.int64), models=tuple(models)
     )

@@ -1042,6 +1042,44 @@ def test_output_that_is_not_a_regular_file_exit_code(bench, tmp_path, capsys):
     assert os.readlink(link) == os.devnull and not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        # the labels sidecar's path is the dataset's with a .json suffix
+        (("synth", "-o", "x.json", "--models", 2, "--samples", 20, "--features", 4), "x.json"),
+        (("cluster", "gram.csv", "-o", "r.json", "-k", 2, "--report", "r.json"), "r.json"),
+        # one file reached through a symlink to its directory
+        (("cluster", "gram.csv", "-o", "r.json", "-k", 2, "--report", "link/r.json"),
+         "link/r.json"),
+    ],
+    ids=["synth", "cluster", "cluster-linked-directory"],
+)
+def test_two_outputs_naming_one_file_exit_code(bench, tmp_path, capsys, argv, path, earlier):
+    assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
+    (tmp_path / "link").symlink_to(tmp_path)
+    if earlier:
+        (tmp_path / "r.json").write_bytes(b"earlier\n")
+        (tmp_path / "x.json").write_bytes(b"earlier\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+    assert run(*argv) == 3
+    after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before  # no new file, no temporary, no changed byte
+    message = f"depcon {argv[0]}: {tmp_path / path}: named by two outputs of one command\n"
+    assert capsys.readouterr().err == message
+
+
+def test_output_symlink_to_another_output_is_replaced(bench, tmp_path):
+    # a symlink at an output's path names a file of its own, which gets replaced
+    gram, labels, report = tmp_path / "gram.csv", tmp_path / "l.csv", tmp_path / "r.json"
+    assert run("gram", bench, "-o", gram) == 0
+    report.symlink_to(labels)
+    assert run("cluster", gram, "-o", labels, "-k", 2, "--report", report) == 0
+    assert not report.is_symlink() and json.loads(report.read_text())["best_k"] == 2
+    assert labels.read_text().count("\n") == 100
+
+
 @pytest.mark.parametrize(
     "message, detail",
     [("Unable to allocate 171. MiB for an array", " (Unable to allocate 171. MiB for an array)"),

@@ -638,6 +638,15 @@ def test_k_too_large_and_too_small():
         kernel_kmeans(np.zeros((3, 4)), 2)
 
 
+def test_unknown_init_rejected():
+    gram, _ = separated_gram([5, 5])
+    for fit in (kernel_kmeans, lloyd_kmeans):
+        with pytest.raises(OutOfRangeError, match="unknown init 'bogus'"):
+            fit(gram, 2, init="bogus")
+    with pytest.raises(OutOfRangeError, match="unknown init 'bogus'"):
+        select_k(gram, range(2, 4), init="bogus")
+
+
 @pytest.mark.parametrize("runs", [{"max_iter": 0}, {"max_iter": -1}, {"restarts": 0}])
 def test_max_iter_and_restarts_below_one_rejected(runs):
     gram, _ = separated_gram([5, 5])
@@ -703,6 +712,9 @@ def test_vrc_label_validation():
         variance_ratio_criterion(gram, np.zeros(8, dtype=int))
     with pytest.raises(LengthMismatchError):
         variance_ratio_criterion(gram, np.zeros(5, dtype=int))
+    # n clusters leave no within dispersion to divide by: undefined, not infinite
+    with pytest.raises(DegenerateLabelsError, match="need k < n, got k=8, n=8"):
+        variance_ratio_criterion(gram, np.arange(8))
 
 
 @pytest.mark.parametrize(
@@ -876,6 +888,8 @@ def test_select_k_range_validation():
         select_k(gram, range(2, 20), "vrc")
     with pytest.raises(OutOfRangeError):
         select_k(gram, [3], "unknown-criterion")
+    with pytest.raises(OutOfRangeError, match="empty k range"):
+        select_k(gram, [])
 
 
 # ---------------------------------------------------------------- ARI
@@ -885,6 +899,8 @@ def test_ari_identical_and_relabeled():
     labels = np.array([0, 0, 1, 1, 2, 2])
     assert adjusted_rand_index(labels, labels) == 1.0
     assert adjusted_rand_index(labels, (labels + 1) % 3) == 1.0
+    # two all-singleton labelings: no pair agrees or can, so the index is 1.0
+    assert adjusted_rand_index(np.arange(6), np.arange(6)[::-1]) == 1.0
 
 
 def test_ari_hand_computed_example():

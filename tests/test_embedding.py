@@ -238,6 +238,14 @@ def test_fit_validation():
         kpca_fit(np.eye(5), 0)
 
 
+@pytest.mark.parametrize("n, m, d", [(20, 6, 0), (20, 6, 7), (4, 6, 4)],
+                         ids=["d=0", "d>m", "d>n-1"])
+def test_linear_pca_scores_rejects_component_count(n, m, d):
+    points = np.random.default_rng(7).standard_normal((n, m))
+    with pytest.raises(OutOfRangeError, match=f"got d={d}"):
+        linear_pca_scores(points, d)
+
+
 def test_linear_pca_scores_shape_and_centering():
     rng = np.random.default_rng(7)
     points = rng.standard_normal((20, 6))

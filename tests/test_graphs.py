@@ -96,6 +96,35 @@ def test_invalid_vertex():
         MixedGraph(2, {(0, 5): "->"})
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({(0, 1): "=>"}, "unknown edge type '=>'"),
+        ({(0, 1): "->", (1, 0): "->"}, r"conflicting edge types for pair \(0, 1\)"),
+    ],
+    ids=["unknown-type", "conflicting-types"],
+)
+def test_invalid_edges_rejected(edges, message):
+    with pytest.raises(InvalidGraphError, match=message):
+        MixedGraph(3, edges)
+
+
+def test_edge_type_range_and_diagonal():
+    g = MixedGraph(3, {(0, 1): "->"})
+    assert g.edge_type(1, 1) is None
+    for pair in [(0, 3), (-1, 0)]:
+        with pytest.raises(InvalidVertexError, match="outside range"):
+            g.edge_type(*pair)
+
+
+def test_graph_rebuilt_from_its_edge_types():
+    # every ordered pair, non-adjacent ones (None) included, in both orientations
+    g = MixedGraph(4, {(0, 1): "->", (2, 1): "<->", (0, 3): "--"})
+    edges = {(j, k): g.edge_type(j, k) for j in range(4) for k in range(4) if j != k}
+    assert None in edges.values()
+    assert MixedGraph(4, edges).edges == g.edges
+
+
 # ---------------------------------------------------------------- m-connection
 
 
@@ -165,6 +194,20 @@ def test_representative_idempotent():
         assert np.array_equal(rep.connected, again.connected)
 
 
+@pytest.mark.parametrize(
+    "connected, error, message",
+    [
+        (np.zeros((3, 2), dtype=bool), DimensionMismatchError, "does not match m=3"),
+        (np.triu(np.ones((3, 3), dtype=bool), k=1), InvalidGraphError, "must be symmetric"),
+        (np.eye(3, dtype=bool), InvalidGraphError, "false diagonal"),
+    ],
+    ids=["shape", "asymmetric", "true-diagonal"],
+)
+def test_bad_connection_matrix_rejected(connected, error, message):
+    with pytest.raises(error, match=message):
+        BidirectedRepresentative(3, connected)
+
+
 def test_equivalent_dags_share_representative():
     chain = MixedGraph(3, {(0, 1): "->", (1, 2): "->"})
     fork = MixedGraph(3, {(1, 0): "->", (1, 2): "->"})
@@ -213,6 +256,15 @@ def test_group_axioms_small():
             assert np.array_equal(
                 hamming_product(u, u).connected, identity.connected
             )  # each element is its own inverse
+
+
+@pytest.mark.parametrize("kind", ["graphs", "representatives"])
+def test_product_vertex_count_mismatch(kind):
+    a, b = MixedGraph(3, {}), MixedGraph(4, {})
+    if kind == "representatives":
+        a, b = representative(a), representative(b)
+    with pytest.raises(DimensionMismatchError, match="vertex counts differ: 3 vs 4"):
+        hamming_product(a, b)
 
 
 # ---------------------------------------------------------------- distance
@@ -287,6 +339,12 @@ def test_sign_matrix_validation():
         SignMatrix(np.array([[1, 1], [-1, 1]]))
     with pytest.raises(NotSquareError):
         SignMatrix(np.ones((2, 3)))
+    with pytest.raises(InvalidGraphError, match="diagonal"):
+        SignMatrix(np.array([[-1, 1], [1, 1]]))
+    small, large = SignMatrix(np.ones((2, 2))), SignMatrix(np.ones((3, 3)))
+    for combine in (small.elementwise_product, small.frobenius_inner):
+        with pytest.raises(DimensionMismatchError, match="sizes differ: 2 vs 3"):
+            combine(large)
 
 
 # ---------------------------------------------------------------- serialization

@@ -141,20 +141,10 @@ def _structure_pair():
     return a, b
 
 
-def test_structure_builds_features_once_per_dataset(monkeypatch):
-    from depcon import kernel
-
+def test_structure_builds_features_once_per_dataset(builds):
     # every feature build, stacked or folded, runs the one row-block core
-    calls = []
-    original = kernel._product_blocks
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(kernel, "_product_blocks", counted)
     structure_difference_score(*_structure_pair())
-    assert len(calls) == 2
+    assert len(builds) == 2
 
 
 def test_structure_parts_match_standalone_results():

@@ -352,10 +352,12 @@ def test_gram_sample_permutation_equivariance():
     assert np.allclose(permuted, base[np.ix_(perm, perm)], atol=1e-10)
 
 
-def test_gram_dimension_mismatch():
+def test_gram_dimension_mismatch(builds):
+    # the feature counts are compared before either dataset's products are built
     rng = np.random.default_rng(97)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="feature counts differ: 3 vs 4"):
         gram_matrix(random_dataset(rng, 8, 3), random_dataset(rng, 8, 4))
+    assert builds == []
 
 
 def test_gram_accepts_dataset_objects():
@@ -569,10 +571,11 @@ def test_sample_set_distance_symmetry():
     assert sample_set_distance(a, b) == pytest.approx(sample_set_distance(b, a), abs=1e-10)
 
 
-def test_sample_set_distance_rejects_feature_mismatch():
+def test_sample_set_distance_rejects_feature_mismatch(builds):
     rng = np.random.default_rng(108)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="feature counts differ: 3 vs 4"):
         sample_set_distance(random_dataset(rng, 20, 3), random_dataset(rng, 20, 4))
+    assert builds == []
 
 
 def test_mean_distance_on_sign_matrices():

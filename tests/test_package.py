@@ -1,5 +1,6 @@
 """The public surface of the package."""
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -35,6 +36,78 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     # a name added to or dropped from depcon's exports must be added here on purpose
     assert sorted(depcon.__all__) == PUBLIC
+
+
+# the parameters of each public function and the fields of each public dataclass
+SIGNATURES = {
+    "BenchmarkConfig": "num_models samples_per_model num_features edge_probability nonlinear "
+                       "seed amplitude max_pairs",
+    "BidirectedRepresentative": "m connected",
+    "ClusterAssignment": "labels k objective iterations converged objective_trace repairs",
+    "CriticalMatrix": "alpha chi2_quantile values convention",
+    "Dataset": "values feature_names",
+    "GramMatrix": "values",
+    "IndependenceResult": "statistic reject alpha convention",
+    "KpcaModel": "eigenvalues coefficients",
+    "LabeledDataset": "data labels models",
+    "LinearSem": "dag weights noise_scale",
+    "MixedGraph": "m edges",
+    "NonlinearPair": "source target amplitude",
+    "NonlinearSem": "base pairs",
+    "RandomDag": "m parent_sets edge_probability",
+    "SelectKResult": "best_k scores assignments",
+    "SignMatrix": "values",
+    "StructureComparison": "score different_structure witnesses statistic_a statistic_b",
+    "adjusted_rand_index": "labels_a labels_b",
+    "aggregate_statistic": "data alpha convention threads",
+    "augment_nonlinear": "sem seed amplitude max_pairs",
+    "build_benchmark": "config",
+    "calinski_harabasz": "points labels",
+    "chi2_quantile_1df": "p",
+    "contribution_features": "data standardize threads",
+    "contribution_mean_distance": "mean_a mean_b",
+    "critical_matrix": "m n alpha convention",
+    "distance_cov_matrix": "data",
+    "gram_matrix": "data_a data_b alpha convention threads",
+    "graph_distance": "u u_prime",
+    "graph_from_json": "payload",
+    "hamming_product": "a b",
+    "independence_test": "data alpha convention threads",
+    "kernel_kmeans": "gram k init max_iter restarts seed init_labels",
+    "kpca_fit": "gram d",
+    "kpca_transform": "model",
+    "linear_pca_scores": "points d",
+    "lloyd_kmeans": "points k init max_iter restarts seed init_labels",
+    "load_dataset": "source has_header",
+    "load_dataset_json": "source",
+    "mean_contribution": "data alpha convention threads",
+    "model_descriptor": "model",
+    "random_dag": "m edge_probability seed",
+    "random_linear_sem": "dag seed",
+    "representative": "graph",
+    "sample_linear_sem": "sem n seed",
+    "sample_nonlinear_sem": "sem n seed",
+    "sample_set_distance": "data_a data_b alpha convention threads",
+    "select_k": "gram k_range criterion init max_iter restarts seed",
+    "sign_map": "u",
+    "sign_of_statistic": "statistic",
+    "silhouette_from_distances": "dist labels",
+    "silhouette_score": "gram labels",
+    "structure_difference_score": "data_a data_b alpha convention threads",
+    "variance_ratio_criterion": "gram labels",
+}
+
+
+def test_public_signatures_are_pinned():
+    # a parameter or field added or dropped must be added here on purpose, as a name is above
+    found = {}
+    for name in depcon.__all__:
+        value = getattr(depcon, name)
+        if dataclasses.is_dataclass(value):
+            found[name] = " ".join(field.name for field in dataclasses.fields(value))
+        elif inspect.isfunction(value):
+            found[name] = " ".join(inspect.signature(value).parameters)
+    assert found == SIGNATURES
 
 
 def test_benchmark_contract(tmp_path):

@@ -18,20 +18,6 @@ from depcon.inference import aggregate_statistic, independence_test, structure_d
 from depcon.kernel import contribution_features, mean_contribution, sample_set_distance
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """One entry per feature build: every build runs ``_product_blocks`` once."""
-    calls = []
-    original = kernel._product_blocks
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(kernel, "_product_blocks", counted)
-    return calls
-
-
 def _pair():
     rng = np.random.default_rng(20)
     a = rng.standard_normal((120, 4))
