@@ -280,8 +280,7 @@ def cmd_cluster(args) -> int:
         # one k, seeded by --seed itself; unlike select_k, k = n is allowed for the
         # silhouette (VRC needs k < n)
         result = _select(
-            _gram_values(gram), [(args.k, args.seed)], args.criterion,
-            args.init, args.max_iter, args.restarts,
+            _gram_values(gram), [(args.k, args.seed)], args.criterion, args.max_iter, args.restarts
         )
     else:
         lo, hi = args.k_range
@@ -289,7 +288,6 @@ def cmd_cluster(args) -> int:
             gram,
             range(lo, hi + 1),
             args.criterion,
-            init=args.init,
             max_iter=args.max_iter,
             restarts=args.restarts,
             seed=args.seed,
@@ -449,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-k", type=int, default=None)
     group.add_argument("--k-range", type=int, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--criterion", choices=["vrc", "silhouette"], default="vrc")
-    p.add_argument("--init", choices=["plusplus", "random"], default="plusplus")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

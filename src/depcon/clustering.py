@@ -300,7 +300,7 @@ def _repair_empty(y, s, labels, k):
     return labels, moves
 
 
-def _seed_starts(y, s, norms, k, init, rngs):
+def _seed_starts(y, s, norms, k, rngs):
     """Start labels (R x n) of R restarts, one generator each in ``rngs``:
     each point joins its nearest of its restart's k seed points.
 
@@ -318,29 +318,23 @@ def _seed_starts(y, s, norms, k, init, rngs):
     n = y.shape[0]
     restarts = len(rngs)
     seeds = np.empty((restarts, k), dtype=np.intp)
-    if init == "random":
-        for r, rng in enumerate(rngs):
-            seeds[r] = rng.choice(n, size=k, replace=False)
-    elif init == "plusplus":
-        seeds[:, 0] = [rng.integers(n) for rng in rngs]
-        # squared distance to the nearest seed so far, clipped at 0: the weights
-        closest = np.full((restarts, n), np.inf)
-        for j in range(1, k):
-            dist = _distances(y, s, norms, y[seeds[:, j - 1, None]])[:, 0]
-            np.maximum(dist, 0.0, out=dist)
-            np.minimum(closest, dist, out=closest)
-            totals = closest.sum(axis=1)
-            for r in np.flatnonzero(totals <= 0.0):
-                remaining = np.setdiff1d(np.arange(n), seeds[r, :j])
-                seeds[r, j] = rngs[r].choice(remaining)
-            drawn = np.flatnonzero(totals > 0.0)
-            cdf = closest[drawn] / totals[drawn, None]
-            np.cumsum(cdf, axis=1, out=cdf)
-            cdf /= cdf[:, -1:]
-            draws = np.array([rngs[r].random() for r in drawn])
-            seeds[drawn, j] = (cdf <= draws[:, None]).sum(axis=1)
-    else:
-        raise OutOfRangeError(f"unknown init {init!r}")
+    seeds[:, 0] = [rng.integers(n) for rng in rngs]
+    # squared distance to the nearest seed so far, clipped at 0: the weights
+    closest = np.full((restarts, n), np.inf)
+    for j in range(1, k):
+        dist = _distances(y, s, norms, y[seeds[:, j - 1, None]])[:, 0]
+        np.maximum(dist, 0.0, out=dist)
+        np.minimum(closest, dist, out=closest)
+        totals = closest.sum(axis=1)
+        for r in np.flatnonzero(totals <= 0.0):
+            remaining = np.setdiff1d(np.arange(n), seeds[r, :j])
+            seeds[r, j] = rngs[r].choice(remaining)
+        drawn = np.flatnonzero(totals > 0.0)
+        cdf = closest[drawn] / totals[drawn, None]
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        draws = np.array([rngs[r].random() for r in drawn])
+        seeds[drawn, j] = (cdf <= draws[:, None]).sum(axis=1)
     dist = _distances(y, s, norms, y[seeds])
     # the first of the nearest seeds, as argmin picks it: it has the largest k - j
     ranks = np.arange(k, 0, -1, dtype=np.intp)[:, None]
@@ -464,29 +458,30 @@ def _lloyd(y, s, norms, k, labels, max_iter):
     ]
 
 
-def _check_k(k, n):
+def _check_settings(n, k, max_iter, restarts, init_labels=None):
+    """One k-means run's settings, checked before any factor: the start labels, or None."""
     if k > n:
         raise KTooLargeError(f"k={k} exceeds sample count {n}")
     if k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
-
-
-def _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels=None):
     for name, value in (("max_iter", max_iter), ("restarts", restarts)):
         if value < 1:
             raise OutOfRangeError(f"need {name} >= 1, got {value}")
+    return None if init_labels is None else _check_labels(n, init_labels, k)[0]
+
+
+def _best_of_restarts(y, s, k, max_iter, restarts, seed, start=None):
     # a squared distance is at most 4 r max|y|^2, and a restart sums n of them
     largest = float(np.abs(y).max(initial=0.0))
     if not math.isfinite(4.0 * y.size * largest * largest):
         raise NonFiniteValueError("coordinates so large that squared distances overflow float64")
     norms = (y * y) @ s
-    if init_labels is not None:
-        labels, _, _ = _check_labels(y.shape[0], init_labels, k)
-        return _lloyd(y, s, norms, k, labels[None, :], max_iter)[0]
+    if start is not None:
+        return _lloyd(y, s, norms, k, start[None, :], max_iter)[0]
     # one generator per restart, spawned in restart order
     rngs = [np.random.default_rng(child) for child in _as_seed_sequence(seed).spawn(restarts)]
     best = None
-    for result in _lloyd(y, s, norms, k, _seed_starts(y, s, norms, k, init, rngs), max_iter):
+    for result in _lloyd(y, s, norms, k, _seed_starts(y, s, norms, k, rngs), max_iter):
         if best is None or result.objective < best.objective - 1e-12:
             best = result
     return best
@@ -496,28 +491,26 @@ def kernel_kmeans(
     gram,
     k: int,
     *,
-    init: str = "plusplus",
     max_iter: int = 100,
     restarts: int = 10,
     seed=0,
     init_labels=None,
 ) -> ClusterAssignment:
-    """Unweighted kernel k-means; best of ``restarts`` runs by objective.
+    """Unweighted kernel k-means; best of ``restarts`` k-means++ seeded runs by objective.
 
     ``init_labels`` (n integers in [0, k)) bypasses seeding (one run) so a
     run can be compared against coordinate-space k-means from the same start.
     """
     gram = _gram_values(gram)
-    _check_k(k, gram.shape[0])
+    start = _check_settings(gram.shape[0], k, max_iter, restarts, init_labels)
     y, s, _ = _factor(gram)
-    return _best_of_restarts(y, s, k, init, max_iter, restarts, seed, init_labels)
+    return _best_of_restarts(y, s, k, max_iter, restarts, seed, start)
 
 
 def lloyd_kmeans(
     points,
     k: int,
     *,
-    init: str = "plusplus",
     max_iter: int = 100,
     restarts: int = 10,
     seed=0,
@@ -528,10 +521,8 @@ def lloyd_kmeans(
     # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
     # (kernel k-means needs no such step: the factor of HKH is centred)
     points = _centred_points(points)
-    _check_k(k, points.shape[0])
-    return _best_of_restarts(
-        points, np.ones(points.shape[1]), k, init, max_iter, restarts, seed, init_labels
-    )
+    start = _check_settings(points.shape[0], k, max_iter, restarts, init_labels)
+    return _best_of_restarts(points, np.ones(points.shape[1]), k, max_iter, restarts, seed, start)
 
 
 def _calinski_harabasz(y, s, labels, k) -> float:
@@ -613,7 +604,6 @@ def select_k(
     k_range,
     criterion: str = "vrc",
     *,
-    init: str = "plusplus",
     max_iter: int = 100,
     restarts: int = 10,
     seed=0,
@@ -630,10 +620,10 @@ def select_k(
     if ks[0] < 2 or ks[-1] >= gram.shape[0]:
         raise OutOfRangeError(f"k range must be within [2, n-1], got {ks[0]}..{ks[-1]}")
     runs = list(zip(ks, _as_seed_sequence(seed).spawn(len(ks))))
-    return _select(gram, runs, criterion, init, max_iter, restarts)
+    return _select(gram, runs, criterion, max_iter, restarts)
 
 
-def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
+def _select(gram, runs, criterion, max_iter, restarts) -> SelectKResult:
     """Best-of-``restarts`` kernel k-means for each ``(k, seed)`` of ``runs`` on
     checked Gram values, scored by ``criterion``; the best k is the first of
     the top score. The Gram is factored once for all runs, and so is the
@@ -641,7 +631,7 @@ def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
     needs every k below n."""
     n = gram.shape[0]
     for k, _ in runs:
-        _check_k(k, n)
+        _check_settings(n, k, max_iter, restarts)
         if criterion == "vrc" and k >= n:  # before any k-means: VRC scores no n clusters
             raise DegenerateLabelsError(f"need k < n, got k={k}, n={n}")
     if criterion == "silhouette":
@@ -652,7 +642,7 @@ def _select(gram, runs, criterion, init, max_iter, restarts) -> SelectKResult:
     scores = {}
     assignments = {}
     for k, seed in runs:
-        assignment = _best_of_restarts(y, s, k, init, max_iter, restarts, seed)
+        assignment = _best_of_restarts(y, s, k, max_iter, restarts, seed)
         assignments[k] = assignment
         if criterion == "vrc":
             scores[k] = _calinski_harabasz(y, s, assignment.labels, k)

@@ -259,7 +259,8 @@ def graph_from_json(payload) -> MixedGraph:
     integer or above 1000 (the ``MixedGraph`` limit), and
     ``edges`` that are not a list of ``[j, k, type]`` with integer endpoints
     raise InvalidGraphError. An integral float such as ``2.0`` counts as an
-    integer; a bool, a string or ``1.5`` does not.
+    integer; a bool, a string or ``1.5`` does not. One pair given two types,
+    in either order, raises it too.
     """
     if isinstance(payload, (str, bytes)):
         payload = _decode_json(payload, InvalidGraphError, "graph")
@@ -280,5 +281,6 @@ def graph_from_json(payload) -> MixedGraph:
         pair = (_integer(j), _integer(k))
         if None in pair:
             raise InvalidGraphError(f"edge entry {entry!r} is not [j, k, type]")
-        edges[pair] = str(etype)
+        if edges.setdefault(pair, str(etype)) != str(etype):
+            raise InvalidGraphError(f"conflicting edge types for pair {pair}")
     return MixedGraph(m, edges)

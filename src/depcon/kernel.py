@@ -53,6 +53,8 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     OutOfRangeError,
+    TooFewFeaturesError,
+    TooFewSamplesError,
 )
 
 #: Name of the feature builder, recorded in every CLI provenance block.
@@ -93,10 +95,15 @@ def _resolve_threads(threads) -> int:
 
 
 def _values(data) -> np.ndarray:
-    """A Dataset's values, or an array held to a Dataset's 2-D and finite checks."""
+    """A Dataset's values, or a finite 2-D array with at least one row and one column."""
     if isinstance(data, Dataset):
         return data.values
-    return _check_finite(_matrix(data), "dataset")
+    values = _check_finite(_matrix(data), "dataset")
+    if values.shape[0] == 0:
+        raise TooFewSamplesError("need at least 1 sample, got 0")
+    if values.shape[1] == 0:
+        raise TooFewFeaturesError("need at least 1 feature, got 0")
+    return values
 
 
 def _unit_columns(values):

@@ -316,13 +316,9 @@ def plusplus_seeds(y, s, norms, k, rng):
     return seeds
 
 
-def seed_labels(y, s, norms, k, init, rng):
-    """One restart's start labels: each point joins its nearest of k seed points."""
-    n = y.shape[0]
-    if init == "random":
-        seeds = rng.choice(n, size=k, replace=False)
-    else:
-        seeds = plusplus_seeds(y, s, norms, k, rng)
+def seed_labels(y, s, norms, k, rng):
+    """One restart's start labels: each point joins its nearest of k k-means++ seed points."""
+    seeds = plusplus_seeds(y, s, norms, k, rng)
     return np.argmin(sq_distances(y, s, norms, y[seeds]), axis=1)
 
 

@@ -16,6 +16,7 @@ import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
 from depcon.dataset import _load_any_dataset, _load_labels
 from depcon.embedding import kpca_fit, kpca_transform
+from depcon.graphs import graph_from_json
 from depcon.cli import (
     _csv_outputs,
     _json_chunks,
@@ -345,6 +346,25 @@ def test_graphdist_malformed_graph_exit_code(tmp_path, capsys, text):
     assert run("graphdist", bad, bad, "-o", out) == InvalidGraphError.exit_code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("second", [[0, 1, "<->"], [1, 0, "<->"]], ids=["same-order", "mirrored"])
+def test_graph_pair_given_two_types_rejected(tmp_path, capsys, second):
+    payload = {"vertices": 2, "edges": [[0, 1, "->"], second]}
+    with pytest.raises(InvalidGraphError, match=r"conflicting edge types for pair \(0, 1\)"):
+        graph_from_json(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "dist.json"
+    assert run("graphdist", bad, bad, "-o", out) == InvalidGraphError.exit_code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("depcon graphdist: conflicting edge types")
+    assert not out.exists()
+
+
+def test_graph_pair_repeated_with_one_type_accepted():
+    graph = graph_from_json({"vertices": 2, "edges": [[0, 1, "->"], [0, 1, "->"], [1, 0, "<-"]]})
+    assert graph.edges == {(0, 1): "->"}
 
 
 def test_graphdist_accepts_integral_float_vertices(tmp_path):

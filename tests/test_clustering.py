@@ -96,7 +96,7 @@ def test_alternating_labels_stop_without_converging(n):
     assert result.iterations <= 3
     assert not result.converged
     y, s, _ = _factor(gram)
-    starts = start_labels(y, s, 2, "plusplus", 3, 0)
+    starts = start_labels(y, s, 2, 3, 0)
     for run in assert_matches_single_restarts(y, s, 2, starts, 100):
         assert run.iterations <= 3
 
@@ -132,7 +132,7 @@ def test_non_finite_points_rejected():
         with pytest.raises(NonFiniteValueError):
             lloyd_kmeans(bad, 2)
     # finite points whose squared distances overflow, for every start
-    for start in ({}, {"init": "random"}, {"init_labels": np.arange(8) % 2}):
+    for start in ({}, {"init_labels": np.arange(8) % 2}):
         with pytest.raises(NonFiniteValueError):
             lloyd_kmeans(points * 1e200, 2, **start)
 
@@ -268,14 +268,14 @@ def test_objective_nonincreasing_trace():
     assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
-def start_labels(y, s, k, init, restarts, seed):
+def start_labels(y, s, k, restarts, seed):
     """Each restart's start labels, drawn one restart at a time by the oracle."""
     norms = (y * y) @ s
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.stack(
         [
-            seed_labels(y, s, norms, k, init, np.random.default_rng(child))
+            seed_labels(y, s, norms, k, np.random.default_rng(child))
             for child in seed.spawn(restarts)
         ]
     )
@@ -297,15 +297,14 @@ def spy_start_labels(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["depcon", "forced-eigh", "indefinite", "repeated-points", "k-n-minus-1", "random-init", "lloyd"]
+    "case", ["depcon", "forced-eigh", "indefinite", "repeated-points", "k-n-minus-1", "lloyd"]
 )
 def test_stacked_seeds_match_single_restart_oracle(monkeypatch, case):
     # every restart's start labels are bitwise those of seeding it alone
-    ks, init, restarts = (2, 3, 6, 10), "plusplus", 7
+    ks, restarts = (2, 3, 6, 10), 7
     gram = points = None
-    if case in ("depcon", "random-init"):
+    if case == "depcon":
         gram = depcon_gram(30)
-        init = "random" if case == "random-init" else init
     elif case == "forced-eigh":
         force_eigh_fallback(monkeypatch)
         gram = depcon_gram(30)
@@ -331,8 +330,8 @@ def test_stacked_seeds_match_single_restart_oracle(monkeypatch, case):
     starts = spy_start_labels(monkeypatch)
     for k in ks:
         for seed in range(4):
-            run(k, init=init, max_iter=1, restarts=restarts, seed=seed)
-            expected = start_labels(y, s, k, init, restarts, seed)
+            run(k, max_iter=1, restarts=restarts, seed=seed)
+            expected = start_labels(y, s, k, restarts, seed)
             assert starts[-1].shape == expected.shape
             assert np.array_equal(starts[-1], expected)
 
@@ -345,7 +344,7 @@ def test_select_k_seeds_match_single_restart_oracle(monkeypatch):
     children = np.random.SeedSequence(11).spawn(6)
     assert len(starts) == 6
     for k, child, got in zip(range(2, 8), children, starts):
-        assert np.array_equal(got, start_labels(y, s, k, "plusplus", 5, child))
+        assert np.array_equal(got, start_labels(y, s, k, 5, child))
 
 
 def test_oracle_distances_match_library_at_large_k():
@@ -394,7 +393,7 @@ def test_stacked_distances_computed_once_per_step(monkeypatch):
     points = rng.standard_normal((60, 3))
     gram = points @ points.T
     y, s, _ = _factor(gram)
-    starts = start_labels(y, s, 4, "plusplus", 4, 9)
+    starts = start_labels(y, s, 4, 4, 9)
     iterations = [kmeans_single_restart(y, s, 4, start, 100).iterations for start in starts]
     assert len(set(iterations)) > 1
     sizes = spy_stacked_distances(monkeypatch)
@@ -428,10 +427,10 @@ def assert_matches_single_restarts(y, s, k, starts, max_iter):
 @pytest.mark.parametrize("max_iter", [1, 2, 100])
 @pytest.mark.parametrize(
     "case",
-    ["depcon", "indefinite", "repeated-points", "repeated-lloyd", "random-init", "one-restart"],
+    ["depcon", "indefinite", "repeated-points", "repeated-lloyd", "one-restart"],
 )
 def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
-    ks, init, restarts = (2, 5, 8), "plusplus", 6
+    ks, restarts = (2, 5, 8), 6
     if case == "indefinite":
         gram, ks = noisy_separated_gram(), (2, 3, 4)
     elif case == "repeated-points":
@@ -443,7 +442,6 @@ def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
         points = np.repeat(np.random.default_rng(3).standard_normal((2, 3)), [12, 8], axis=0)
     else:
         gram = depcon_gram(30)
-        init = "random" if case == "random-init" else init
         restarts = 1 if case == "one-restart" else restarts
     if case == "repeated-lloyd":
         y, s = points - points.mean(axis=0), np.ones(3)
@@ -456,14 +454,14 @@ def test_stacked_restarts_match_single_restart_oracle(case, max_iter):
     rng = np.random.default_rng(7)
     for k in ks:
         for seed in range(3):
-            starts = start_labels(y, s, k, init, restarts, seed)
+            starts = start_labels(y, s, k, restarts, seed)
             runs = assert_matches_single_restarts(y, s, k, starts, max_iter)
             # the kept restart is the first of the lowest objectives (1e-12 rule)
             best = runs[0]
             for other in runs[1:]:
                 if other.objective < best.objective - 1e-12:
                     best = other
-            result = run(k, init=init, max_iter=max_iter, restarts=restarts, seed=seed)
+            result = run(k, max_iter=max_iter, restarts=restarts, seed=seed)
             assert np.array_equal(result.labels, best.labels)
             assert result.objective_trace == best.objective_trace
         # uniform random start labels leave clusters whose means mix distant
@@ -638,18 +636,10 @@ def test_k_too_large_and_too_small():
         kernel_kmeans(np.zeros((3, 4)), 2)
 
 
-def test_unknown_init_rejected():
-    gram, _ = separated_gram([5, 5])
-    for fit in (kernel_kmeans, lloyd_kmeans):
-        with pytest.raises(OutOfRangeError, match="unknown init 'bogus'"):
-            fit(gram, 2, init="bogus")
-    with pytest.raises(OutOfRangeError, match="unknown init 'bogus'"):
-        select_k(gram, range(2, 4), init="bogus")
-
-
 @pytest.mark.parametrize("runs", [{"max_iter": 0}, {"max_iter": -1}, {"restarts": 0}])
-def test_max_iter_and_restarts_below_one_rejected(runs):
+def test_max_iter_and_restarts_below_one_rejected(monkeypatch, runs):
     gram, _ = separated_gram([5, 5])
+    routes = spy_factor_routes(monkeypatch)
     for fit in (
         lambda: kernel_kmeans(gram, 2, **runs),
         lambda: kernel_kmeans(gram, 2, init_labels=[0, 1] * 5, **runs),
@@ -658,6 +648,8 @@ def test_max_iter_and_restarts_below_one_rejected(runs):
     ):
         with pytest.raises(OutOfRangeError, match=next(iter(runs))):
             fit()
+    # rejected before the Gram is factored
+    assert routes == []
 
 
 # ---------------------------------------------------------------- criteria
@@ -982,9 +974,12 @@ def test_objective_rise_on_assignment_step_raises(monkeypatch):
         ([0.5, 1, 0, 1], OutOfRangeError),
     ],
 )
-def test_init_labels_validated(start, error):
+def test_init_labels_validated(monkeypatch, start, error):
     gram = np.eye(4) * 0.5 + 0.5
+    routes = spy_factor_routes(monkeypatch)
     with pytest.raises(error):
         kernel_kmeans(gram, 2, init_labels=start)
     with pytest.raises(error):
         lloyd_kmeans(gram, 2, init_labels=start)
+    # rejected before the Gram is factored
+    assert routes == []

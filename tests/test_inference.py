@@ -11,6 +11,7 @@ from depcon.inference import (
     structure_difference_score,
 )
 from depcon.kernel import gram_matrix
+from reference import distance_tensor
 
 
 def test_duplicated_feature_rejected():
@@ -43,11 +44,9 @@ def test_statistic_matches_classical_form():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((35, 2))
     from depcon.critical import chi2_quantile_1df
-    from depcon.kernel import distance_moments
 
-    row_mean, grand_mean = distance_moments(x)
-    d = np.abs(x[:, None, :] - x[None, :, :])
-    c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
+    tensor = distance_tensor(x)
+    c, grand_mean = tensor.c, tensor.feature_mean_distance
     v2 = float((c[:, :, 0] * c[:, :, 1]).sum()) / 35**2
     expected = 35**2 * v2 / (grand_mean[0] * grand_mean[1]) - 35 * chi2_quantile_1df(0.9)
     stat = aggregate_statistic(x, alpha=0.1)

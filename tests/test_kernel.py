@@ -23,6 +23,7 @@ from depcon.errors import (
     NonFiniteValueError,
     OutOfRangeError,
     TooFewFeaturesError,
+    TooFewSamplesError,
 )
 from depcon.inference import aggregate_statistic, independence_test, structure_difference_score
 from depcon.kernel import (
@@ -162,10 +163,7 @@ def test_dcov_matches_flattened_oracle():
     for _ in range(5):
         n, m = int(rng.integers(5, 50)), int(rng.integers(2, 8))
         x = random_dataset(rng, n, m)
-        row_mean, grand_mean = distance_moments(x)
-        d = np.abs(x[:, None, :] - x[None, :, :])
-        c = d - row_mean[:, None, :] - row_mean[None, :, :] + grand_mean
-        flattened = c.reshape(n * n, m)
+        flattened = distance_tensor(x).c.reshape(n * n, m)
         oracle = flattened.T @ flattened / (n * n)
         assert np.abs(distance_cov_matrix(x) - oracle).max() < 1e-10
 
@@ -645,10 +643,17 @@ def test_thread_count_below_one_rejected(threads):
         gram_matrix(x, threads=threads)
 
 
-@pytest.mark.parametrize("fault", ["1-D", "NaN"])
+@pytest.mark.parametrize("fault", ["1-D", "no-rows", "no-columns", "NaN"])
 @pytest.mark.parametrize(
     "entry",
-    [gram_matrix, aggregate_statistic, contribution_features, distance_cov_matrix, independence_test],
+    [
+        gram_matrix,
+        aggregate_statistic,
+        contribution_features,
+        distance_cov_matrix,
+        distance_moments,
+        independence_test,
+    ],
     ids=lambda entry: entry.__name__,
 )
 def test_raw_arrays_meet_the_dataset_checks(entry, fault):
@@ -656,6 +661,12 @@ def test_raw_arrays_meet_the_dataset_checks(entry, fault):
     if fault == "1-D":
         with pytest.raises(TooFewFeaturesError, match="dataset must be a 2-D matrix"):
             entry(x[:, 0])
+    elif fault == "no-rows":
+        with pytest.raises(TooFewSamplesError, match="need at least 1 sample, got 0"):
+            entry(x[:0])
+    elif fault == "no-columns":
+        with pytest.raises(TooFewFeaturesError, match="need at least 1 feature, got 0"):
+            entry(x[:, :0])
     else:
         x[4, 1] = np.nan
         with pytest.raises(NonFiniteValueError, match=r"non-finite value in dataset at \(4, 1\)"):

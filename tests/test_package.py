@@ -1,5 +1,6 @@
 """The public surface of the package."""
 
+import argparse
 import dataclasses
 import importlib.util
 import inspect
@@ -73,11 +74,11 @@ SIGNATURES = {
     "graph_from_json": "payload",
     "hamming_product": "a b",
     "independence_test": "data alpha convention threads",
-    "kernel_kmeans": "gram k init max_iter restarts seed init_labels",
+    "kernel_kmeans": "gram k max_iter restarts seed init_labels",
     "kpca_fit": "gram d",
     "kpca_transform": "model",
     "linear_pca_scores": "points d",
-    "lloyd_kmeans": "points k init max_iter restarts seed init_labels",
+    "lloyd_kmeans": "points k max_iter restarts seed init_labels",
     "load_dataset": "source has_header",
     "load_dataset_json": "source",
     "mean_contribution": "data alpha convention threads",
@@ -88,7 +89,7 @@ SIGNATURES = {
     "sample_linear_sem": "sem n seed",
     "sample_nonlinear_sem": "sem n seed",
     "sample_set_distance": "data_a data_b alpha convention threads",
-    "select_k": "gram k_range criterion init max_iter restarts seed",
+    "select_k": "gram k_range criterion max_iter restarts seed",
     "sign_map": "u",
     "sign_of_statistic": "statistic",
     "silhouette_from_distances": "dist labels",
@@ -108,6 +109,30 @@ def test_public_signatures_are_pinned():
         elif inspect.isfunction(value):
             found[name] = " ".join(inspect.signature(value).parameters)
     assert found == SIGNATURES
+
+
+# each subcommand's arguments, by dest, in the order the parser declares them
+CLI_OPTIONS = {
+    "gram": "data output format alpha convention threads",
+    "indep": "data output alpha convention threads",
+    "test": "data_a data_b output both_conventions alpha convention threads",
+    "synth": "output models samples features edge_prob nonlinear amplitude max_pairs seed",
+    "cluster": "gram output report k k_range criterion max_iter restarts seed",
+    "kpca": "gram output components labels",
+    "eval": "predictions truth output format",
+    "graphdist": "graph_a graph_b output",
+}
+
+
+def test_cli_options_are_pinned():
+    # a flag added or dropped must be edited here on purpose, as a parameter is in SIGNATURES
+    parser = depcon.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: " ".join(a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction))
+        for name, sub in commands.choices.items()
+    }
+    assert found == CLI_OPTIONS
 
 
 def test_benchmark_contract(tmp_path):
