@@ -28,15 +28,9 @@ import numpy as np
 from . import __version__
 from .clustering import _gram_values, _select, adjusted_rand_index, select_k
 from .critical import CriticalScale
-from .dataset import _check_finite, _load_any_dataset, _load_labels, _read_table
+from .dataset import _check_finite, _is_json, _load_any_dataset, _load_gram, _load_labels
 from .embedding import kpca_fit, kpca_transform
-from .errors import (
-    DepconError,
-    GramRangeError,
-    LengthMismatchError,
-    NonFiniteValueError,
-    NotSquareError,
-)
+from .errors import DepconError, LengthMismatchError, NonFiniteValueError
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
 from .kernel import BACKEND_NAME, _gram_bands, _unit_vectors
@@ -173,31 +167,12 @@ def _publish(*outputs):
         raise
 
 
-def _load_matrix(path) -> np.ndarray:
-    """A Gram file's finite matrix: CSV, or JSON ``{"values": rows}`` by extension."""
-    json_key = "values" if Path(path).suffix.lower() == ".json" else None
-    return _read_table(path, NotSquareError, json_key=json_key)[1]
-
-
-def _load_gram(path) -> np.ndarray:
-    """A kappa Gram file: a finite matrix with entries in [-1, 1] up to rounding."""
-    gram = _load_matrix(path)
-    # max and min first, so an in-range Gram needs no n x n mask
-    bound = 1.0 + 1e-9
-    if gram.max(initial=-bound) > bound or gram.min(initial=bound) < -bound:
-        r, c = np.argwhere(np.abs(gram) > bound)[0]
-        raise GramRangeError(
-            f"{Path(path).name}: kappa value {float(gram[r, c])!r} at ({r}, {c}) outside [-1, 1]"
-        )
-    return gram
-
-
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
     # the unit vectors gram_matrix uses; the file is streamed from them in bands
     units = _unit_vectors(data, args.alpha, args.convention, args.threads)
     prov = _provenance("gram", vars(args))
-    if args.format == "json":
+    if _is_json(args.output):
         rows = (b"[\n      " + row + b"\n    ]" for row in _gram_rows(units, b",\n      "))
         _publish((args.output, _json_chunks({"provenance": prov}, rows={"values": rows})))
     else:
@@ -353,7 +328,9 @@ def cmd_eval(args) -> int:
         "k_histogram": {str(k): histogram[k] for k in sorted(histogram)},
         "provenance": _provenance("eval", vars(args)),
     }
-    if args.format == "csv":
+    if _is_json(args.output):
+        _publish((args.output, _json_chunks(payload)))
+    else:
         buf = io.StringIO()  # csv quotes a name that holds a comma, quote or newline
         csv.writer(buf, lineterminator="\n").writerows(
             [["name", "ari", "k"]]
@@ -361,8 +338,6 @@ def cmd_eval(args) -> int:
         )
         lines = [line.encode(errors="surrogateescape") for line in buf.getvalue().split("\n")[:-1]]
         _publish(*_csv_outputs(args.output, lines, payload["provenance"]))
-    else:
-        _publish((args.output, _json_chunks(payload)))
     return 0
 
 
@@ -408,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="kernel matrix of a dataset")
     p.add_argument("data")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("-o", "--output", required=True, help="JSON if it ends in .json, else CSV")
     _add_common(p)
     p.set_defaults(func=cmd_gram)
 
@@ -462,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("predictions", nargs="+")
     p.add_argument("--truth", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("-o", "--output", required=True, help="JSON if it ends in .json, else CSV")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("graphdist", help="distance between two mixed graphs")

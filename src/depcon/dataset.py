@@ -1,11 +1,11 @@
 """Dataset container and the one reader of input files.
 
 A dataset is an n x m real matrix: rows are samples, columns are features.
-``_read_table`` parses every numeric table the package reads (CSV and JSON
-datasets, and the CLI's Gram files), ``_load_labels`` every labels file,
-and ``_decode_json`` every JSON text, graphs' included, so the input rules
-live in one place; ``_check_finite`` and ``_integer`` also serve
-clustering, the kernel's arrays and graphs.
+``_read_table`` parses every numeric table the package reads (datasets, and
+Gram files through ``_load_gram``), ``_load_labels`` every labels file, and
+``_decode_json`` every JSON text, so the input rules live in one place;
+``_is_json`` picks each CLI file's format by its name, for readers and
+writers. ``_check_finite`` and ``_integer`` also serve the other modules.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    GramRangeError,
     LengthMismatchError,
     NonFiniteValueError,
     NonNumericCellError,
+    NotSquareError,
     RaggedRowsError,
     TooFewFeaturesError,
     TooFewSamplesError,
@@ -106,6 +108,11 @@ def _float(r, c, cell) -> float:
         return float(cell)
     except ValueError:
         raise NonNumericCellError(r, c, cell.strip()) from None
+
+
+def _is_json(path) -> bool:
+    """Whether the file at ``path`` is JSON by its name: a ``.json`` suffix in any case."""
+    return Path(path).suffix.lower() == ".json"
 
 
 def _decode_json(text, error, name):
@@ -218,7 +225,7 @@ def _load_labels(path) -> np.ndarray:
     """
     path = Path(path)
     try:
-        if path.suffix.lower() == ".json":
+        if _is_json(path):
             payload = _decode_json(path.read_bytes(), LengthMismatchError, path)
             labels = payload.get("labels") if isinstance(payload, dict) else None
             if not isinstance(labels, list):
@@ -261,7 +268,21 @@ def load_dataset_json(source) -> Dataset:
 def _load_any_dataset(path) -> Dataset:
     """The CLI's dataset: JSON by its extension, else CSV whose first filled
     row is a header when ``_is_header``."""
-    if Path(path).suffix.lower() == ".json":
+    if _is_json(path):
         return load_dataset_json(path)
     names, values = _read_table(path, TooFewSamplesError, has_header=None)
     return Dataset(values, tuple(names) if names else None)
+
+
+def _load_gram(path) -> np.ndarray:
+    """A kappa Gram file: a finite matrix, CSV or JSON ``{"values": rows}`` by
+    ``_is_json``, with entries in [-1, 1] up to rounding."""
+    gram = _read_table(path, NotSquareError, json_key="values" if _is_json(path) else None)[1]
+    # max and min first, so an in-range Gram needs no n x n mask
+    bound = 1.0 + 1e-9
+    if gram.max(initial=-bound) > bound or gram.min(initial=bound) < -bound:
+        r, c = np.argwhere(np.abs(gram) > bound)[0]
+        raise GramRangeError(
+            f"{Path(path).name}: kappa value {float(gram[r, c])!r} at ({r}, {c}) outside [-1, 1]"
+        )
+    return gram

@@ -95,12 +95,12 @@ def _resolve_threads(threads) -> int:
 
 
 def _values(data) -> np.ndarray:
-    """A Dataset's values, or a finite 2-D array with at least one row and one column."""
+    """A Dataset's values, or a finite 2-D array with at least two rows and one column."""
     if isinstance(data, Dataset):
         return data.values
     values = _check_finite(_matrix(data), "dataset")
-    if values.shape[0] == 0:
-        raise TooFewSamplesError("need at least 1 sample, got 0")
+    if values.shape[0] < 2:
+        raise TooFewSamplesError(f"need at least 2 samples, got {values.shape[0]}")
     if values.shape[1] == 0:
         raise TooFewFeaturesError("need at least 1 feature, got 0")
     return values
@@ -333,8 +333,10 @@ def _check_same_features(values_a, values_b):
 
 
 def _critical(values, alpha, convention):
-    """The critical matrix of an (n, m) dataset."""
+    """The critical matrix of an (n, m) dataset; TooFewFeaturesError if m < 2."""
     n, m = values.shape
+    if m < 2:
+        raise TooFewFeaturesError(f"need at least 2 features, got {m}")
     return critical_matrix(m, n, alpha, convention)
 
 

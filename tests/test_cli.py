@@ -14,14 +14,13 @@ import pytest
 
 import depcon
 from depcon.clustering import kernel_kmeans, silhouette_score, variance_ratio_criterion
-from depcon.dataset import _load_any_dataset, _load_labels
+from depcon.dataset import _load_any_dataset, _load_gram, _load_labels, _read_table
 from depcon.embedding import kpca_fit, kpca_transform
 from depcon.graphs import graph_from_json
 from depcon.cli import (
     _csv_outputs,
     _json_chunks,
     _json_text,
-    _load_matrix,
     _matrix_rows,
     _one_blas_thread,
     _openblas_threads,
@@ -84,7 +83,7 @@ def test_gram_csv_and_json(bench, tmp_path):
     assert matrix.shape == (100, 100)
     assert np.allclose(np.diagonal(matrix), 1.0)
     gram_json = tmp_path / "gram.json"
-    assert run("gram", bench, "-o", gram_json, "--format", "json") == 0
+    assert run("gram", bench, "-o", gram_json) == 0
     payload = json.loads(gram_json.read_text())
     assert payload["provenance"]["config"]["alpha"] == 0.1
     # the streamed JSON is byte for byte one json.dumps of the whole Gram; the
@@ -110,7 +109,7 @@ def _json_dumps_file(payload):
 )
 def test_gram_json_writer_matches_one_piece_dump(tmp_path, matrix):
     provenance = {"command": "gram", "config": {"data": "d\u00e9.csv"}}
-    # the rows as depcon gram --format json streams them
+    # the rows as depcon gram streams them to a .json name
     rows = (b"[\n      " + row + b"\n    ]" for row in _matrix_rows(matrix, b",\n      "))
     _publish((tmp_path / "g.json", _json_chunks({"provenance": provenance}, rows={"values": rows})))
     expected = _json_dumps_file({"values": matrix.tolist(), "provenance": provenance})
@@ -142,7 +141,7 @@ def pipeline_900(tmp_path_factory):
         # written, at most n^2 / 4 of 24 bytes each
         (("gram", "data.csv", "-o", "out.csv"), 1.7),
         # the same, with the JSON rows written as they are formed
-        (("gram", "data.csv", "-o", "out.json", "--format", "json"), 1.7),
+        (("gram", "data.csv", "-o", "out.json"), 1.7),
         # the Gram; HKH is formed a row block at a time, and the rest is O(n) or one block
         (("cluster", "gram.csv", "-o", "out.csv", "--k-range", 2, 8, "--restarts", 3), 2.0),
         (("kpca", "gram.csv", "-o", "out.csv", "-d", 2, "--labels", "data.json"), 2.0),
@@ -247,7 +246,7 @@ def test_cluster_fixed_k_matches_library(bench, tmp_path, criterion, score):
     assert run("gram", bench, "-o", gram) == 0
     assert run("cluster", gram, "-o", labels, "-k", "4", "--criterion", criterion,
                "--seed", "2", "--restarts", "3") == 0
-    values = _load_matrix(gram)
+    values = _load_gram(gram)
     expected = kernel_kmeans(values, 4, seed=2, restarts=3).labels
     got = np.array([int(line) for line in labels.read_text().split()])
     assert np.array_equal(got, expected)
@@ -284,7 +283,7 @@ def test_kpca_csv_bytes(bench, tmp_path, with_labels):
     extra = ("--labels", tmp_path / "bench.json") if with_labels else ()
     assert run("kpca", gram, "-o", coords, "-d", 3, *extra) == 0
     with _one_blas_thread():  # as the command runs
-        expected = kpca_transform(kpca_fit(_load_matrix(gram), 3))
+        expected = kpca_transform(kpca_fit(_load_gram(gram), 3))
     header = ["component_0", "component_1", "component_2"]
     lines = [[repr(float(v)) for v in row] for row in expected]
     if with_labels:
@@ -426,7 +425,7 @@ def test_eval_csv_format(bench, tmp_path):
     assert run("cluster", gram, "-o", labels, "-k", "4", "--seed", "2") == 0
     out = tmp_path / "eval.csv"
     assert run("eval", labels, "--truth", tmp_path / "bench.json",
-               "-o", out, "--format", "csv") == 0
+               "-o", out) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "name,ari,k"
 
@@ -440,11 +439,55 @@ def test_eval_csv_quotes_names_and_keeps_their_bytes(bench, tmp_path):
         (tmp_path / name).write_text("0\n1\n" * 50)
     out = tmp_path / "eval.csv"
     assert run("eval", *(tmp_path / name for name in names), "--truth", truth,
-               "-o", out, "--format", "csv") == 0
+               "-o", out) == 0
     ari = repr(float(depcon.adjusted_rand_index(_load_labels(truth), np.tile([0, 1], 50))))
     assert out.read_bytes() == (
         b'name,ari,k\n"a,""b"".csv",%s,2\np\xff.csv,%s,2\n' % (ari.encode(), ari.encode())
     )
+
+
+@pytest.mark.parametrize("name", ["g.json", "G.JSON"])
+def test_gram_json_by_name_is_read_back(bench, tmp_path, name):
+    # a .json name, in any case, is written as JSON and read as JSON; cluster
+    # and kpca on it match the CSV route byte for byte
+    gram = tmp_path / name
+    assert run("gram", bench, "-o", gram) == 0
+    assert run("gram", bench, "-o", tmp_path / "g.csv") == 0
+    payload = json.loads(gram.read_text())
+    assert "format" not in payload["provenance"]["config"]
+    assert not (tmp_path / f"{name}.provenance.json").exists()
+    outputs = {}
+    for source in (gram, tmp_path / "g.csv"):
+        labels, coords = tmp_path / "labels.csv", tmp_path / "coords.csv"
+        assert run("cluster", source, "-o", labels, "-k", 4, "--seed", 2) == 0
+        assert run("kpca", source, "-o", coords, "-d", 2) == 0
+        outputs[source] = labels.read_bytes(), coords.read_bytes()
+    assert outputs[gram] == outputs[tmp_path / "g.csv"]
+
+
+def test_eval_to_a_name_without_json_writes_csv(bench, tmp_path):
+    truth = tmp_path / "bench.json"
+    out = tmp_path / "e.txt"
+    assert run("eval", truth, "--truth", truth, "-o", out) == 0
+    assert out.read_bytes() == b"name,ari,k\nbench.json,1.0,4\n"
+    config = json.loads((tmp_path / "e.txt.provenance.json").read_text())["config"]
+    assert config["output"] == str(out) and "format" not in config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "bench.csv", "-o", "out.json", "--format", "json"),
+        ("eval", "bench.json", "--truth", "bench.json", "-o", "out.csv", "--format", "csv"),
+    ],
+    ids=["gram", "eval"],
+)
+def test_format_option_is_gone(bench, tmp_path, capsys, argv):
+    before = sorted(tmp_path.iterdir())
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+    assert run(*argv) == 4  # usage
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_console_entry_point(tmp_path):
@@ -660,7 +703,7 @@ def _assert_gram_rejected(tmp_path, capsys, recwarn, command, name, text, error)
 def test_gram_csv_spellings_parse(tmp_path, text):
     gram = tmp_path / "gram.csv"
     gram.write_bytes(text.encode())
-    assert np.array_equal(_load_matrix(gram), [[1.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(_load_gram(gram), [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
@@ -690,7 +733,7 @@ def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
         _publish(*_csv_outputs(path, _matrix_rows(matrix, b","), {"command": "test"}))
         assert path.read_bytes() == buf.getvalue().encode()
         if matrix.size:
-            back = _load_matrix(path)
+            back = _read_table(path, NotSquareError)[1]
             assert back.shape == matrix.shape
             assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
 
@@ -1011,7 +1054,7 @@ def test_cluster_report_in_missing_directory_leaves_no_labels(bench, tmp_path, c
         (("gram", "bench.csv", "-o", "g.csv"), "g.csv", "g.csv.provenance.json"),
         (("cluster", "gram.csv", "-o", "l.csv", "-k", 2, "--report", "r.json"), "l.csv", "r.json"),
         (("kpca", "gram.csv", "-o", "k.csv"), "k.csv", "k.csv.provenance.json"),
-        (("eval", "pred.csv", "--truth", "bench.json", "-o", "e.csv", "--format", "csv"),
+        (("eval", "pred.csv", "--truth", "bench.json", "-o", "e.csv"),
          "e.csv", "e.csv.provenance.json"),
     ],
     ids=["synth", "gram", "cluster", "kpca", "eval-csv"],

@@ -7,7 +7,8 @@ import pytest
 
 import depcon.cli
 import depcon.kernel
-from depcon.cli import _csv_outputs, _load_matrix, _matrix_rows, _one_blas_thread, _publish, main
+from depcon.cli import _csv_outputs, _matrix_rows, _one_blas_thread, _publish, main
+from depcon.dataset import _load_gram
 from depcon.errors import NonFiniteValueError
 from depcon.kernel import GRAM_BAND_ROWS, gram_matrix
 
@@ -37,8 +38,8 @@ def test_gram_file_is_the_library_gram(tmp_path, n):
     assert gram.tobytes() == gram.T.tobytes(order="C")  # exactly symmetric
     assert np.abs(np.diagonal(gram) - 1.0).max() <= 4 * np.finfo(np.float64).eps
     assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
-    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
-    assert main(["gram", str(data), "-o", str(tmp_path / "g.json"), "--format", "json"]) == 0
+    assert _load_gram(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    assert main(["gram", str(data), "-o", str(tmp_path / "g.json")]) == 0
     values = json.loads((tmp_path / "g.json").read_text())["values"]
     assert np.array(values, dtype=np.float64).tobytes() == gram.tobytes()
 
@@ -58,7 +59,7 @@ def test_gram_file_reprs_each_upper_cell_once(tmp_path, monkeypatch):
     gram = _library_gram(x)
     # each row's cells from the diagonal on, the rows in order, and nothing else
     assert np.array(formatted).tobytes() == gram[np.triu_indices(n)].tobytes()
-    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    assert _load_gram(tmp_path / "g.csv").tobytes() == gram.tobytes()
 
 
 def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):
@@ -79,7 +80,7 @@ def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):
     monkeypatch.setattr(depcon.cli, "_gram_bands", spoiled)
     assert _library_gram(x).tobytes() == gram.tobytes()
     assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
-    assert _load_matrix(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    assert _load_gram(tmp_path / "g.csv").tobytes() == gram.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt, n, n
     monkeypatch.setattr(depcon.cli, "_unit_vectors", with_nan)
     inputs = sorted(tmp_path.iterdir())
     out = tmp_path / f"g.{fmt}"
-    argv = ["gram", str(data), "-o", str(out), "--format", fmt]
+    argv = ["gram", str(data), "-o", str(out)]
     assert main(argv) == NonFiniteValueError.exit_code
     assert f"non-finite value in the Gram's rows {rows} " in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == inputs

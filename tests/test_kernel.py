@@ -8,14 +8,13 @@ import pytest
 import depcon.kernel
 from depcon.cli import (
     _csv_outputs,
-    _load_matrix,
     _matrix_rows,
     _one_blas_thread,
     _publish,
     main,
 )
 from depcon.critical import CriticalScale, critical_matrix
-from depcon.dataset import Dataset
+from depcon.dataset import Dataset, _load_gram
 from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -470,7 +469,7 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
             args = ["gram", str(data_b), "-o", str(tmp_path / "g.csv"), "--threads", str(threads)]
             status, caught = _warnings_of(lambda: main(args))
             assert status == 0 and [str(w.message) for w in caught] == expected_warnings[-1:]
-            assert _load_matrix(tmp_path / "g.csv").tobytes() == gram_b.tobytes()
+            assert _load_gram(tmp_path / "g.csv").tobytes() == gram_b.tobytes()
 
 
 def test_default_block_rows_at_least_one(monkeypatch):
@@ -643,7 +642,7 @@ def test_thread_count_below_one_rejected(threads):
         gram_matrix(x, threads=threads)
 
 
-@pytest.mark.parametrize("fault", ["1-D", "no-rows", "no-columns", "NaN"])
+@pytest.mark.parametrize("fault", ["1-D", "no-rows", "one-row", "no-columns", "NaN"])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -661,9 +660,10 @@ def test_raw_arrays_meet_the_dataset_checks(entry, fault):
     if fault == "1-D":
         with pytest.raises(TooFewFeaturesError, match="dataset must be a 2-D matrix"):
             entry(x[:, 0])
-    elif fault == "no-rows":
-        with pytest.raises(TooFewSamplesError, match="need at least 1 sample, got 0"):
-            entry(x[:0])
+    elif fault in ("no-rows", "one-row"):
+        rows = 0 if fault == "no-rows" else 1
+        with pytest.raises(TooFewSamplesError, match=f"need at least 2 samples, got {rows}$"):
+            entry(x[:rows])
     elif fault == "no-columns":
         with pytest.raises(TooFewFeaturesError, match="need at least 1 feature, got 0"):
             entry(x[:, :0])
@@ -673,7 +673,44 @@ def test_raw_arrays_meet_the_dataset_checks(entry, fault):
             entry(x)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        gram_matrix,
+        aggregate_statistic,
+        independence_test,
+        mean_contribution,
+        lambda x: sample_set_distance(x, x),
+        lambda x: structure_difference_score(x, x),
+    ],
+    ids=[
+        "gram_matrix",
+        "aggregate_statistic",
+        "independence_test",
+        "mean_contribution",
+        "sample_set_distance",
+        "structure_difference_score",
+    ],
+)
+def test_one_column_arrays_have_no_critical_matrix(entry):
+    # as a one-column Dataset: the critical matrix needs 2 features
+    x = random_dataset(np.random.default_rng(154), 20, 1)
+    with pytest.raises(TooFewFeaturesError, match="need at least 2 features, got 1$"):
+        entry(x)
+
+
 def test_one_feature_arrays_still_build():
     x = random_dataset(np.random.default_rng(153), 20, 1)
     assert contribution_features(x).shape == (20, 1, 1)
     assert distance_cov_matrix(x).shape == (1, 1)
+    assert [part.shape for part in distance_moments(x)] == [(20, 1), (1,)]
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((2, 2), (3, 3)), ((2, 3), (2, 3)), ((3,), (3,))],
+    ids=["sizes-differ", "not-square", "1-D"],
+)
+def test_contribution_mean_distance_needs_one_square_shape(shape_a, shape_b):
+    with pytest.raises(DimensionMismatchError, match="must share a square shape"):
+        contribution_mean_distance(np.zeros(shape_a), np.zeros(shape_b))

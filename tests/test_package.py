@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -113,13 +115,13 @@ def test_public_signatures_are_pinned():
 
 # each subcommand's arguments, by dest, in the order the parser declares them
 CLI_OPTIONS = {
-    "gram": "data output format alpha convention threads",
+    "gram": "data output alpha convention threads",
     "indep": "data output alpha convention threads",
     "test": "data_a data_b output both_conventions alpha convention threads",
     "synth": "output models samples features edge_prob nonlinear amplitude max_pairs seed",
     "cluster": "gram output report k k_range criterion max_iter restarts seed",
     "kpca": "gram output components labels",
-    "eval": "predictions truth output format",
+    "eval": "predictions truth output",
     "graphdist": "graph_a graph_b output",
 }
 
@@ -133,6 +135,21 @@ def test_cli_options_are_pinned():
         for name, sub in commands.choices.items()
     }
     assert found == CLI_OPTIONS
+
+
+def test_readme_cli_examples_parse():
+    # a flag dropped from the parser but left in a README example fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    lines = [line for block in blocks for line in block.splitlines()]
+    examples = [line for line in lines if line.startswith("depcon ")]
+    assert len(examples) == 8
+    parser = depcon.cli.build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            raise AssertionError(f"README example does not parse: {line}") from None
 
 
 def test_benchmark_contract(tmp_path):
