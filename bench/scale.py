@@ -1,8 +1,9 @@
 """Scale grid, quick tier: the feature build, the aggregate statistic,
-`gram_matrix` and `depcon gram` at large n.
+`gram_matrix`, `depcon gram` and `depcon kpca` at large n.
 
     python bench/scale.py --label change
     python bench/scale.py --label pr --src ../parent/src --src src   # parent, then change
+    python bench/scale.py --label kpca --layer cli_kpca   # only that layer's cells
     python bench/scale.py --cell gram_matrix 200 5   # one cell, its record on stdout
 
 Each cell runs in a fresh process with one BLAS thread and one library
@@ -18,7 +19,9 @@ each tree's per-cell medians. The data are
 ``default_rng(7).standard_normal((n, m))`` with column 1 plus sin(column 0).
 A `depcon gram` cell first writes that data to a CSV file in a temporary
 directory, then times the command, which writes the Gram CSV (about 1.2 GB
-at n = 8,000) there; the directory is deleted. The result goes to
+at n = 8,000) and its twin there; the directory is deleted. A `depcon kpca`
+cell has a `depcon gram` process of the same tree write those files first,
+then times `kpca -d 2` on the Gram CSV. The result goes to
 ``BENCH_scale_<label>.json`` in the current directory.
 """
 
@@ -40,12 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: one after the other (31% apart on the same code); alternated rounds can.
 REPEATS = 5
 TREES = ("parent", "change")
-LAYERS = ("contribution_features", "aggregate_statistic", "gram_matrix", "cli_gram")
+LAYERS = ("contribution_features", "aggregate_statistic", "gram_matrix", "cli_gram", "cli_kpca")
 GRID = [(n, m) for n in (2000, 8000) for m in (5, 10, 20)]
 CELLS = (
     [(layer, n, m) for layer in LAYERS[:2] for n, m in GRID + [(16000, 10)]]
     + [("gram_matrix", n, m) for n, m in GRID]
-    + [("cli_gram", n, 10) for n in (2000, 8000)]
+    + [(layer, n, 10) for layer in LAYERS[3:] for n in (2000, 8000)]
 )
 THREAD_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
@@ -78,16 +81,22 @@ def run_cell(layer, n, m):
     x = data(n, m)
     workdir = tempfile.TemporaryDirectory(prefix="depcon-scale-")
     source, output = Path(workdir.name) / "data.csv", Path(workdir.name) / "gram.csv"
+    coords = Path(workdir.name) / "coords.csv"
     call = {
         "contribution_features": lambda: contribution_features(x),
         "aggregate_statistic": lambda: aggregate_statistic(x),
         "gram_matrix": lambda: gram_matrix(x),
         "cli_gram": lambda: depcon.cli.main(["gram", str(source), "-o", str(output)]),
+        "cli_kpca": lambda: depcon.cli.main(["kpca", str(output), "-o", str(coords), "-d", "2"]),
     }[layer]
-    if layer == "cli_gram":
+    if layer.startswith("cli_"):
         # each value's shortest round-trip repr, as depcon writes a dataset CSV
         with open(source, "w") as handle:
             handle.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
+    if layer == "cli_kpca":
+        # in its own process, so this one's peak RSS is kpca's alone
+        subprocess.run([sys.executable, "-m", "depcon", "gram", str(source), "-o", str(output)],
+                       check=True)
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     wall, cpu = time.perf_counter(), time.process_time()
@@ -104,8 +113,9 @@ def run_cell(layer, n, m):
         "rss_before_mb": round(before / 1024, 1),
         "numpy": np.__version__,
     }
+    if layer.startswith("cli_"):
+        assert result == 0, f"depcon {layer[4:]} exited {result}"
     if layer == "cli_gram":
-        assert result == 0, f"depcon gram exited {result}"
         record["file_bytes"] = output.stat().st_size
     workdir.cleanup()
     print(json.dumps(record))
@@ -134,6 +144,9 @@ def main(argv=None):
                              "give it twice, the parent first, to compare two trees")
     parser.add_argument("--sha", action="append",
                         help="each --src's commit, in the same order (default: its git HEAD)")
+    parser.add_argument("--layer", action="append", choices=LAYERS,
+                        help="run only this layer's cells; give it once per layer "
+                             "(default: every layer)")
     parser.add_argument("--cell", nargs=3, metavar=("LAYER", "N", "M"),
                         help=f"time one cell in this process; LAYER is one of {', '.join(LAYERS)}")
     args = parser.parse_args(argv)
@@ -155,11 +168,12 @@ def main(argv=None):
         ).stdout.strip() or None
         env = dict(os.environ, **THREAD_ENV, PYTHONPATH=str(src))
         trees.append({"name": name, "sha": sha, "env": env})
+    cells = [cell for cell in CELLS if not args.layer or cell[0] in args.layer]
     runs = []
     for repeat in range(REPEATS):
         # the tree that goes first swaps each round
         order = trees[repeat % len(trees):] + trees[:repeat % len(trees)]
-        for layer, n, m in CELLS:
+        for layer, n, m in cells:
             for tree in order:
                 out = subprocess.run(
                     [sys.executable, __file__, "--cell", layer, str(n), str(m)],
@@ -168,8 +182,8 @@ def main(argv=None):
                 runs.append({**json.loads(out.splitlines()[-1]), "repeat": repeat,
                              "tree": tree["name"]})
                 print(json.dumps(runs[-1]), flush=True)
-    cells = []
-    for cell in CELLS:
+    records = []
+    for cell in cells:
         own = {name: [run for run in runs
                       if (run["layer"], run["n"], run["m"]) == cell and run["tree"] == name]
                for name in names}
@@ -178,7 +192,7 @@ def main(argv=None):
         if len(names) == 2:
             for key in KEYS:
                 record.update(_ratios(own["parent"], own["change"], key))
-        cells.append(record)
+        records.append(record)
     result = {
         "what": __doc__.split("\n\n")[2].replace("\n", " ").strip(),
         "label": args.label,
@@ -187,7 +201,7 @@ def main(argv=None):
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "cells": cells,
+        "cells": records,
         "runs": runs,
     }
     Path(f"BENCH_scale_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")

@@ -28,7 +28,14 @@ import numpy as np
 from . import __version__
 from .clustering import _gram_values, _select, adjusted_rand_index, select_k
 from .critical import CriticalScale
-from .dataset import _check_finite, _is_json, _load_any_dataset, _load_gram, _load_labels
+from .dataset import (
+    _check_finite,
+    _is_json,
+    _load_any_dataset,
+    _load_gram,
+    _load_labels,
+    _twin_outputs,
+)
 from .embedding import kpca_fit, kpca_transform
 from .errors import DepconError, LengthMismatchError, NonFiniteValueError
 from .graphs import graph_distance, graph_from_json, representative
@@ -40,6 +47,8 @@ EXIT_FILE_NOT_FOUND = 2
 EXIT_IO_ERROR = 3
 EXIT_USAGE = 4
 EXIT_OUT_OF_MEMORY = 18
+#: Commands whose -o is CSV whatever its name; a .json name would be read back as JSON
+CSV_OUTPUT_COMMANDS = ("synth", "cluster", "kpca")
 
 
 def _provenance(command: str, config: dict) -> dict:
@@ -174,9 +183,12 @@ def cmd_gram(args) -> int:
     prov = _provenance("gram", vars(args))
     if _is_json(args.output):
         rows = (b"[\n      " + row + b"\n    ]" for row in _gram_rows(units, b",\n      "))
-        _publish((args.output, _json_chunks({"provenance": prov}, rows={"values": rows})))
+        outputs = [(args.output, _json_chunks({"provenance": prov}, rows={"values": rows}))]
     else:
-        _publish(*_csv_outputs(args.output, _gram_rows(units, b","), prov))
+        outputs = list(_csv_outputs(args.output, _gram_rows(units, b","), prov))
+    # the twin follows the file it digests, and a sidecar stays last
+    outputs[:1] = _twin_outputs(outputs[0], units.shape[0], _gram_bands(units))
+    _publish(*outputs)
     return 0
 
 
@@ -493,6 +505,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.command in CSV_OUTPUT_COMMANDS and _is_json(args.output):
+        print(f"depcon {args.command}: {args.output}: writes CSV, so its name may not end "
+              f"in .json", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with _one_blas_thread():
             return args.func(args)

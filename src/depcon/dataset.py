@@ -5,7 +5,11 @@ A dataset is an n x m real matrix: rows are samples, columns are features.
 Gram files through ``_load_gram``), ``_load_labels`` every labels file, and
 ``_decode_json`` every JSON text, so the input rules live in one place;
 ``_is_json`` picks each CLI file's format by its name, for readers and
-writers. ``_check_finite`` and ``_integer`` also serve the other modules.
+writers. A Gram file that ``depcon gram`` wrote has a binary twin beside it
+(``_twin_outputs`` writes it, ``_twin_gram`` reads it), which ``_load_gram``
+reads in place of the text whenever the twin's digest shows it is that
+text's. ``_check_finite``, ``_integer``, ``_blake2b`` and ``_mirror_rows``
+also serve the other modules.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -274,10 +279,110 @@ def _load_any_dataset(path) -> Dataset:
     return Dataset(values, tuple(names) if names else None)
 
 
+#: A twin's first 8 bytes, as a native uint64: "DEPCONG" and version 1 on a
+#: little-endian machine. Another byte order reads another number.
+TWIN_MAGIC = int.from_bytes(b"DEPCONG\x01", "little")
+
+
+def _blake2b(data=b""):
+    """A BLAKE2b hasher fed ``data``. hashlib's blake2b is this one; importing
+    hashlib itself would map OpenSSL (3.6 MB)."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    return blake2b(data)
+
+
+def _mirror_rows(square, start, stop):
+    """Copy the upper-triangle cells of rows start..stop-1 of ``square`` to
+    their mirror cells below the diagonal, a block at a time."""
+    square[stop:, start:stop] = square[start:stop, stop:].T
+    block = square[start:stop, start:stop]
+    np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
+
+
+def _twin_path(path) -> str:
+    return f"{path}.twin"
+
+
+def _twin_outputs(output, n, bands):
+    """``_publish``'s pairs for the Gram file ``output``, a ``(path, chunks)``
+    pair streaming an n-row Gram as text, and for its twin at ``_twin_path``.
+
+    The twin holds ``TWIN_MAGIC`` and n (native uint64), the Gram's upper
+    triangle row by row from the diagonal on (native float64), and a BLAKE2b
+    digest of the text's bytes as streamed followed by the twin's own header
+    and values. Its values come from ``bands``, ``(start, band)`` pairs as
+    ``kernel._gram_bands`` yields them, iterated only once the text is
+    written: they are the cells the text holds as reprs, bit for bit.
+    """
+    path, text = output
+    digest = _blake2b()
+
+    def hashed(chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    def values():
+        yield np.array([TWIN_MAGIC, n], dtype=np.uint64).tobytes()
+        for _, band in bands:
+            yield b"".join(row[r:].tobytes() for r, row in enumerate(band))
+
+    def twin():
+        yield from hashed(values())
+        yield digest.digest()
+
+    return (path, hashed(text)), (_twin_path(path), twin())
+
+
+def _twin_gram(path):
+    """The Gram held by the twin of the Gram file at ``path``, or None when
+    that twin is missing, not a regular file, not of its header's size or
+    does not digest together with the file's bytes. The size is checked
+    before anything is allocated or hashed."""
+    twin_path = _twin_path(path)
+    if not os.path.isfile(twin_path):  # opening a FIFO would block
+        return None
+    try:
+        with open(twin_path, "rb") as twin:
+            head = twin.read(16)
+            if len(head) < 16:
+                return None
+            magic, n = map(int, np.frombuffer(head, dtype=np.uint64))
+            size = 16 + 8 * (n * (n + 1) // 2) + 64  # header, values, BLAKE2b digest
+            if magic != TWIN_MAGIC or os.fstat(twin.fileno()).st_size != size:
+                return None
+            digest = _blake2b()
+            with open(path, "rb") as text:
+                for chunk in iter(lambda: text.read(1 << 20), b""):
+                    digest.update(chunk)
+            digest.update(head)
+            gram = np.empty((n, n))
+            for i in range(n):
+                row = gram[i, i:]
+                if twin.readinto(row) != row.nbytes:
+                    return None
+                digest.update(row)
+            if twin.read() != digest.digest():
+                return None
+    except OSError:
+        return None
+    for start in range(0, n, 128):
+        _mirror_rows(gram, start, min(start + 128, n))
+    return gram
+
+
 def _load_gram(path) -> np.ndarray:
     """A kappa Gram file: a finite matrix, CSV or JSON ``{"values": rows}`` by
-    ``_is_json``, with entries in [-1, 1] up to rounding."""
-    gram = _read_table(path, NotSquareError, json_key="values" if _is_json(path) else None)[1]
+    ``_is_json``, with entries in [-1, 1] up to rounding. Read from its twin
+    when ``_twin_gram`` finds one, else parsed."""
+    gram = _twin_gram(path)
+    if gram is None:
+        gram = _read_table(path, NotSquareError, json_key="values" if _is_json(path) else None)[1]
+    else:
+        _check_finite(gram, Path(path).name)
     # max and min first, so an in-range Gram needs no n x n mask
     bound = 1.0 + 1e-9
     if gram.max(initial=-bound) > bound or gram.min(initial=bound) < -bound:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalScale, critical_matrix
-from .dataset import Dataset, _check_finite, _matrix
+from .dataset import Dataset, _blake2b, _check_finite, _matrix, _mirror_rows
 from .errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -279,13 +279,7 @@ def _feature_sums(values, threads, critical):
     checked before the lookup, so a bad count fails on a kept dataset too.
     """
     threads = _resolve_threads(threads)
-    try:
-        # hashlib's blake2b is this one; hashlib itself would map OpenSSL (3.6 MB)
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
-
-    key = (values.shape, blake2b(values).digest(), critical.values.tobytes())
+    key = (values.shape, _blake2b(values).digest(), critical.values.tobytes())
     with _sums_lock:
         sums = _sums.pop(key, None)
         if sums is not None:
@@ -431,10 +425,7 @@ def _gram_from_units(u_a, u_b=None) -> GramMatrix:
     n = u_a.shape[0]
     kappa = np.empty((n, n))
     for start, band in _gram_bands(u_a, out=kappa):
-        stop = start + band.shape[0]
-        kappa[stop:, start:stop] = band[:, stop - start:].T
-        block = kappa[start:stop, start:stop]
-        np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
+        _mirror_rows(kappa, start, start + band.shape[0])
     return GramMatrix(values=kappa)
 
 

@@ -554,7 +554,9 @@ for argv in (
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, cwd=out)
         assert result.returncode == 0, result.stderr
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-    assert len(outputs[0]) == 12 and outputs[0].keys() == outputs[1].keys()
+    # the twin, gram.csv.twin, is compared with the other files
+    assert len(outputs[0]) == 13 and "gram.csv.twin" in outputs[0]
+    assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], name
 
@@ -1109,27 +1111,50 @@ def test_output_that_is_not_a_regular_file_exit_code(bench, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, path",
     [
-        # the labels sidecar's path is the dataset's with a .json suffix
-        (("synth", "-o", "x.json", "--models", 2, "--samples", 20, "--features", 4), "x.json"),
-        (("cluster", "gram.csv", "-o", "r.json", "-k", 2, "--report", "r.json"), "r.json"),
+        (("cluster", "gram.csv", "-o", "r.txt", "-k", 2, "--report", "r.txt"), "r.txt"),
         # one file reached through a symlink to its directory
-        (("cluster", "gram.csv", "-o", "r.json", "-k", 2, "--report", "link/r.json"),
-         "link/r.json"),
+        (("cluster", "gram.csv", "-o", "r.txt", "-k", 2, "--report", "link/r.txt"),
+         "link/r.txt"),
     ],
-    ids=["synth", "cluster", "cluster-linked-directory"],
+    ids=["cluster", "cluster-linked-directory"],
 )
 def test_two_outputs_naming_one_file_exit_code(bench, tmp_path, capsys, argv, path, earlier):
     assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
     (tmp_path / "link").symlink_to(tmp_path)
     if earlier:
-        (tmp_path / "r.json").write_bytes(b"earlier\n")
-        (tmp_path / "x.json").write_bytes(b"earlier\n")
+        (tmp_path / "r.txt").write_bytes(b"earlier\n")
     before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
-    argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+    argv = [tmp_path / a if str(a).endswith((".csv", ".txt")) else a for a in argv]
     assert run(*argv) == 3
     after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert after == before  # no new file, no temporary, no changed byte
     message = f"depcon {argv[0]}: {tmp_path / path}: named by two outputs of one command\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # synth's labels sidecar is the dataset path with a .json suffix, so
+        # this also kept synth from naming one file twice
+        ("synth", "-o", "x.json", "--models", 2, "--samples", 20, "--features", 4),
+        ("cluster", "missing.csv", "-o", "x.json", "-k", 2),
+        ("kpca", "missing.csv", "-o", "x.JSON"),
+    ],
+    ids=["synth", "cluster", "kpca"],
+)
+def test_csv_output_named_json_exit_code(tmp_path, capsys, argv, earlier):
+    # a CSV under a .json name would be read back as JSON and refused, so the
+    # command exits before it reads its input (a missing file would exit 2)
+    out = tmp_path / argv[argv.index("-o") + 1]
+    if earlier:
+        out.write_bytes(b"earlier\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json", ".JSON")) else a for a in argv]
+    assert run(*argv) == 4
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    message = f"depcon {argv[0]}: {out}: writes CSV, so its name may not end in .json\n"
     assert capsys.readouterr().err == message
 
 

@@ -12,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -122,7 +123,11 @@ def graph_files():
 
 
 def _numbers(path):
-    """Every number an output file holds: JSON numbers, or CSV cells that parse as floats."""
+    """Every number an output file holds: a Gram twin's float64 values (between
+    its 16-byte header and 64-byte digest), JSON numbers, or CSV cells that
+    parse as floats."""
+    if path.suffix == ".twin":
+        return np.frombuffer(path.read_bytes()[16:-64], dtype=np.float64).tolist()
     text = path.read_text()
     try:
         stack = [json.loads(text)]  # json reads NaN and Infinity as floats
