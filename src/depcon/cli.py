@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .clustering import _gram_values, _select, adjusted_rand_index, select_k
-from .critical import CriticalScale
 from .dataset import (
     _check_finite,
     _is_json,
@@ -179,7 +178,7 @@ def _publish(*outputs):
 def cmd_gram(args) -> int:
     data = _load_any_dataset(args.data)
     # the unit vectors gram_matrix uses; the file is streamed from them in bands
-    units = _unit_vectors(data, args.alpha, args.convention, args.threads)
+    units = _unit_vectors(data, args.alpha, args.threads)
     prov = _provenance("gram", vars(args))
     if _is_json(args.output):
         rows = (b"[\n      " + row + b"\n    ]" for row in _gram_rows(units, b",\n      "))
@@ -194,12 +193,9 @@ def cmd_gram(args) -> int:
 
 def cmd_indep(args) -> int:
     data = _load_any_dataset(args.data)
-    result = independence_test(
-        data, alpha=args.alpha, convention=args.convention, threads=args.threads
-    )
+    result = independence_test(data, alpha=args.alpha, threads=args.threads)
     payload = {
         "alpha": result.alpha,
-        "convention": result.convention.value,
         "pairs": result.pairs(),
         "provenance": _provenance("indep", vars(args)),
     }
@@ -207,31 +203,17 @@ def cmd_indep(args) -> int:
     return 0
 
 
-def _comparison_payload(data_a, data_b, alpha, convention, threads):
-    result = structure_difference_score(
-        data_a, data_b, alpha=alpha, convention=convention, threads=threads
-    )
-    return {
-        "score": result.score,
-        "different_structure": result.different_structure,
-        "witnesses": [{"i": j, "j": j2} for j, j2 in result.witnesses],
-    }
-
-
 def cmd_test(args) -> int:
     data_a = _load_any_dataset(args.data_a)
     data_b = _load_any_dataset(args.data_b)
-    if args.both_conventions:
-        payload = {
-            convention.value: _comparison_payload(
-                data_a, data_b, args.alpha, convention, args.threads
-            )
-            for convention in CriticalScale
-        }
-    else:
-        payload = _comparison_payload(data_a, data_b, args.alpha, args.convention, args.threads)
-    payload["alpha"] = args.alpha
-    payload["provenance"] = _provenance("test", vars(args))
+    result = structure_difference_score(data_a, data_b, alpha=args.alpha, threads=args.threads)
+    payload = {
+        "score": result.score,
+        "different_structure": result.different_structure,
+        "witnesses": [{"i": j, "j": j2} for j, j2 in result.witnesses],
+        "alpha": args.alpha,
+        "provenance": _provenance("test", vars(args)),
+    }
     _publish((args.output, _json_chunks(payload)))
     return 0
 
@@ -374,12 +356,6 @@ def cmd_graphdist(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--alpha", type=float, default=0.1, help="significance level")
-    parser.add_argument(
-        "--convention",
-        choices=[c.value for c in CriticalScale],
-        default=CriticalScale.SZEKELY.value,
-        help="critical-value scaling",
-    )
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads, at most one per CPU (default 1); "
                              "never changes the output")
@@ -409,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data_a")
     p.add_argument("data_b")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--both-conventions", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_test)
 
@@ -505,6 +480,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if os.path.basename(args.output) in ("", ".", ".."):
+        print(f"depcon {args.command}: output name {args.output!r} ends in no file name",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.command in CSV_OUTPUT_COMMANDS and _is_json(args.output):
         print(f"depcon {args.command}: {args.output}: writes CSV, so its name may not end "
               f"in .json", file=sys.stderr)

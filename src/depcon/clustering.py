@@ -113,8 +113,11 @@ def _centred_points(points) -> np.ndarray:
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence; OutOfRangeError for a negative integer."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise OutOfRangeError(f"need seed >= 0, got {seed}")
     return np.random.SeedSequence(seed)
 
 
@@ -479,7 +482,7 @@ def _best_of_restarts(y, s, k, max_iter, restarts, seed, start=None):
     if start is not None:
         return _lloyd(y, s, norms, k, start[None, :], max_iter)[0]
     # one generator per restart, spawned in restart order
-    rngs = [np.random.default_rng(child) for child in _as_seed_sequence(seed).spawn(restarts)]
+    rngs = [np.random.default_rng(child) for child in seed.spawn(restarts)]
     best = None
     for result in _lloyd(y, s, norms, k, _seed_starts(y, s, norms, k, rngs), max_iter):
         if best is None or result.objective < best.objective - 1e-12:
@@ -503,6 +506,7 @@ def kernel_kmeans(
     """
     gram = _gram_values(gram)
     start = _check_settings(gram.shape[0], k, max_iter, restarts, init_labels)
+    seed = _as_seed_sequence(seed)
     y, s, _ = _factor(gram)
     return _best_of_restarts(y, s, k, max_iter, restarts, seed, start)
 
@@ -516,12 +520,13 @@ def lloyd_kmeans(
     seed=0,
     init_labels=None,
 ) -> ClusterAssignment:
-    """Plain coordinate-space k-means with the same conventions as kernel_kmeans."""
+    """Plain coordinate-space k-means with the same rules as kernel_kmeans."""
     # distances depend only on differences; centring keeps the expanded
     # |y|^2 - 2 y.c + |c|^2 from cancelling when the points sit far from 0
     # (kernel k-means needs no such step: the factor of HKH is centred)
     points = _centred_points(points)
     start = _check_settings(points.shape[0], k, max_iter, restarts, init_labels)
+    seed = _as_seed_sequence(seed)
     return _best_of_restarts(points, np.ones(points.shape[1]), k, max_iter, restarts, seed, start)
 
 
@@ -630,6 +635,7 @@ def _select(gram, runs, criterion, max_iter, restarts) -> SelectKResult:
     silhouette's angular distance matrix; VRC is evaluated on the factor, and
     needs every k below n."""
     n = gram.shape[0]
+    runs = [(k, _as_seed_sequence(seed)) for k, seed in runs]
     for k, _ in runs:
         _check_settings(n, k, max_iter, restarts)
         if criterion == "vrc" and k >= n:  # before any k-means: VRC scores no n clusters
@@ -657,7 +663,7 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     """Chance-corrected agreement between two partitions of the same items.
 
     Fewer than two items admit only identical partitions, which score 1.0
-    (scikit-learn's convention).
+    (as scikit-learn scores them).
     """
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)

@@ -1,32 +1,19 @@
 """Chi-square critical values for the dependence contribution map.
 
 Each off-diagonal entry of the critical matrix is the 1-alpha chi-square(1)
-quantile scaled per one of two conventions:
-
-* ``szekely`` (default): the quantile itself, which makes the aggregate
-  sign rule of the independence test coincide exactly with the classical
-  distance-covariance test ``n * V_n^2 / S_2 > chi2_{1-alpha}(1)``.
-* ``chi2-over-n``: the quantile divided by the sample count. Under this
-  scaling the aggregate rule is liberal by a factor of n; it is kept
-  selectable for comparison.
+quantile itself. With it the aggregate sign rule of the independence test
+coincides exactly with the classical distance-covariance test
+``n * V_n^2 / S_2 > chi2_{1-alpha}(1)`` (Szekely, Rizzo & Bakirov 2007).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import OutOfRangeError
-
-
-class CriticalScale(str, Enum):
-    """How the shared off-diagonal critical value is scaled."""
-
-    SZEKELY = "szekely"
-    CHI2_OVER_N = "chi2-over-n"
 
 
 def chi2_quantile_1df(p: float) -> float:
@@ -52,12 +39,10 @@ def chi2_quantile_1df(p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CriticalMatrix:
-    """m x m matrix of scaled critical values: zero diagonal, one shared off-diagonal value."""
+    """m x m matrix of critical values: zero diagonal, one shared off-diagonal value."""
 
     alpha: float
-    chi2_quantile: float
     values: np.ndarray
-    convention: CriticalScale
 
     @property
     def m(self) -> int:
@@ -74,22 +59,12 @@ class CriticalMatrix:
         return self.m * (self.m - 1) * t * t
 
 
-def critical_matrix(
-    m: int,
-    n: int,
-    alpha: float,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
-) -> CriticalMatrix:
-    """Build the critical matrix for m features estimated from n samples."""
+def critical_matrix(m: int, alpha: float) -> CriticalMatrix:
+    """Build the critical matrix for m features at level alpha."""
     if m < 2:
         raise OutOfRangeError(f"need at least 2 features, got {m}")
-    if n < 2:
-        raise OutOfRangeError(f"need at least 2 samples, got {n}")
     if not (0.0 < alpha < 1.0):
         raise OutOfRangeError(f"alpha must be in (0, 1), got {alpha}")
-    convention = CriticalScale(convention)
-    quantile = chi2_quantile_1df(1.0 - alpha)
-    off = quantile / n if convention is CriticalScale.CHI2_OVER_N else quantile
-    values = np.full((m, m), off, dtype=np.float64)
+    values = np.full((m, m), chi2_quantile_1df(1.0 - alpha), dtype=np.float64)
     np.fill_diagonal(values, 0.0)
-    return CriticalMatrix(alpha=alpha, chi2_quantile=quantile, values=values, convention=convention)
+    return CriticalMatrix(alpha=alpha, values=values)

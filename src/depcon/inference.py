@@ -2,7 +2,7 @@
 
 The aggregate statistic is sum_i(phi_i); its (j, j') entry is positive
 exactly when the distance-covariance test rejects independence of features
-j and j' at the configured level (under the ``szekely`` scaling).
+j and j' at the configured level.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalScale
 from .errors import SmallSampleWarning
 from .kernel import _check_same_features, _critical, _feature_sums, _values, _warn_degenerate
 
@@ -24,7 +23,6 @@ class IndependenceResult:
     statistic: np.ndarray
     reject: np.ndarray
     alpha: float
-    convention: CriticalScale
 
     def pairs(self):
         """Off-diagonal (j, j') decisions as JSON-ready dicts, j < j'."""
@@ -56,12 +54,11 @@ def aggregate_statistic(
     data,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> np.ndarray:
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
     values = _values(data)
-    critical = _critical(values, alpha, convention)
+    critical = _critical(values, alpha)
     return _feature_sums(values, threads, critical)[0] - values.shape[0] * critical.values
 
 
@@ -69,7 +66,6 @@ def independence_test(
     data,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> IndependenceResult:
     """Pairwise unconditional independence test over all feature pairs.
@@ -84,15 +80,10 @@ def independence_test(
             SmallSampleWarning,
             stacklevel=2,
         )
-    statistic = aggregate_statistic(data, alpha=alpha, convention=convention, threads=threads)
+    statistic = aggregate_statistic(data, alpha=alpha, threads=threads)
     reject = statistic > 0.0
     np.fill_diagonal(reject, False)
-    return IndependenceResult(
-        statistic=statistic,
-        reject=reject,
-        alpha=alpha,
-        convention=CriticalScale(convention),
-    )
+    return IndependenceResult(statistic=statistic, reject=reject, alpha=alpha)
 
 
 def structure_difference_score(
@@ -100,7 +91,6 @@ def structure_difference_score(
     data_b,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> StructureComparison:
     """Two-sample test for differing dependence structure.
@@ -125,15 +115,14 @@ def structure_difference_score(
     values_a = _values(data_a)
     values_b = _values(data_b)
     _check_same_features(values_a, values_b)
-    crit_a = _critical(values_a, alpha, convention)
-    total_a, units_a, degenerate_a = _feature_sums(values_a, threads, crit_a)
-    crit_b = _critical(values_b, alpha, convention)
-    total_b, units_b, degenerate_b = _feature_sums(values_b, threads, crit_b)
+    critical = _critical(values_a, alpha)
+    total_a, units_a, degenerate_a = _feature_sums(values_a, threads, critical)
+    total_b, units_b, degenerate_b = _feature_sums(values_b, threads, critical)
     _warn_degenerate(degenerate_a, stacklevel=2)
     _warn_degenerate(degenerate_b, stacklevel=2)
     score = float(units_a @ units_b)
-    stat_a = total_a - values_a.shape[0] * crit_a.values
-    stat_b = total_b - values_b.shape[0] * crit_b.values
+    stat_a = total_a - values_a.shape[0] * critical.values
+    stat_b = total_b - values_b.shape[0] * critical.values
     m = values_a.shape[1]
     witnesses = tuple(
         (j, j2)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalScale, critical_matrix
+from .critical import critical_matrix
 from .dataset import Dataset, _blake2b, _check_finite, _matrix, _mirror_rows
 from .errors import (
     ConstantFeatureError,
@@ -273,7 +273,7 @@ def _feature_sums(values, threads, critical):
 
     The sums are kept, read-only, under the shape and a digest of the
     (C-contiguous float64) values and the critical values, which fold in
-    alpha, the convention, n and m. So a changed cell is a new dataset, and
+    alpha and m. So a changed cell is a new dataset, and
     another shape with the same bytes is too. The thread count and the block
     size stay out of the key: they change no result bit. The threads are
     checked before the lookup, so a bad count fails on a kept dataset too.
@@ -326,12 +326,12 @@ def _check_same_features(values_a, values_b):
         raise DimensionMismatchError(f"feature counts differ: {m} vs {m_b}")
 
 
-def _critical(values, alpha, convention):
+def _critical(values, alpha):
     """The critical matrix of an (n, m) dataset; TooFewFeaturesError if m < 2."""
-    n, m = values.shape
+    m = values.shape[1]
     if m < 2:
         raise TooFewFeaturesError(f"need at least 2 features, got {m}")
-    return critical_matrix(m, n, alpha, convention)
+    return critical_matrix(m, alpha)
 
 
 def gram_matrix(
@@ -339,7 +339,6 @@ def gram_matrix(
     data_b=None,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> GramMatrix:
     """Kernel matrix of kappa values over one dataset or across two.
@@ -349,11 +348,11 @@ def gram_matrix(
     """
     values_a = _values(data_a)
     if data_b is None:
-        return _gram_from_units(_unit_vectors(values_a, alpha, convention, threads))
+        return _gram_from_units(_unit_vectors(values_a, alpha, threads))
     values_b = _values(data_b)
     _check_same_features(values_a, values_b)
-    u_a = _unit_vectors(values_a, alpha, convention, threads)
-    return _gram_from_units(u_a, _unit_vectors(values_b, alpha, convention, threads))
+    u_a = _unit_vectors(values_a, alpha, threads)
+    return _gram_from_units(u_a, _unit_vectors(values_b, alpha, threads))
 
 
 def _unit_rows(feats, critical):
@@ -382,14 +381,14 @@ def _warn_degenerate(degenerate, stacklevel):
         )
 
 
-def _unit_vectors(data, alpha, convention, threads=None):
+def _unit_vectors(data, alpha, threads=None):
     """One dataset's (n, m^2) rows ``vec(phi_i) / ||phi_i||``, 0 for degenerate samples,
     named in one warning at the caller's caller. Each product group goes through
     ``_unit_rows`` as it is built, so no stack is held; every row equals that
     of ``_unit_rows(contribution_features(data), critical)`` bit for bit."""
     threads = _resolve_threads(threads)
     values = _values(data)
-    critical = _critical(values, alpha, convention)
+    critical = _critical(values, alpha)
     u = np.empty((values.shape[0], critical.m * critical.m))
     degenerate = np.empty(values.shape[0], dtype=bool)
     for start, group in _product_blocks(*_scaled_columns(values)[:2], threads):
@@ -433,12 +432,11 @@ def mean_contribution(
     data,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> np.ndarray:
     """Mean of the contribution matrices over all samples: mean_i(phi_i)."""
     values = _values(data)
-    critical = _critical(values, alpha, convention)
+    critical = _critical(values, alpha)
     # feats.mean(axis=0) divides the same sum by n
     return _feature_sums(values, threads, critical)[0] / values.shape[0] - critical.values
 
@@ -464,7 +462,6 @@ def sample_set_distance(
     data_b,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
     threads=None,
 ) -> float:
     """Distance between two sample sets in contribution space.
@@ -473,6 +470,6 @@ def sample_set_distance(
     when both mean contribution matrices are sign matrices.
     """
     _check_same_features(_values(data_a), _values(data_b))
-    mean_a = mean_contribution(data_a, alpha=alpha, convention=convention, threads=threads)
-    mean_b = mean_contribution(data_b, alpha=alpha, convention=convention, threads=threads)
+    mean_a = mean_contribution(data_a, alpha=alpha, threads=threads)
+    mean_b = mean_contribution(data_b, alpha=alpha, threads=threads)
     return contribution_mean_distance(mean_a, mean_b)

@@ -210,6 +210,8 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
     """
     if config.num_models < 1 or config.samples_per_model < 1:
         raise OutOfRangeError("model and sample counts must be positive")
+    if config.seed < 0:
+        raise OutOfRangeError(f"need seed >= 0, got {config.seed}")
     _check_max_pairs(config.max_pairs)
     root = np.random.SeedSequence(config.seed)
     models = []

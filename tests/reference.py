@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from depcon.critical import CriticalMatrix, CriticalScale
+from depcon.critical import CriticalMatrix
 from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -170,7 +170,6 @@ def printed_sample_set_distance(
     data_b,
     *,
     alpha: float = 0.1,
-    convention: CriticalScale | str = CriticalScale.SZEKELY,
 ) -> float:
     """The paper's printed form m^2 - sum(gamma) / (2 n^2), for comparison.
 
@@ -180,8 +179,8 @@ def printed_sample_set_distance(
     values_a = np.asarray(data_a, dtype=np.float64)
     values_b = np.asarray(data_b, dtype=np.float64)
     m = values_a.shape[1]
-    mean_a = mean_contribution(values_a, alpha=alpha, convention=convention)
-    mean_b = mean_contribution(values_b, alpha=alpha, convention=convention)
+    mean_a = mean_contribution(values_a, alpha=alpha)
+    mean_b = mean_contribution(values_b, alpha=alpha)
     mean_gamma = float(np.sum(mean_a * mean_b))
     n_a, n_b = values_a.shape[0], values_b.shape[0]
     return m * m - (n_a * n_b * mean_gamma) / (2.0 * n_a * n_a)

@@ -188,13 +188,6 @@ def test_test_command_self_comparison(bench, tmp_path):
     assert payload["witnesses"] == []
 
 
-def test_test_command_both_conventions(bench, tmp_path):
-    out = tmp_path / "verdict.json"
-    assert run("test", bench, bench, "-o", out, "--both-conventions") == 0
-    payload = json.loads(out.read_text())
-    assert "szekely" in payload and "chi2-over-n" in payload
-
-
 def test_test_command_dimension_mismatch(bench, tmp_path):
     other = tmp_path / "other.csv"
     assert run("synth", "-o", other, "--models", "2", "--samples", "10",
@@ -487,6 +480,25 @@ def test_format_option_is_gone(bench, tmp_path, capsys, argv):
     argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
     assert run(*argv) == 4  # usage
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "bench.csv", "-o", "out.csv", "--convention", "szekely"),
+        ("indep", "bench.csv", "-o", "out.json", "--convention", "chi2-over-n"),
+        ("test", "bench.csv", "bench.csv", "-o", "out.json", "--convention", "szekely"),
+        ("test", "bench.csv", "bench.csv", "-o", "out.json", "--both-conventions"),
+    ],
+    ids=["gram", "indep", "test", "both-conventions"],
+)
+def test_convention_options_are_gone(bench, tmp_path, capsys, argv):
+    before = sorted(tmp_path.iterdir())
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]
+    assert run(*argv) == 4  # usage
+    option = next(a for a in argv if str(a).startswith("--"))
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -1025,9 +1037,18 @@ def test_synth_negative_max_pairs_exit_code(tmp_path, capsys, nonlinear):
                "--seed", "1", "--max-pairs", "0", *nonlinear) == 0
 
 
+def test_synth_negative_seed_exit_code(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run("synth", "-o", out, "--models", "2", "--samples", "20", "--features", "4",
+               "--seed", "-1") == OutOfRangeError.exit_code
+    assert capsys.readouterr().err == "depcon synth: need seed >= 0, got -1\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "runs", [("-k", "2", "--max-iter", "0"), ("--k-range", "2", "4", "--max-iter", "0"),
-             ("-k", "2", "--restarts", "0"), ("--k-range", "2", "4", "--restarts", "-1")]
+             ("-k", "2", "--restarts", "0"), ("--k-range", "2", "4", "--restarts", "-1"),
+             ("-k", "2", "--seed", "-1"), ("--k-range", "2", "4", "--seed", "-1")]
 )
 def test_cluster_max_iter_and_restarts_below_one_exit_code(bench, tmp_path, capsys, runs):
     gram = tmp_path / "gram.csv"
@@ -1156,6 +1177,29 @@ def test_csv_output_named_json_exit_code(tmp_path, capsys, argv, earlier):
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
     message = f"depcon {argv[0]}: {out}: writes CSV, so its name may not end in .json\n"
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("output", ["", ".", "sub/"], ids=["empty", "dot", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--models", 2, "--samples", 20, "--features", 4),
+        ("gram", "bench.csv"),
+        ("cluster", "gram.csv", "-k", 2),
+    ],
+    ids=["synth", "gram", "cluster"],
+)
+def test_output_name_without_a_file_name_exit_code(
+    bench, tmp_path, monkeypatch, capsys, argv, output
+):
+    # refused before any input is read: the gram.csv given to cluster is missing
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv, "-o", output) == 4
+    message = f"depcon {argv[0]}: output name {output!r} ends in no file name\n"
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_output_symlink_to_another_output_is_replaced(bench, tmp_path):

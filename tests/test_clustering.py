@@ -636,7 +636,9 @@ def test_k_too_large_and_too_small():
         kernel_kmeans(np.zeros((3, 4)), 2)
 
 
-@pytest.mark.parametrize("runs", [{"max_iter": 0}, {"max_iter": -1}, {"restarts": 0}])
+@pytest.mark.parametrize(
+    "runs", [{"max_iter": 0}, {"max_iter": -1}, {"restarts": 0}, {"seed": -1}]
+)
 def test_max_iter_and_restarts_below_one_rejected(monkeypatch, runs):
     gram, _ = separated_gram([5, 5])
     routes = spy_factor_routes(monkeypatch)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depcon.critical import CriticalScale, chi2_quantile_1df, critical_matrix
+from depcon.critical import chi2_quantile_1df, critical_matrix
 from depcon.errors import OutOfRangeError
 
 # reference quantiles frozen from an independent table oracle (scipy.stats.chi2.ppf)
@@ -35,38 +35,24 @@ def test_quantile_out_of_range():
 
 def test_quantile_monotone_in_alpha():
     alphas = np.linspace(0.01, 0.99, 25)
-    quantiles = [critical_matrix(3, 50, float(a)).chi2_quantile for a in alphas]
+    quantiles = [critical_matrix(3, float(a)).off_diagonal for a in alphas]
     assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
 
 
-def test_paper_scaling_value():
-    cm = critical_matrix(3, 100, 0.05, CriticalScale.CHI2_OVER_N)
-    assert cm.off_diagonal == pytest.approx(0.03841458820694124, abs=1e-12)
-    assert np.allclose(np.diagonal(cm.values), 0.0)
-
-
 def test_alpha_to_one_limit():
-    cm = critical_matrix(2, 10, 1.0 - 1e-12, CriticalScale.CHI2_OVER_N)
+    cm = critical_matrix(2, 1.0 - 1e-12)
     assert cm.off_diagonal == pytest.approx(0.0, abs=1e-10)
 
 
 def test_m2_structure():
-    cm = critical_matrix(2, 7, 0.1)
+    cm = critical_matrix(2, 0.1)
     t = cm.off_diagonal
     assert np.array_equal(cm.values, np.array([[0.0, t], [t, 0.0]]))
     assert cm.sq_norm == pytest.approx(2 * t * t)
 
 
-def test_calibrated_is_n_times_literal():
-    literal = critical_matrix(4, 250, 0.1, CriticalScale.CHI2_OVER_N)
-    calibrated = critical_matrix(4, 250, 0.1, CriticalScale.SZEKELY)
-    assert calibrated.off_diagonal == pytest.approx(250 * literal.off_diagonal)
-
-
 def test_matrix_validation():
     with pytest.raises(OutOfRangeError):
-        critical_matrix(1, 10, 0.1)
+        critical_matrix(1, 0.1)
     with pytest.raises(OutOfRangeError):
-        critical_matrix(3, 1, 0.1)
-    with pytest.raises(OutOfRangeError):
-        critical_matrix(3, 10, 0.0)
+        critical_matrix(3, 0.0)

@@ -33,13 +33,13 @@ def test_far_offset_matches_the_same_points_near_zero(offset):
 
 def test_degenerate_sample_is_zeroed_and_named(monkeypatch):
     x = _cos_dependent(n=12)
-    critical = critical_matrix(4, 12, 0.1)
+    critical = critical_matrix(4, 0.1)
     feats = contribution_features(x)
     feats[5] = critical.values  # phi_5 = Z_5^T Z_5 - T = 0
     keep = np.arange(12) != 5
     # every Gram below takes its products from these stacks and this critical matrix
     stacks = {12: feats, 11: feats[keep]}
-    monkeypatch.setattr(depcon.kernel, "_critical", lambda values, alpha, convention: critical)
+    monkeypatch.setattr(depcon.kernel, "_critical", lambda values, alpha: critical)
     monkeypatch.setattr(
         depcon.kernel, "_product_blocks", lambda x, a, threads: iter([(0, stacks[len(x)])])
     )

@@ -101,8 +101,8 @@ def test_non_finite_gram_band_exit_code(tmp_path, monkeypatch, capsys, fmt, n, n
     _, data = _dataset(tmp_path, n)
     units = depcon.cli._unit_vectors
 
-    def with_nan(data, alpha, convention, threads):
-        u = units(data, alpha, convention, threads)
+    def with_nan(data, alpha, threads):
+        u = units(data, alpha, threads)
         u[nan_row, 0] = np.nan
         return u
 

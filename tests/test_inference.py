@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depcon.critical import CriticalScale
 from depcon.errors import DimensionMismatchError, SmallSampleWarning
 from depcon.inference import (
     aggregate_statistic,
@@ -15,18 +14,15 @@ from reference import distance_tensor
 
 
 def test_duplicated_feature_rejected():
-    # the self-variance term dominates the per-sample critical offset at any level;
-    # under the calibrated scaling the offset grows as alpha shrinks, so n=10
-    # suffices only for alpha >= 0.1 (n=50 covers the strict levels)
+    # the critical offset grows as alpha shrinks, so n=10 suffices only for
+    # alpha >= 0.1 (n=50 covers the strict levels)
     rng = np.random.default_rng(0)
     col = rng.standard_normal(10)
     x = np.column_stack([col, col])
-    for alpha in (0.001, 0.01, 0.1, 0.5, 0.999):
-        result = independence_test(x, alpha=alpha, convention=CriticalScale.CHI2_OVER_N)
+    for alpha in (0.1, 0.5, 0.999):
+        result = independence_test(x, alpha=alpha)
         assert result.reject[0, 1] and result.reject[1, 0]
         assert not result.reject[0, 0]
-    for alpha in (0.1, 0.5, 0.999):
-        assert independence_test(x, alpha=alpha).reject[0, 1]
     col = rng.standard_normal(50)
     x = np.column_stack([col, col])
     for alpha in (0.001, 0.01, 0.1, 0.999):
@@ -61,18 +57,6 @@ def test_empirical_size_within_bound():
         result = independence_test(rng.standard_normal((200, 2)), alpha=0.1)
         rejections += int(result.reject[0, 1])
     assert rejections / 500 <= 0.13
-
-
-def test_liberal_scaling_rejects_under_null():
-    # the quantile-over-n scaling makes the aggregate rule liberal by a factor n
-    rejections = 0
-    for child in np.random.SeedSequence(7).spawn(50):
-        rng = np.random.default_rng(child)
-        result = independence_test(
-            rng.standard_normal((200, 2)), alpha=0.1, convention=CriticalScale.CHI2_OVER_N
-        )
-        rejections += int(result.reject[0, 1])
-    assert rejections / 50 > 0.9
 
 
 def test_power_monotone_in_sample_size():
@@ -148,17 +132,12 @@ def test_structure_builds_features_once_per_dataset(builds):
 
 def test_structure_parts_match_standalone_results():
     a, b = _structure_pair()
-    for convention in CriticalScale:
-        result = structure_difference_score(a, b, alpha=0.1, convention=convention)
-        assert np.array_equal(
-            result.statistic_a, independence_test(a, convention=convention).statistic
-        )
-        assert np.array_equal(
-            result.statistic_b, independence_test(b, convention=convention).statistic
-        )
-        # the score is the cross Gram's total, summed without the n x n' matrix
-        total = float(gram_matrix(a, b, alpha=0.1, convention=convention).values.sum())
-        assert result.score == pytest.approx(total, rel=1e-12, abs=0.0)
+    result = structure_difference_score(a, b, alpha=0.1)
+    assert np.array_equal(result.statistic_a, independence_test(a).statistic)
+    assert np.array_equal(result.statistic_b, independence_test(b).statistic)
+    # the score is the cross Gram's total, summed without the n x n' matrix
+    total = float(gram_matrix(a, b, alpha=0.1).values.sum())
+    assert result.score == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("test", ["independence", "structure"])

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import warnings
 from functools import partial
 
@@ -13,7 +14,7 @@ from depcon.cli import (
     _publish,
     main,
 )
-from depcon.critical import CriticalScale, critical_matrix
+from depcon.critical import CriticalMatrix, chi2_quantile_1df, critical_matrix
 from depcon.dataset import Dataset, _load_gram
 from depcon.errors import (
     ConstantFeatureError,
@@ -126,7 +127,7 @@ def test_phi_duplicated_feature():
     col = rng.standard_normal(12)
     x = np.column_stack([col, col])
     tensor = distance_tensor(x)
-    critical = critical_matrix(2, 12, 0.1)
+    critical = critical_matrix(2, 0.1)
     phi = phi_map(tensor, critical, 4)
     assert phi.values[0, 1] == pytest.approx(phi.values[0, 0] - critical.off_diagonal, abs=1e-12)
     assert np.abs(phi.values - phi.values.T).max() < 1e-12
@@ -136,7 +137,7 @@ def test_phi_duplicated_feature():
 def test_phi_sum_matches_double_sum_oracle():
     x = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 6.0]])
     tensor = distance_tensor(x)
-    critical = critical_matrix(2, 3, 0.1)
+    critical = critical_matrix(2, 0.1)
     total = sum(phi_map(tensor, critical, i).values[0, 1] for i in range(3))
     oracle = 0.0  # explicit double sum over the standardized tensor
     for i in range(3):
@@ -147,11 +148,11 @@ def test_phi_sum_matches_double_sum_oracle():
 
 def test_phi_index_errors():
     tensor = distance_tensor(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 5.0]]))
-    critical = critical_matrix(2, 3, 0.1)
+    critical = critical_matrix(2, 0.1)
     with pytest.raises(IndexError):
         phi_map(tensor, critical, 3)
     with pytest.raises(DimensionMismatchError):
-        phi_map(tensor, critical_matrix(3, 3, 0.1), 0)
+        phi_map(tensor, critical_matrix(3, 0.1), 0)
 
 
 # ---------------------------------------------------------------- dcov matrix
@@ -182,7 +183,7 @@ def test_gamma_self_nonnegative_without_critical():
     rng = np.random.default_rng(37)
     x = random_dataset(rng, 15, 4)
     tensor = distance_tensor(x)
-    critical = critical_matrix(4, 15, 1.0 - 1e-12, CriticalScale.CHI2_OVER_N)  # ~zero offsets
+    critical = critical_matrix(4, 1.0 - 1e-12)  # ~zero offsets
     for i in range(5):
         assert gamma_kernel(tensor, tensor, critical, i, i) >= -1e-12
 
@@ -204,7 +205,7 @@ def test_gamma_sesquilinearity():
     rng = np.random.default_rng(43)
     x = random_dataset(rng, 18, 3)
     tensor = distance_tensor(x)
-    critical = critical_matrix(3, 18, 0.1)
+    critical = critical_matrix(3, 0.1)
     total = sum(
         gamma_kernel(tensor, tensor, critical, i, i2) for i in range(18) for i2 in range(18)
     )
@@ -217,7 +218,7 @@ def test_gamma_trace_form_differs_in_general():
     rng = np.random.default_rng(47)
     x = random_dataset(rng, 12, 3)
     tensor = distance_tensor(x)
-    critical = critical_matrix(3, 12, 0.1)
+    critical = critical_matrix(3, 0.1)
     frobenius = gamma_kernel(tensor, tensor, critical, 0, 1)
     trace_sq = gamma_trace_form(tensor, tensor, critical, 0, 1)
     assert abs(frobenius - trace_sq) > 1e-6
@@ -235,7 +236,7 @@ def test_kappa_self_is_one():
     rng = np.random.default_rng(53)
     x = random_dataset(rng, 20, 3)
     tensor = distance_tensor(x)
-    critical = critical_matrix(3, 20, 0.1)
+    critical = critical_matrix(3, 0.1)
     for i in (0, 7, 19):
         assert kappa_kernel(tensor, tensor, critical, i, i) == pytest.approx(1.0, abs=1e-12)
 
@@ -246,7 +247,7 @@ def test_kappa_affine_invariance():
     scale = np.array([2.5, 0.3, 7.0])
     shift = np.array([-4.0, 1.0, 100.0])
     ta, tb = distance_tensor(x), distance_tensor(x * scale + shift)
-    critical = critical_matrix(3, 24, 0.1)
+    critical = critical_matrix(3, 0.1)
     for i, i2 in ((0, 1), (5, 17), (23, 2)):
         assert kappa_kernel(ta, ta, critical, i, i2) == pytest.approx(
             kappa_kernel(tb, tb, critical, i, i2), abs=1e-9
@@ -258,7 +259,7 @@ def test_kappa_feature_permutation_invariance():
     x = random_dataset(rng, 16, 4)
     perm = [2, 0, 3, 1]
     ta, tb = distance_tensor(x), distance_tensor(x[:, perm])
-    critical = critical_matrix(4, 16, 0.1)
+    critical = critical_matrix(4, 0.1)
     for i, i2 in ((0, 3), (4, 4), (15, 1)):
         assert kappa_kernel(ta, ta, critical, i, i2) == pytest.approx(
             kappa_kernel(tb, tb, critical, i, i2), abs=1e-12
@@ -269,7 +270,7 @@ def test_kappa_degenerate_sample_returns_zero_with_warning():
     z = np.zeros((3, 3, 2))
     z[1:] = np.arange(12).reshape(2, 3, 2) + 1.0  # sample 0 has an all-zero slice
     tensor = CenteredDistanceTensor(d=z, c=z, z=z, feature_mean_distance=np.ones(2))
-    critical = critical_matrix(2, 3, 1.0 - 1e-12, CriticalScale.CHI2_OVER_N)
+    critical = critical_matrix(2, 1.0 - 1e-12)
     with pytest.warns(DegenerateSampleWarning):
         assert kappa_kernel(tensor, tensor, critical, 0, 1) == 0.0
 
@@ -299,7 +300,7 @@ def test_gram_matches_pairwise_kappa():
     x = random_dataset(rng, 12, 3)
     gram = gram_matrix(x, alpha=0.1)
     tensor = distance_tensor(x)
-    critical = critical_matrix(3, 12, 0.1)
+    critical = critical_matrix(3, 0.1)
     for i, i2 in ((0, 0), (0, 5), (3, 11), (7, 2)):
         assert gram.values[i, i2] == pytest.approx(
             kappa_kernel(tensor, tensor, critical, i, i2), abs=1e-10
@@ -313,20 +314,14 @@ def test_cross_gram_matches_pairwise_kappa():
     gram = gram_matrix(a, b, alpha=0.1)
     assert gram.values.shape == (10, 14)
     ta, tb = distance_tensor(a), distance_tensor(b)
-    # same n is required for a shared critical matrix; rebuild per side
-    crit_a = critical_matrix(3, 10, 0.1)
+    critical = critical_matrix(3, 0.1)
     for i, i2 in ((0, 0), (9, 13), (4, 7)):
         za, zb = ta.z[i], tb.z[i2]
         pa, pb = za.T @ za, zb.T @ zb
-        crit_b = critical_matrix(3, 14, 0.1)
-        gamma = (
-            np.sum(pa * pb)
-            - np.sum(pa * crit_b.values)
-            - np.sum(crit_a.values * pb)
-            + 3 * 2 * crit_a.off_diagonal * crit_b.off_diagonal
-        )
-        self_a = np.sum((pa - crit_a.values) ** 2)
-        self_b = np.sum((pb - crit_b.values) ** 2)
+        t = critical.values
+        gamma = np.sum(pa * pb) - np.sum(pa * t) - np.sum(t * pb) + 3 * 2 * critical.off_diagonal**2
+        self_a = np.sum((pa - t) ** 2)
+        self_b = np.sum((pb - t) ** 2)
         assert gram.values[i, i2] == pytest.approx(
             gamma / np.sqrt(self_a * self_b), abs=1e-10
         )
@@ -422,7 +417,7 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
     # the stack names them
     rng = np.random.default_rng(157)
     a, b = random_dataset(rng, 200, 4), random_dataset(rng, 150, 4)
-    crit_a, crit_b = critical_matrix(4, 200, 0.1), critical_matrix(4, 150, 0.1)
+    crit_a = crit_b = critical_matrix(4, 0.1)
     feats_a, feats_b = contribution_features(a, threads=1), contribution_features(b, threads=1)
     # the 12 samples of b with the smallest contribution norms count as degenerate
     phi = feats_b.reshape(150, -1) - crit_b.values.reshape(-1)
@@ -597,35 +592,41 @@ def test_sample_set_distance_printed_form_offset():
 def test_mean_contribution_matches_feature_mean():
     rng = np.random.default_rng(113)
     x = random_dataset(rng, 14, 3)
-    critical = critical_matrix(3, 14, 0.1)
+    critical = critical_matrix(3, 0.1)
     feats = contribution_features(x)
     expected = feats.mean(axis=0) - critical.values
     assert np.allclose(mean_contribution(x, alpha=0.1), expected, atol=1e-12)
 
 
 def test_cross_gram_per_side_scaling():
-    # under the quantile-over-n scaling each side uses its own sample count
+    # the critical value does not depend on a side's sample count: every cell
+    # of a cross Gram with n_a != n_b is the reference kappa under one matrix
     rng = np.random.default_rng(127)
     a = random_dataset(rng, 10, 3)
     b = random_dataset(rng, 25, 3)
-    gram = gram_matrix(a, b, alpha=0.1, convention=CriticalScale.CHI2_OVER_N)
-    crit_a = critical_matrix(3, 10, 0.1, CriticalScale.CHI2_OVER_N)
-    crit_b = critical_matrix(3, 25, 0.1, CriticalScale.CHI2_OVER_N)
-    ta_, tb_ = distance_tensor(a), distance_tensor(b)
-    for i, i2 in ((0, 0), (9, 24), (3, 7)):
-        za, zb = ta_.z[i], tb_.z[i2]
-        pa, pb = za.T @ za, zb.T @ zb
-        gamma = (
-            np.sum(pa * pb)
-            - np.sum(pa * crit_b.values)
-            - np.sum(crit_a.values * pb)
-            + 3 * 2 * crit_a.off_diagonal * crit_b.off_diagonal
-        )
-        self_a = np.sum((pa - crit_a.values) ** 2)
-        self_b = np.sum((pb - crit_b.values) ** 2)
-        assert gram.values[i, i2] == pytest.approx(
-            gamma / np.sqrt(self_a * self_b), abs=1e-10
-        )
+    gram = gram_matrix(a, b, alpha=0.1)
+    critical = critical_matrix(3, 0.1)
+    ta, tb = distance_tensor(a), distance_tensor(b)
+    expected = [[kappa_kernel(ta, tb, critical, i, i2) for i2 in range(25)] for i in range(10)]
+    assert np.allclose(gram.values, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
+def test_quantile_over_n_is_the_kept_scaling_at_another_alpha(alpha):
+    # T = q_{1-alpha} / n, the critical value as the paper prints it, is the
+    # kept chi-square quantile at alpha' = 1 - erf(sqrt(T / 2))
+    rng = np.random.default_rng(131)
+    n, m = 300, 3
+    x = random_dataset(rng, n, m)
+    t = chi2_quantile_1df(1.0 - alpha) / n
+    alpha_printed = 1.0 - math.erf(math.sqrt(t / 2.0))
+    assert critical_matrix(m, alpha_printed).off_diagonal == pytest.approx(t, rel=1e-14, abs=0.0)
+    printed = CriticalMatrix(alpha=alpha, values=t * (1.0 - np.eye(m)))
+    tensor = distance_tensor(x)
+    gram = gram_matrix(x, alpha=alpha_printed)
+    cells = [(0, 0), (0, 1), (17, 230), (299, 5), (120, 121)]
+    expected = [kappa_kernel(tensor, tensor, printed, i, i2) for i, i2 in cells]
+    assert np.allclose([gram.values[c] for c in cells], expected, rtol=0.0, atol=1e-14)
 
 
 def test_threads_default_is_one():

@@ -19,7 +19,7 @@ import depcon.cli
 
 PUBLIC = [
     "BACKEND_NAME", "BenchmarkConfig", "BidirectedRepresentative", "ClusterAssignment",
-    "CriticalMatrix", "CriticalScale", "Dataset", "GramMatrix",
+    "CriticalMatrix", "Dataset", "GramMatrix",
     "IndependenceResult", "KpcaModel", "LabeledDataset", "LinearSem", "MixedGraph",
     "NonlinearPair", "NonlinearSem", "RandomDag", "SelectKResult", "SignMatrix",
     "StructureComparison", "adjusted_rand_index", "aggregate_statistic", "augment_nonlinear",
@@ -47,10 +47,10 @@ SIGNATURES = {
                        "seed amplitude max_pairs",
     "BidirectedRepresentative": "m connected",
     "ClusterAssignment": "labels k objective iterations converged objective_trace repairs",
-    "CriticalMatrix": "alpha chi2_quantile values convention",
+    "CriticalMatrix": "alpha values",
     "Dataset": "values feature_names",
     "GramMatrix": "values",
-    "IndependenceResult": "statistic reject alpha convention",
+    "IndependenceResult": "statistic reject alpha",
     "KpcaModel": "eigenvalues coefficients",
     "LabeledDataset": "data labels models",
     "LinearSem": "dag weights noise_scale",
@@ -62,20 +62,20 @@ SIGNATURES = {
     "SignMatrix": "values",
     "StructureComparison": "score different_structure witnesses statistic_a statistic_b",
     "adjusted_rand_index": "labels_a labels_b",
-    "aggregate_statistic": "data alpha convention threads",
+    "aggregate_statistic": "data alpha threads",
     "augment_nonlinear": "sem seed amplitude max_pairs",
     "build_benchmark": "config",
     "calinski_harabasz": "points labels",
     "chi2_quantile_1df": "p",
     "contribution_features": "data standardize threads",
     "contribution_mean_distance": "mean_a mean_b",
-    "critical_matrix": "m n alpha convention",
+    "critical_matrix": "m alpha",
     "distance_cov_matrix": "data",
-    "gram_matrix": "data_a data_b alpha convention threads",
+    "gram_matrix": "data_a data_b alpha threads",
     "graph_distance": "u u_prime",
     "graph_from_json": "payload",
     "hamming_product": "a b",
-    "independence_test": "data alpha convention threads",
+    "independence_test": "data alpha threads",
     "kernel_kmeans": "gram k max_iter restarts seed init_labels",
     "kpca_fit": "gram d",
     "kpca_transform": "model",
@@ -83,20 +83,20 @@ SIGNATURES = {
     "lloyd_kmeans": "points k max_iter restarts seed init_labels",
     "load_dataset": "source has_header",
     "load_dataset_json": "source",
-    "mean_contribution": "data alpha convention threads",
+    "mean_contribution": "data alpha threads",
     "model_descriptor": "model",
     "random_dag": "m edge_probability seed",
     "random_linear_sem": "dag seed",
     "representative": "graph",
     "sample_linear_sem": "sem n seed",
     "sample_nonlinear_sem": "sem n seed",
-    "sample_set_distance": "data_a data_b alpha convention threads",
+    "sample_set_distance": "data_a data_b alpha threads",
     "select_k": "gram k_range criterion max_iter restarts seed",
     "sign_map": "u",
     "sign_of_statistic": "statistic",
     "silhouette_from_distances": "dist labels",
     "silhouette_score": "gram labels",
-    "structure_difference_score": "data_a data_b alpha convention threads",
+    "structure_difference_score": "data_a data_b alpha threads",
     "variance_ratio_criterion": "gram labels",
 }
 
@@ -115,9 +115,9 @@ def test_public_signatures_are_pinned():
 
 # each subcommand's arguments, by dest, in the order the parser declares them
 CLI_OPTIONS = {
-    "gram": "data output alpha convention threads",
-    "indep": "data output alpha convention threads",
-    "test": "data_a data_b output both_conventions alpha convention threads",
+    "gram": "data output alpha threads",
+    "indep": "data output alpha threads",
+    "test": "data_a data_b output alpha threads",
     "synth": "output models samples features edge_prob nonlinear amplitude max_pairs seed",
     "cluster": "gram output report k k_range criterion max_iter restarts seed",
     "kpca": "gram output components labels",

@@ -11,7 +11,7 @@ import pytest
 import depcon
 from depcon import kernel
 from depcon.cli import main
-from depcon.critical import CriticalScale, critical_matrix
+from depcon.critical import critical_matrix
 from depcon.dataset import Dataset
 from depcon.errors import DegenerateSampleWarning, OutOfRangeError
 from depcon.inference import aggregate_statistic, independence_test, structure_difference_score
@@ -26,20 +26,20 @@ def _pair():
     return a, b
 
 
-def _flag_degenerate(monkeypatch, values, convention):
+def _flag_degenerate(monkeypatch, values):
     """Raise ``DEGENERATE_SQ_NORM`` so the 3 samples of ``values`` with the smallest
     contribution norms count as degenerate."""
     n, m = values.shape
     phi = contribution_features(values).reshape(n, -1)
-    phi -= critical_matrix(m, n, 0.1, convention).values.reshape(-1)
+    phi -= critical_matrix(m, 0.1).values.reshape(-1)
     sq_norms = np.sort(np.einsum("ij,ij->i", phi, phi))
     monkeypatch.setattr(kernel, "DEGENERATE_SQ_NORM", (sq_norms[2] + sq_norms[3]) / 2)
 
 
-def _outputs(a, b, convention, threads, cold):
+def _outputs(a, b, threads, cold):
     """Every aggregate output on ``a`` and ``b`` and every warning, the benchmark's
     calls first; ``cold`` drops the kept sums before each call."""
-    kw = dict(alpha=0.1, convention=convention, threads=threads)
+    kw = dict(alpha=0.1, threads=threads)
     calls = [
         lambda: independence_test(a, **kw),
         lambda: independence_test(b, **kw),
@@ -65,15 +65,14 @@ def _outputs(a, b, convention, threads, cold):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("convention", list(CriticalScale))
-def test_repeated_datasets_are_built_once(builds, monkeypatch, convention, threads):
+def test_repeated_datasets_are_built_once(builds, monkeypatch, threads):
     a, b = _pair()
-    _flag_degenerate(monkeypatch, b, convention)
-    cold = _outputs(a, b, convention, threads, cold=True)
+    _flag_degenerate(monkeypatch, b)
+    cold = _outputs(a, b, threads, cold=True)
     assert any(c is DegenerateSampleWarning for c, *_ in cold[2])
     kernel._sums.clear()
     builds.clear()
-    warm = _outputs(a, b, convention, threads, cold=False)
+    warm = _outputs(a, b, threads, cold=False)
     # indep(a), indep(b) and the comparison build a and b once each; the rest reuse them
     assert len(builds) == 2
     assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(warm[0], cold[0]))
@@ -118,7 +117,6 @@ def test_key_holds_what_changes_the_sums(builds):
         ("same bytes as 120 x 2", a.reshape(120, 2), {}),
         ("a's buffer read in Fortran order", a.ravel().reshape(a.shape, order="F"), {}),
         ("another alpha", a, {"alpha": 0.05}),
-        ("another convention", a, {"convention": CriticalScale.CHI2_OVER_N}),
         ("a strided slice", big[::2, :4], {}),
         ("the slice's contiguous copy", np.ascontiguousarray(big[::2, :4]), {}),
     ]
@@ -151,7 +149,7 @@ def test_bad_thread_count_fails_with_kept_sums(tmp_path):
 
 def test_kept_sums_are_read_only():
     a, _ = _pair()
-    critical = critical_matrix(4, 120, 0.1)
+    critical = critical_matrix(4, 0.1)
     sums = kernel._feature_sums(a, 1, critical)
     assert kernel._feature_sums(a, 2, critical) is sums
     for array in sums:

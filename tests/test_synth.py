@@ -99,13 +99,14 @@ def test_adjacent_pair_rejected():
     [
         (lambda: build_benchmark(BenchmarkConfig(num_models=0)), "must be positive"),
         (lambda: build_benchmark(BenchmarkConfig(samples_per_model=0)), "must be positive"),
+        (lambda: build_benchmark(BenchmarkConfig(seed=-1)), "need seed >= 0, got -1"),
         (lambda: NonlinearSem(base=random_linear_sem(random_dag(4, 1e-9, 0), 1),
                               pairs=(NonlinearPair(2, 1, 1.0),)),
          r"pair \(2, 1\) must be a forward pair"),
         (lambda: sample_linear_sem(random_linear_sem(random_dag(3, 0.5, 0), 1), 0, 2),
          "need at least 1 sample, got 0"),
     ],
-    ids=["no-models", "no-samples", "backward-pair", "no-samples-drawn"],
+    ids=["no-models", "no-samples", "negative-seed", "backward-pair", "no-samples-drawn"],
 )
 def test_out_of_range_arguments_rejected(make, message):
     with pytest.raises(OutOfRangeError, match=message):
