@@ -92,48 +92,61 @@ def _json_chunks(payload: dict, rows=None):
     yield text.encode() + b"\n"
 
 
+def _cells(row: np.ndarray, sep: bytes) -> bytes:
+    """The cells of a C-contiguous float64 ``row`` as their shortest round-trip
+    reprs joined by ``sep``: ``sep.join(map(repr, row.tolist())).encode()``.
+
+    orjson writes the same shortest round-trip digits as ``repr`` and, for
+    ±0 and every |x| in [1e-4, 1e16), the same text; outside that range only
+    its exponent is spelled otherwise (``1e-5``, ``1e16``) and a NaN or
+    infinity is ``null``, so those cells are ``repr``'d in its place."""
+    import orjson
+
+    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    size = np.abs(row)
+    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (row != 0.0))
+    if odd.size:
+        cells = text.split(b",")
+        for i in odd.tolist():
+            cells[i] = repr(float(row[i])).encode()
+        text = b",".join(cells)
+    return text if sep == b"," else text.replace(b",", sep)
+
+
 def _matrix_rows(matrix: np.ndarray, sep: bytes):
-    """Each row of ``matrix`` as its cells' shortest round-trip reprs joined by ``sep``."""
-    text_sep = sep.decode()
-    for row in matrix:
-        yield text_sep.join(map(repr, row.tolist())).encode()
+    """Each row of the float ``matrix`` as ``_cells`` joined by ``sep``."""
+    for row in np.ascontiguousarray(matrix, dtype=np.float64):
+        yield _cells(row, sep)
 
 
 def _gram_rows(u: np.ndarray, sep: bytes):
-    """Each row of the Gram of the unit vectors ``u`` as its cells' shortest
-    round-trip reprs joined by ``sep``, the cells of ``gram_matrix``'s Gram.
+    """Each row of the Gram of the unit vectors ``u`` as ``_cells`` joined by
+    ``sep``, the cells of ``gram_matrix``'s Gram.
 
-    The upper triangle comes a band at a time from ``_gram_bands`` and each
-    of its cells is ``repr``'d once; a cell left of the diagonal is read back
-    from a table of the reprs still to be written. That table is a set of
-    tiles, one per band and band-wide column chunk right of it, each dropped
-    once its columns are written, so it holds about n^2/4 reprs at most. 24
-    ASCII characters hold any float64 repr, such as
-    ``-2.2250738585072014e-308``. A non-finite band is NonFiniteValueError.
+    The upper triangle comes a band at a time from ``_gram_bands``; a cell
+    left of the diagonal is its mirror, read back from the upper triangle of
+    the band's own columns or from a block an earlier band kept. Each band
+    keeps one float64 block per later band's columns, dropped once that band
+    is written, so the blocks hold about n^2/4 cells at most. A non-finite
+    band is NonFiniteValueError.
     """
-    text_sep = sep.decode()
     n = u.shape[0]
-    # tiles[c]: per band above chunk c, its (rows, chunk width) reprs there
-    tiles = {}
+    # blocks[c]: per band above the band at c, its (rows, width) cells in that band's columns
+    blocks = {}
     for start, band in _gram_bands(u):
         rows = band.shape[0]
         stop = start + rows
         _check_finite(band, f"the Gram's rows {start}..{stop - 1} from column {start}")
-        block = np.empty((rows, rows), dtype="S24")
-        chunks = range(stop, n, rows)  # the later bands' columns; only a last band is shorter
-        ahead = [np.empty((rows, min(rows, n - c)), dtype="S24") for c in chunks]
-        above = tiles.pop(start, [])
-        for r, row in enumerate(band):
-            own = [repr(v) for v in row[r:].tolist()]
-            left = []
-            for tile in above:
-                left += tile[:, r].tolist()
-            yield sep.join(left + block[:r, r].tolist() + [text_sep.join(own).encode()])
-            block[r, r:] = own[:rows - r]
-            for c, tile in zip(chunks, ahead):
-                tile[r] = own[c - start - r:c - start - r + tile.shape[1]]
-        for c, tile in zip(chunks, ahead):
-            tiles.setdefault(c, []).append(tile)
+        full = np.empty((rows, n))
+        if start:
+            full[:, :start] = np.vstack(blocks.pop(start)).T
+        own = band[:, :rows]
+        full[:, start:stop] = np.where(np.tri(rows, k=-1, dtype=bool), own.T, own)
+        full[:, stop:] = band[:, rows:]
+        for c in range(stop, n, rows):  # the later bands' columns; only a last band is shorter
+            blocks.setdefault(c, []).append(band[:, c - start:c - start + rows].copy())
+        for row in full:
+            yield _cells(row, sep)
 
 
 def _csv_outputs(path, lines, provenance: dict):
@@ -279,14 +292,14 @@ def cmd_cluster(args) -> int:
         "provenance": _provenance("cluster", vars(args)),
     }
     labels = (b"%d\n" % label for label in chosen.labels.tolist())
-    report_path = args.report or f"{args.output}.report.json"
+    report_path = f"{args.output}.report.json" if args.report is None else args.report
     _publish((args.output, labels), (report_path, _json_chunks(report)))
     return 0
 
 
 def cmd_kpca(args) -> int:
     gram = _load_gram(args.gram)
-    labels = _load_labels(args.labels) if args.labels else None
+    labels = None if args.labels is None else _load_labels(args.labels)
     if labels is not None and labels.size != gram.shape[0]:
         raise LengthMismatchError(f"{labels.size} labels for a Gram of {gram.shape[0]} samples")
     model = kpca_fit(gram, args.components)
@@ -480,10 +493,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if os.path.basename(args.output) in ("", ".", ".."):
-        print(f"depcon {args.command}: output name {args.output!r} ends in no file name",
-              file=sys.stderr)
-        return EXIT_USAGE
+    for name in (args.output, getattr(args, "report", None)):
+        if name is not None and os.path.basename(name) in ("", ".", ".."):
+            print(f"depcon {args.command}: output name {name!r} ends in no file name",
+                  file=sys.stderr)
+            return EXIT_USAGE
     if args.command in CSV_OUTPUT_COMMANDS and _is_json(args.output):
         print(f"depcon {args.command}: {args.output}: writes CSV, so its name may not end "
               f"in .json", file=sys.stderr)

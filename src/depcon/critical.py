@@ -65,6 +65,8 @@ def critical_matrix(m: int, alpha: float) -> CriticalMatrix:
         raise OutOfRangeError(f"need at least 2 features, got {m}")
     if not (0.0 < alpha < 1.0):
         raise OutOfRangeError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:  # no quantile below 1 to solve for
+        raise OutOfRangeError(f"alpha {alpha} is too small: 1 - alpha rounds to 1.0")
     values = np.full((m, m), chi2_quantile_1df(1.0 - alpha), dtype=np.float64)
     np.fill_diagonal(values, 0.0)
     return CriticalMatrix(alpha=alpha, values=values)

@@ -15,6 +15,7 @@ also serve the other modules.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
@@ -226,8 +227,10 @@ def _load_labels(path) -> np.ndarray:
     As in a dataset CSV, only the first filled row may be a non-numeric
     header. A file that is not UTF-8, not readable as CSV, not JSON, or has
     no ``labels`` list holds no labels at all; neither may any file hold an
-    empty list.
+    empty list. An empty name names no file (``Path`` would read it as ``.``).
     """
+    if not os.fspath(path):
+        raise FileNotFoundError(errno.ENOENT, "no file name", path)
     path = Path(path)
     try:
         if _is_json(path):

@@ -18,6 +18,7 @@ from depcon.dataset import _load_any_dataset, _load_gram, _load_labels, _read_ta
 from depcon.embedding import kpca_fit, kpca_transform
 from depcon.graphs import graph_from_json
 from depcon.cli import (
+    _cells,
     _csv_outputs,
     _json_chunks,
     _json_text,
@@ -752,6 +753,51 @@ def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
             assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
 
 
+@pytest.mark.parametrize("sep", [b",", b",\n      "], ids=["csv", "json"])
+def test_cells_are_the_joined_reprs(sep):
+    # orjson's text stands for repr's only for +-0 and |x| in [1e-4, 1e16);
+    # a future orjson that spells any of these otherwise fails here
+    rng = np.random.default_rng(35)
+    decades = [rng.uniform(1.0, 10.0, 200) * 10.0**e for e in range(-4, 16)]
+    powers = [float(f"1e{e}") for e in range(-4, 17)]
+    neighbours = [np.nextafter(p, to) for p in powers for to in (0.0, np.inf)]
+    kinds = [0.0, -0.0, 1e-5, 9.999999999999999e-05, 1e-300, 5e-324, 2.2250738585072014e-308,
+             1e-310, 1e16, 1e300, np.finfo(np.float64).max, np.nan, np.inf, -np.inf]
+    cells = np.concatenate([*decades, powers, neighbours, kinds])
+    cells = np.concatenate([cells, -cells])
+    text = sep.decode()
+    for row in (cells, rng.permutation(cells), *cells[:, None]):
+        assert _cells(row, sep) == text.join(map(repr, row.tolist())).encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kpca", "gram.csv", "-o", "out.csv", "--labels", ""),
+        ("eval", "labels.csv", "--truth", "", "-o", "out.csv"),
+        ("eval", "", "--truth", "labels.csv", "-o", "out.csv"),
+    ],
+    ids=["kpca-labels", "eval-truth", "eval-predictions"],
+)
+def test_empty_labels_name_exit_code(tmp_path, monkeypatch, capsys, argv):
+    # an empty name is a missing file, not "no labels" (nor Path's ".")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gram.csv").write_text("1.0,0.5\n0.5,1.0\n")
+    (tmp_path / "labels.csv").write_text("0\n1\n")
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"depcon {argv[0]}: file not found: \n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_alpha_whose_complement_rounds_to_one_exit_code(bench, tmp_path, capsys):
+    out = tmp_path / "indep.json"
+    assert run("indep", bench, "-o", out, "--alpha", "1e-17") == OutOfRangeError.exit_code
+    message = "depcon indep: alpha 1e-17 is too small: 1 - alpha rounds to 1.0\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_kpca_labels_with_stray_row_exit_code(tmp_path, capsys):
     gram = tmp_path / "gram.csv"
     gram.write_text("1.0,0.5,0.2\n0.5,1.0,0.3\n0.2,0.3,1.0\n")
@@ -1183,11 +1229,12 @@ def test_csv_output_named_json_exit_code(tmp_path, capsys, argv, earlier):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("synth", "--models", 2, "--samples", 20, "--features", 4),
-        ("gram", "bench.csv"),
-        ("cluster", "gram.csv", "-k", 2),
+        ("synth", "--models", 2, "--samples", 20, "--features", 4, "-o"),
+        ("gram", "bench.csv", "-o"),
+        ("cluster", "gram.csv", "-k", 2, "-o"),
+        ("cluster", "gram.csv", "-k", 2, "-o", "labels.csv", "--report"),
     ],
-    ids=["synth", "gram", "cluster"],
+    ids=["synth", "gram", "cluster", "cluster-report"],
 )
 def test_output_name_without_a_file_name_exit_code(
     bench, tmp_path, monkeypatch, capsys, argv, output
@@ -1196,7 +1243,7 @@ def test_output_name_without_a_file_name_exit_code(
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    assert run(*argv, "-o", output) == 4
+    assert run(*argv, output) == 4
     message = f"depcon {argv[0]}: output name {output!r} ends in no file name\n"
     assert capsys.readouterr().err == message
     assert sorted(tmp_path.rglob("*")) == before

@@ -44,6 +44,15 @@ def test_alpha_to_one_limit():
     assert cm.off_diagonal == pytest.approx(0.0, abs=1e-10)
 
 
+def test_alpha_whose_complement_rounds_to_one():
+    # 1 - alpha == 1.0 leaves no quantile to solve for; the next alpha up keeps its value
+    for alpha in (1e-17, 2.0**-54, 5e-324):
+        with pytest.raises(OutOfRangeError, match=f"alpha {alpha} is too small"):
+            critical_matrix(3, alpha)
+    for alpha in (np.nextafter(2.0**-54, 1.0), 2.0**-53, 1e-16, 0.05, 0.5):
+        assert critical_matrix(3, alpha).off_diagonal == chi2_quantile_1df(1.0 - alpha)
+
+
 def test_m2_structure():
     cm = critical_matrix(2, 0.1)
     t = cm.off_diagonal

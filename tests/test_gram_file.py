@@ -46,22 +46,42 @@ def test_gram_file_is_the_library_gram(tmp_path, n):
     assert np.array(values, dtype=np.float64).tobytes() == gram.tobytes()
 
 
-def test_gram_file_reprs_each_upper_cell_once(tmp_path, monkeypatch):
+def test_gram_file_formats_the_library_grams_rows(tmp_path, monkeypatch):
+    # every row goes whole through the one formatter, which repr's only the
+    # cells orjson spells otherwise: here, the random unit vectors' cells below 1e-4
     n = 2 * B + 1
     x, data = _dataset(tmp_path, n)
-    formatted = []
+    formatted, repred = [], []
+    cells = depcon.cli._cells
+
+    def spy(row, sep):
+        formatted.append(row.copy())
+        return cells(row, sep)
 
     def counting_repr(value):
-        formatted.append(value)
+        repred.append(value)
         return repr(value)
 
-    # module globals come before builtins, so the writer calls this one
+    monkeypatch.setattr(depcon.cli, "_cells", spy)
+    # module globals come before builtins, so the formatter calls this one
     monkeypatch.setattr(depcon.cli, "repr", counting_repr, raising=False)
-    assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
-    gram = _library_gram(x)
-    # each row's cells from the diagonal on, the rows in order, and nothing else
-    assert np.array(formatted).tobytes() == gram[np.triu_indices(n)].tobytes()
-    assert _load_gram(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    units = depcon.cli._unit_vectors
+    rng = np.random.default_rng(11)
+    random_units = rng.standard_normal((n, 40))
+    random_units /= np.linalg.norm(random_units, axis=1, keepdims=True)
+    with _one_blas_thread():
+        random_gram = depcon.kernel._gram_from_units(random_units).values
+    for gram, unit_vectors in ((_library_gram(x), units), (random_gram, lambda *_: random_units)):
+        formatted.clear()
+        repred.clear()
+        monkeypatch.setattr(depcon.cli, "_unit_vectors", unit_vectors)
+        assert main(["gram", str(data), "-o", str(tmp_path / "g.csv")]) == 0
+        assert np.array(formatted).tobytes() == gram.tobytes()
+        size = np.abs(gram)
+        odd = gram[~((size >= 1e-4) & (size < 1e16)) & (gram != 0.0)]
+        assert np.array(repred, dtype=np.float64).tobytes() == odd.tobytes()
+        assert _load_gram(tmp_path / "g.csv").tobytes() == gram.tobytes()
+    assert odd.size > 0  # the random units' Gram has cells below 1e-4
 
 
 def test_only_the_upper_triangle_of_a_band_is_used(tmp_path, monkeypatch):

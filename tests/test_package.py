@@ -187,14 +187,17 @@ def test_benchmark_contract(tmp_path):
 def test_import_footprint():
     # the thread pool is imported only by a build with more than one worker,
     # and the sums memo hashes with _blake2: importing depcon maps no pool
-    # (which loads logging) and no OpenSSL, and an independence test no OpenSSL
+    # (which loads logging) and no OpenSSL, and an independence test no OpenSSL;
+    # only the CSV cell formatter imports orjson
     script = """
 import sys
 import depcon, depcon.cli
-loaded = [name for name in ("concurrent.futures", "logging", "_hashlib") if name in sys.modules]
+loaded = [name for name in ("concurrent.futures", "logging", "_hashlib", "orjson")
+          if name in sys.modules]
 assert not loaded, loaded
 import numpy as np
 depcon.independence_test(np.sin(np.outer(np.arange(1.0, 41.0), [1.0, 2.3, 3.7])))
+assert "orjson" not in sys.modules
 try:
     import _blake2  # noqa: F401
 except ImportError:  # then the memo takes blake2b from hashlib
