@@ -39,7 +39,7 @@ from .embedding import kpca_fit, kpca_transform
 from .errors import DepconError, LengthMismatchError, NonFiniteValueError
 from .graphs import graph_distance, graph_from_json, representative
 from .inference import independence_test, structure_difference_score
-from .kernel import BACKEND_NAME, _gram_bands, _unit_vectors
+from .kernel import BACKEND_NAME, GRAM_BAND_ROWS, _gram_bands, _unit_vectors
 from .synth import BenchmarkConfig, build_benchmark, model_descriptor
 
 EXIT_FILE_NOT_FOUND = 2
@@ -131,19 +131,20 @@ def _gram_rows(u: np.ndarray, sep: bytes):
     band is NonFiniteValueError.
     """
     n = u.shape[0]
+    buffer = np.empty((GRAM_BAND_ROWS, n))  # a band's rows whole; every band reuses it
     # blocks[c]: per band above the band at c, its (rows, width) cells in that band's columns
     blocks = {}
     for start, band in _gram_bands(u):
-        rows = band.shape[0]
+        rows = band.shape[0]  # only a last band is shorter
         stop = start + rows
         _check_finite(band, f"the Gram's rows {start}..{stop - 1} from column {start}")
-        full = np.empty((rows, n))
-        if start:
-            full[:, :start] = np.vstack(blocks.pop(start)).T
+        full = buffer[:rows]
+        for i, block in enumerate(blocks.pop(start, [])):
+            full[:, i * GRAM_BAND_ROWS:(i + 1) * GRAM_BAND_ROWS] = block.T
         own = band[:, :rows]
         full[:, start:stop] = np.where(np.tri(rows, k=-1, dtype=bool), own.T, own)
         full[:, stop:] = band[:, rows:]
-        for c in range(stop, n, rows):  # the later bands' columns; only a last band is shorter
+        for c in range(stop, n, rows):
             blocks.setdefault(c, []).append(band[:, c - start:c - start + rows].copy())
         for row in full:
             yield _cells(row, sep)
