@@ -138,8 +138,8 @@ def pipeline_900(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, bound",
     [
-        # the unit vectors, one band of the Gram and the reprs still to be
-        # written, at most n^2 / 4 of 24 bytes each
+        # the unit vectors, one band of the Gram, its rows whole, and the
+        # mirror cells still to be written, at most n^2 / 4 doubles
         (("gram", "data.csv", "-o", "out.csv"), 1.7),
         # the same, with the JSON rows written as they are formed
         (("gram", "data.csv", "-o", "out.json"), 1.7),
