@@ -20,7 +20,7 @@ from .clustering import (
     silhouette_score,
     variance_ratio_criterion,
 )
-from .critical import CriticalMatrix, chi2_quantile_1df, critical_matrix
+from .critical import chi2_quantile_1df, critical_matrix
 from .dataset import Dataset, load_dataset, load_dataset_json
 from .embedding import KpcaModel, kpca_fit, kpca_transform, linear_pca_scores
 from .graphs import (

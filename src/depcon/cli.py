@@ -34,6 +34,7 @@ from .dataset import (
     _load_gram,
     _load_labels,
     _twin_outputs,
+    _twin_path,
 )
 from .embedding import kpca_fit, kpca_transform
 from .errors import DepconError, LengthMismatchError, NonFiniteValueError
@@ -156,15 +157,25 @@ def _csv_outputs(path, lines, provenance: dict):
     return (path, (line + b"\n" for line in lines)), sidecar
 
 
-def _publish(*outputs):
+def _gram_inputs(path):
+    """A Gram file's path, and its twin's when it has one: what ``_load_gram`` may read."""
+    twin = _twin_path(path)
+    return [path, twin] if os.path.exists(twin) else [path]
+
+
+def _publish(*outputs, inputs=()):
     """Stream each ``(path, chunks of bytes)`` to a temporary beside ``path`` and
     move them all into place once all are complete; on any exception remove
     them and raise it again, naming ``path``. Two paths with one resolved
-    directory and one name are refused before anything is written."""
+    directory and one name are refused before anything is written, and so is
+    an output path that names the file one of ``inputs`` resolves to."""
+    read = {os.path.split(os.path.realpath(path)) for path in inputs}
     targets = set()
     for path, _ in outputs:
         head, name = os.path.split(path)
         target = (os.path.realpath(head), name)  # a symlink at the path itself is replaced
+        if target in read:
+            raise OSError(f"{path}: names an input of the command")
         if target in targets:
             raise OSError(f"{path}: named by two outputs of one command")
         targets.add(target)
@@ -201,7 +212,7 @@ def cmd_gram(args) -> int:
         outputs = list(_csv_outputs(args.output, _gram_rows(units, b","), prov))
     # the twin follows the file it digests, and a sidecar stays last
     outputs[:1] = _twin_outputs(outputs[0], units.shape[0], _gram_bands(units))
-    _publish(*outputs)
+    _publish(*outputs, inputs=[args.data])
     return 0
 
 
@@ -213,7 +224,7 @@ def cmd_indep(args) -> int:
         "pairs": result.pairs(),
         "provenance": _provenance("indep", vars(args)),
     }
-    _publish((args.output, _json_chunks(payload)))
+    _publish((args.output, _json_chunks(payload)), inputs=[args.data])
     return 0
 
 
@@ -228,7 +239,7 @@ def cmd_test(args) -> int:
         "alpha": args.alpha,
         "provenance": _provenance("test", vars(args)),
     }
-    _publish((args.output, _json_chunks(payload)))
+    _publish((args.output, _json_chunks(payload)), inputs=[args.data_a, args.data_b])
     return 0
 
 
@@ -294,7 +305,9 @@ def cmd_cluster(args) -> int:
     }
     labels = (b"%d\n" % label for label in chosen.labels.tolist())
     report_path = f"{args.output}.report.json" if args.report is None else args.report
-    _publish((args.output, labels), (report_path, _json_chunks(report)))
+    _publish(
+        (args.output, labels), (report_path, _json_chunks(report)), inputs=_gram_inputs(args.gram)
+    )
     return 0
 
 
@@ -311,7 +324,8 @@ def cmd_kpca(args) -> int:
         header.append("label")
         lines = (line + b",%d" % label for line, label in zip(lines, labels.tolist()))
     lines = [",".join(header).encode(), *lines]
-    _publish(*_csv_outputs(args.output, lines, _provenance("kpca", vars(args))))
+    inputs = _gram_inputs(args.gram) + ([] if args.labels is None else [args.labels])
+    _publish(*_csv_outputs(args.output, lines, _provenance("kpca", vars(args))), inputs=inputs)
     return 0
 
 
@@ -336,8 +350,9 @@ def cmd_eval(args) -> int:
         "k_histogram": {str(k): histogram[k] for k in sorted(histogram)},
         "provenance": _provenance("eval", vars(args)),
     }
+    inputs = [args.truth, *args.predictions]
     if _is_json(args.output):
-        _publish((args.output, _json_chunks(payload)))
+        _publish((args.output, _json_chunks(payload)), inputs=inputs)
     else:
         buf = io.StringIO()  # csv quotes a name that holds a comma, quote or newline
         csv.writer(buf, lineterminator="\n").writerows(
@@ -345,7 +360,7 @@ def cmd_eval(args) -> int:
             + [[row["name"], repr(float(row["ari"])), row["k"]] for row in rows]
         )
         lines = [line.encode(errors="surrogateescape") for line in buf.getvalue().split("\n")[:-1]]
-        _publish(*_csv_outputs(args.output, lines, payload["provenance"]))
+        _publish(*_csv_outputs(args.output, lines, payload["provenance"]), inputs=inputs)
     return 0
 
 
@@ -364,7 +379,7 @@ def cmd_graphdist(args) -> int:
         key: [_json_text(row).encode() for row in rep.connected.astype(int).tolist()]
         for key, rep in (("connected_a", rep_a), ("connected_b", rep_b))
     }
-    _publish((args.output, _json_chunks(payload, rows=rows)))
+    _publish((args.output, _json_chunks(payload, rows=rows)), inputs=[args.graph_a, args.graph_b])
     return 0
 
 

@@ -9,11 +9,10 @@ coincides exactly with the classical distance-covariance test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, TooFewFeaturesError
 
 
 def chi2_quantile_1df(p: float) -> float:
@@ -37,36 +36,14 @@ def chi2_quantile_1df(p: float) -> float:
     return 2.0 * u * u
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalMatrix:
-    """m x m matrix of critical values: zero diagonal, one shared off-diagonal value."""
-
-    alpha: float
-    values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def off_diagonal(self) -> float:
-        return float(self.values[0, 1]) if self.m >= 2 else 0.0
-
-    @property
-    def sq_norm(self) -> float:
-        """Squared Frobenius norm: m(m-1) * t^2."""
-        t = self.off_diagonal
-        return self.m * (self.m - 1) * t * t
-
-
-def critical_matrix(m: int, alpha: float) -> CriticalMatrix:
-    """Build the critical matrix for m features at level alpha."""
+def critical_matrix(m: int, alpha: float) -> np.ndarray:
+    """The m x m critical matrix T at level alpha: q_{1-alpha} off the diagonal, 0 on it."""
     if m < 2:
-        raise OutOfRangeError(f"need at least 2 features, got {m}")
+        raise TooFewFeaturesError(f"need at least 2 features, got {m}")
     if not (0.0 < alpha < 1.0):
         raise OutOfRangeError(f"alpha must be in (0, 1), got {alpha}")
     if 1.0 - alpha == 1.0:  # no quantile below 1 to solve for
         raise OutOfRangeError(f"alpha {alpha} is too small: 1 - alpha rounds to 1.0")
     values = np.full((m, m), chi2_quantile_1df(1.0 - alpha), dtype=np.float64)
     np.fill_diagonal(values, 0.0)
-    return CriticalMatrix(alpha=alpha, values=values)
+    return values

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmallSampleWarning
-from .kernel import _check_same_features, _critical, _feature_sums, _values, _warn_degenerate
+from .critical import critical_matrix
+from .kernel import _check_same_features, _feature_sums, _values, _warn_degenerate
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +59,8 @@ def aggregate_statistic(
 ) -> np.ndarray:
     """sum_i(phi_i) = sum_i(Z_i^T Z_i) - n T."""
     values = _values(data)
-    critical = _critical(values, alpha)
-    return _feature_sums(values, threads, critical)[0] - values.shape[0] * critical.values
+    critical = critical_matrix(values.shape[1], alpha)
+    return _feature_sums(values, threads, critical)[0] - values.shape[0] * critical
 
 
 def independence_test(
@@ -115,14 +116,14 @@ def structure_difference_score(
     values_a = _values(data_a)
     values_b = _values(data_b)
     _check_same_features(values_a, values_b)
-    critical = _critical(values_a, alpha)
+    critical = critical_matrix(values_a.shape[1], alpha)
     total_a, units_a, degenerate_a = _feature_sums(values_a, threads, critical)
     total_b, units_b, degenerate_b = _feature_sums(values_b, threads, critical)
     _warn_degenerate(degenerate_a, stacklevel=2)
     _warn_degenerate(degenerate_b, stacklevel=2)
     score = float(units_a @ units_b)
-    stat_a = total_a - values_a.shape[0] * critical.values
-    stat_b = total_b - values_b.shape[0] * critical.values
+    stat_a = total_a - values_a.shape[0] * critical
+    stat_b = total_b - values_b.shape[0] * critical
     m = values_a.shape[1]
     witnesses = tuple(
         (j, j2)

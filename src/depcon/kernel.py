@@ -279,7 +279,7 @@ def _feature_sums(values, threads, critical):
     checked before the lookup, so a bad count fails on a kept dataset too.
     """
     threads = _resolve_threads(threads)
-    key = (values.shape, _blake2b(values).digest(), critical.values.tobytes())
+    key = (values.shape, _blake2b(values).digest(), critical.tobytes())
     with _sums_lock:
         sums = _sums.pop(key, None)
         if sums is not None:
@@ -326,14 +326,6 @@ def _check_same_features(values_a, values_b):
         raise DimensionMismatchError(f"feature counts differ: {m} vs {m_b}")
 
 
-def _critical(values, alpha):
-    """The critical matrix of an (n, m) dataset; TooFewFeaturesError if m < 2."""
-    m = values.shape[1]
-    if m < 2:
-        raise TooFewFeaturesError(f"need at least 2 features, got {m}")
-    return critical_matrix(m, alpha)
-
-
 def gram_matrix(
     data_a,
     data_b=None,
@@ -358,7 +350,7 @@ def gram_matrix(
 def _unit_rows(feats, critical):
     """``(rows vec(phi_i) / ||phi_i||, degenerate mask)``; a degenerate sample's row is 0."""
     n = feats.shape[0]
-    phi = feats.reshape(n, -1) - critical.values.reshape(-1)
+    phi = feats.reshape(n, -1) - critical.reshape(-1)
     sq_norms = np.einsum("ij,ij->i", phi, phi)
     degenerate = sq_norms < DEGENERATE_SQ_NORM
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -388,8 +380,8 @@ def _unit_vectors(data, alpha, threads=None):
     of ``_unit_rows(contribution_features(data), critical)`` bit for bit."""
     threads = _resolve_threads(threads)
     values = _values(data)
-    critical = _critical(values, alpha)
-    u = np.empty((values.shape[0], critical.m * critical.m))
+    critical = critical_matrix(values.shape[1], alpha)
+    u = np.empty((values.shape[0], critical.size))
     degenerate = np.empty(values.shape[0], dtype=bool)
     for start, group in _product_blocks(*_scaled_columns(values)[:2], threads):
         stop = start + len(group)
@@ -436,9 +428,9 @@ def mean_contribution(
 ) -> np.ndarray:
     """Mean of the contribution matrices over all samples: mean_i(phi_i)."""
     values = _values(data)
-    critical = _critical(values, alpha)
+    critical = critical_matrix(values.shape[1], alpha)
     # feats.mean(axis=0) divides the same sum by n
-    return _feature_sums(values, threads, critical)[0] / values.shape[0] - critical.values
+    return _feature_sums(values, threads, critical)[0] / values.shape[0] - critical
 
 
 def contribution_mean_distance(mean_a: np.ndarray, mean_b: np.ndarray) -> float:

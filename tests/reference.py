@@ -25,7 +25,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from depcon.critical import CriticalMatrix
 from depcon.errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -68,10 +67,11 @@ def distance_tensor(data) -> CenteredDistanceTensor:
     return CenteredDistanceTensor(d=d, c=c, z=z, feature_mean_distance=grand_mean)
 
 
-def extended_products(data, rows):
-    """``Z_i^T Z_i`` of the samples ``rows`` in ``np.longdouble``, one sample at a
-    time from the definition: O(n m^2) each. The row-mean distances come from a
-    sorted prefix sum, so no n x n array is built and large n stays cheap."""
+def extended_products(data, rows, standardize=True):
+    """``Z_i^T Z_i`` (``C_i^T C_i`` when unstandardized) of the samples ``rows`` in
+    ``np.longdouble``, one sample at a time from the definition: O(n m^2) each.
+    The row-mean distances come from a sorted prefix sum, so no n x n array is
+    built and large n stays cheap."""
     x = np.asarray(data, dtype=np.longdouble)
     n, m = x.shape
     order = np.argsort(x, axis=0, kind="stable")
@@ -85,34 +85,42 @@ def extended_products(data, rows):
     grand_mean = row_mean.mean(axis=0)
     products = []
     for i in rows:
-        z = (np.abs(x[i] - x) - row_mean[i] - row_mean + grand_mean) / grand_mean
+        z = np.abs(x[i] - x) - row_mean[i] - row_mean + grand_mean
+        if standardize:
+            z /= grand_mean
         products.append(z.T @ z)
     return np.array(products)
 
 
-def phi_map(tensor: CenteredDistanceTensor, critical: CriticalMatrix, i: int):
+def critical_sq_norm(critical: np.ndarray) -> float:
+    """Squared Frobenius norm of a critical matrix T: m(m-1) t^2."""
+    m = critical.shape[0]
+    t = float(critical[0, 1])
+    return m * (m - 1) * t * t
+
+
+def phi_map(tensor: CenteredDistanceTensor, critical: np.ndarray, i: int):
     """Dependence contribution matrix of sample i, ``Z_i^T Z_i - T``, as ``.values``."""
-    if critical.m != tensor.m:
+    if critical.shape[0] != tensor.m:
         raise DimensionMismatchError(
-            f"critical matrix is {critical.m}x{critical.m}, tensor has m={tensor.m}"
+            f"critical matrix is {critical.shape[0]}x{critical.shape[0]}, tensor has m={tensor.m}"
         )
     if not (0 <= i < tensor.n):
         raise IndexError(f"sample index {i} outside [0, {tensor.n})")
     slice_i = tensor.z[i]
-    return SimpleNamespace(values=slice_i.T @ slice_i - critical.values, sample_index=i)
+    return SimpleNamespace(values=slice_i.T @ slice_i - critical, sample_index=i)
 
 
-def _phi_inner(p_a, p_b, critical: CriticalMatrix) -> float:
-    t = critical.values
+def _phi_inner(p_a, p_b, t: np.ndarray) -> float:
     return float(
-        np.sum(p_a * p_b) - np.sum(p_a * t) - np.sum(t * p_b) + critical.sq_norm
+        np.sum(p_a * p_b) - np.sum(p_a * t) - np.sum(t * p_b) + critical_sq_norm(t)
     )
 
 
 def _check_pair(tensor_a, tensor_b, critical, i, i_prime):
-    if tensor_a.m != tensor_b.m or critical.m != tensor_a.m:
+    if tensor_a.m != tensor_b.m or critical.shape[0] != tensor_a.m:
         raise DimensionMismatchError(
-            f"feature counts differ: {tensor_a.m}, {tensor_b.m}, critical {critical.m}"
+            f"feature counts differ: {tensor_a.m}, {tensor_b.m}, critical {critical.shape[0]}"
         )
     if not (0 <= i < tensor_a.n):
         raise IndexError(f"index {i} outside [0, {tensor_a.n})")
@@ -141,12 +149,11 @@ def gamma_trace_form(tensor_a, tensor_b, critical, i, i_prime) -> float:
             f"got slices {za.shape} and {zb.shape}"
         )
     first = float(np.sum(za * zb)) ** 2
-    t = critical.values
     return (
         first
-        - float(np.sum((za.T @ za) * t))
-        - float(np.sum(t * (zb.T @ zb)))
-        + critical.sq_norm
+        - float(np.sum((za.T @ za) * critical))
+        - float(np.sum(critical * (zb.T @ zb)))
+        + critical_sq_norm(critical)
     )
 
 

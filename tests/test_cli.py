@@ -1199,6 +1199,68 @@ def test_two_outputs_naming_one_file_exit_code(bench, tmp_path, capsys, argv, pa
     assert capsys.readouterr().err == message
 
 
+def _entries(directory):
+    """Each file in ``directory`` by name: its link target when it is a symlink, and its bytes."""
+    return {
+        path.name: (os.readlink(path) if path.is_symlink() else None, path.read_bytes())
+        for path in directory.iterdir()
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("gram", "bench.csv", "-o", "bench.csv"), "bench.csv"),
+        (("cluster", "gram.csv", "-o", "gram.csv", "-k", 2), "gram.csv"),
+        (("cluster", "gram.csv", "-o", "l.csv", "-k", 2, "--report", "gram.csv"), "gram.csv"),
+        # the input is a symlink to the output path: the output would replace its file
+        (("cluster", "link.csv", "-o", "gram.csv", "-k", 2), "gram.csv"),
+        (("cluster", "gram.csv", "-o", "gram.csv.twin", "-k", 2), "gram.csv.twin"),
+        (("kpca", "gram.csv", "-o", "pred.csv", "--labels", "pred.csv"), "pred.csv"),
+        (("eval", "pred.csv", "--truth", "bench.json", "-o", "bench.json"), "bench.json"),
+        (("indep", "bench.csv", "-o", "bench.csv"), "bench.csv"),
+        (("test", "bench.csv", "other.csv", "-o", "other.csv"), "other.csv"),
+        (("graphdist", "graph.json", "graph.json", "-o", "graph.json"), "graph.json"),
+    ],
+    ids=[
+        "gram", "cluster", "cluster-report", "cluster-linked-input", "cluster-twin",
+        "kpca-labels", "eval-truth", "indep", "test", "graphdist",
+    ],
+)
+def test_output_naming_an_input_exit_code(bench, tmp_path, capsys, argv, path):
+    assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
+    (tmp_path / "pred.csv").write_text("0\n1\n" * 50)
+    (tmp_path / "other.csv").write_bytes(bench.read_bytes())
+    (tmp_path / "graph.json").write_text('{"vertices": 2, "edges": []}')
+    (tmp_path / "link.csv").symlink_to(tmp_path / "gram.csv")
+    before = _entries(tmp_path)
+    argv = [tmp_path / a if str(a).endswith((".csv", ".json", ".twin")) else a for a in argv]
+    assert run(*argv) == 3
+    assert _entries(tmp_path) == before  # no new file, no temporary, no changed byte or link
+    message = f"depcon {argv[0]}: {tmp_path / path}: names an input of the command\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "argv, link, target",
+    [
+        (("gram", "bench.csv", "-o", "out.csv"), "out.csv", "bench.csv"),
+        (("cluster", "gram.csv", "-o", "l.csv", "-k", 2, "--report", "r.json"),
+         "r.json", "gram.csv"),
+    ],
+    ids=["gram", "cluster-report"],
+)
+def test_output_symlink_to_an_input_is_replaced(bench, tmp_path, argv, link, target):
+    # a symlink at an output's path names a file of its own, so the input it
+    # points to is read, then kept as it was
+    assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
+    (tmp_path / link).symlink_to(tmp_path / target)
+    kept = (tmp_path / target).read_bytes()
+    assert run(*[tmp_path / a if str(a).endswith((".csv", ".json")) else a for a in argv]) == 0
+    assert not (tmp_path / link).is_symlink() and (tmp_path / target).read_bytes() == kept
+
+
 @pytest.mark.parametrize("earlier", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize(
     "argv",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depcon.critical import chi2_quantile_1df, critical_matrix
-from depcon.errors import OutOfRangeError
+from depcon.errors import OutOfRangeError, TooFewFeaturesError
 
 # reference quantiles frozen from an independent table oracle (scipy.stats.chi2.ppf)
 REFERENCE = {
@@ -35,13 +35,13 @@ def test_quantile_out_of_range():
 
 def test_quantile_monotone_in_alpha():
     alphas = np.linspace(0.01, 0.99, 25)
-    quantiles = [critical_matrix(3, float(a)).off_diagonal for a in alphas]
+    quantiles = [critical_matrix(3, float(a))[0, 1] for a in alphas]
     assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
 
 
 def test_alpha_to_one_limit():
     cm = critical_matrix(2, 1.0 - 1e-12)
-    assert cm.off_diagonal == pytest.approx(0.0, abs=1e-10)
+    assert cm[0, 1] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_alpha_whose_complement_rounds_to_one():
@@ -50,18 +50,18 @@ def test_alpha_whose_complement_rounds_to_one():
         with pytest.raises(OutOfRangeError, match=f"alpha {alpha} is too small"):
             critical_matrix(3, alpha)
     for alpha in (np.nextafter(2.0**-54, 1.0), 2.0**-53, 1e-16, 0.05, 0.5):
-        assert critical_matrix(3, alpha).off_diagonal == chi2_quantile_1df(1.0 - alpha)
+        assert critical_matrix(3, alpha)[0, 1] == chi2_quantile_1df(1.0 - alpha)
 
 
 def test_m2_structure():
     cm = critical_matrix(2, 0.1)
-    t = cm.off_diagonal
-    assert np.array_equal(cm.values, np.array([[0.0, t], [t, 0.0]]))
-    assert cm.sq_norm == pytest.approx(2 * t * t)
+    t = cm[0, 1]
+    assert cm.dtype == np.float64
+    assert np.array_equal(cm, np.array([[0.0, t], [t, 0.0]]))
 
 
 def test_matrix_validation():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(TooFewFeaturesError, match="need at least 2 features, got 1$"):
         critical_matrix(1, 0.1)
     with pytest.raises(OutOfRangeError):
         critical_matrix(3, 0.0)

@@ -35,11 +35,11 @@ def test_degenerate_sample_is_zeroed_and_named(monkeypatch):
     x = _cos_dependent(n=12)
     critical = critical_matrix(4, 0.1)
     feats = contribution_features(x)
-    feats[5] = critical.values  # phi_5 = Z_5^T Z_5 - T = 0
+    feats[5] = critical  # phi_5 = Z_5^T Z_5 - T = 0
     keep = np.arange(12) != 5
     # every Gram below takes its products from these stacks and this critical matrix
     stacks = {12: feats, 11: feats[keep]}
-    monkeypatch.setattr(depcon.kernel, "_critical", lambda values, alpha: critical)
+    monkeypatch.setattr(depcon.kernel, "critical_matrix", lambda m, alpha: critical)
     monkeypatch.setattr(
         depcon.kernel, "_product_blocks", lambda x, a, threads: iter([(0, stacks[len(x)])])
     )

@@ -14,7 +14,7 @@ from depcon.cli import (
     _publish,
     main,
 )
-from depcon.critical import CriticalMatrix, chi2_quantile_1df, critical_matrix
+from depcon.critical import chi2_quantile_1df, critical_matrix
 from depcon.dataset import Dataset, _load_gram
 from depcon.errors import (
     ConstantFeatureError,
@@ -41,6 +41,7 @@ from depcon.kernel import (
 )
 from reference import (
     CenteredDistanceTensor,
+    critical_sq_norm,
     distance_tensor,
     gamma_kernel,
     gamma_trace_form,
@@ -129,7 +130,7 @@ def test_phi_duplicated_feature():
     tensor = distance_tensor(x)
     critical = critical_matrix(2, 0.1)
     phi = phi_map(tensor, critical, 4)
-    assert phi.values[0, 1] == pytest.approx(phi.values[0, 0] - critical.off_diagonal, abs=1e-12)
+    assert phi.values[0, 1] == pytest.approx(phi.values[0, 0] - critical[0, 1], abs=1e-12)
     assert np.abs(phi.values - phi.values.T).max() < 1e-12
     assert (np.diagonal(phi.values) >= 0).all()
 
@@ -143,7 +144,7 @@ def test_phi_sum_matches_double_sum_oracle():
     for i in range(3):
         for k in range(3):
             oracle += tensor.z[i, k, 0] * tensor.z[i, k, 1]
-    assert total == pytest.approx(oracle - 3 * critical.off_diagonal, abs=1e-12)
+    assert total == pytest.approx(oracle - 3 * critical[0, 1], abs=1e-12)
 
 
 def test_phi_index_errors():
@@ -226,8 +227,8 @@ def test_gamma_trace_form_differs_in_general():
     za = tensor.z[0]
     assert gamma_trace_form(tensor, tensor, critical, 0, 0) == pytest.approx(
         np.sum(za * za) ** 2
-        - 2 * np.sum((za.T @ za) * critical.values)
-        + critical.sq_norm,
+        - 2 * np.sum((za.T @ za) * critical)
+        + critical_sq_norm(critical),
         rel=1e-12,
     )
 
@@ -318,8 +319,8 @@ def test_cross_gram_matches_pairwise_kappa():
     for i, i2 in ((0, 0), (9, 13), (4, 7)):
         za, zb = ta.z[i], tb.z[i2]
         pa, pb = za.T @ za, zb.T @ zb
-        t = critical.values
-        gamma = np.sum(pa * pb) - np.sum(pa * t) - np.sum(t * pb) + 3 * 2 * critical.off_diagonal**2
+        t = critical
+        gamma = np.sum(pa * pb) - np.sum(pa * t) - np.sum(t * pb) + 3 * 2 * critical[0, 1]**2
         self_a = np.sum((pa - t) ** 2)
         self_b = np.sum((pb - t) ** 2)
         assert gram.values[i, i2] == pytest.approx(
@@ -420,7 +421,7 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
     crit_a = crit_b = critical_matrix(4, 0.1)
     feats_a, feats_b = contribution_features(a, threads=1), contribution_features(b, threads=1)
     # the 12 samples of b with the smallest contribution norms count as degenerate
-    phi = feats_b.reshape(150, -1) - crit_b.values.reshape(-1)
+    phi = feats_b.reshape(150, -1) - crit_b.reshape(-1)
     sq_norms = np.sort(np.einsum("ij,ij->i", phi, phi))
     monkeypatch.setattr(depcon.kernel, "DEGENERATE_SQ_NORM", (sq_norms[11] + sq_norms[12]) / 2)
     (u_a, zero_a), (u_b, zero_b) = _unit_rows(feats_a, crit_a), _unit_rows(feats_b, crit_b)
@@ -429,9 +430,9 @@ def test_folded_aggregates_match_the_stack(monkeypatch, tmp_path):
     assert expected_warnings[-1].startswith("12 of 150 samples") and expected_warnings[-1].endswith(", ...")
     units_a, units_b = u_a.sum(axis=0), u_b.sum(axis=0)
     score = float(units_a @ units_b)
-    stat_a = feats_a.sum(axis=0) - 200 * crit_a.values
-    stat_b = feats_b.sum(axis=0) - 150 * crit_b.values
-    mean_a = feats_a.mean(axis=0) - crit_a.values
+    stat_a = feats_a.sum(axis=0) - 200 * crit_a
+    stat_b = feats_b.sum(axis=0) - 150 * crit_b
+    mean_a = feats_a.mean(axis=0) - crit_a
     dcov_b = np.maximum(contribution_features(b, standardize=False).sum(axis=0) / 150**2, 0.0)
     # the CLI pins BLAS to one thread; a product split across threads rounds differently
     with _one_blas_thread():
@@ -594,7 +595,7 @@ def test_mean_contribution_matches_feature_mean():
     x = random_dataset(rng, 14, 3)
     critical = critical_matrix(3, 0.1)
     feats = contribution_features(x)
-    expected = feats.mean(axis=0) - critical.values
+    expected = feats.mean(axis=0) - critical
     assert np.allclose(mean_contribution(x, alpha=0.1), expected, atol=1e-12)
 
 
@@ -620,8 +621,8 @@ def test_quantile_over_n_is_the_kept_scaling_at_another_alpha(alpha):
     x = random_dataset(rng, n, m)
     t = chi2_quantile_1df(1.0 - alpha) / n
     alpha_printed = 1.0 - math.erf(math.sqrt(t / 2.0))
-    assert critical_matrix(m, alpha_printed).off_diagonal == pytest.approx(t, rel=1e-14, abs=0.0)
-    printed = CriticalMatrix(alpha=alpha, values=t * (1.0 - np.eye(m)))
+    assert critical_matrix(m, alpha_printed)[0, 1] == pytest.approx(t, rel=1e-14, abs=0.0)
+    printed = t * (1.0 - np.eye(m))
     tensor = distance_tensor(x)
     gram = gram_matrix(x, alpha=alpha_printed)
     cells = [(0, 0), (0, 1), (17, 230), (299, 5), (120, 121)]
@@ -683,6 +684,7 @@ def test_raw_arrays_meet_the_dataset_checks(entry, fault):
         mean_contribution,
         lambda x: sample_set_distance(x, x),
         lambda x: structure_difference_score(x, x),
+        lambda x: critical_matrix(x.shape[1], 0.1),
     ],
     ids=[
         "gram_matrix",
@@ -691,10 +693,12 @@ def test_raw_arrays_meet_the_dataset_checks(entry, fault):
         "mean_contribution",
         "sample_set_distance",
         "structure_difference_score",
+        "critical_matrix",
     ],
 )
 def test_one_column_arrays_have_no_critical_matrix(entry):
-    # as a one-column Dataset: the critical matrix needs 2 features
+    # as a one-column Dataset: the critical matrix needs 2 features, and the
+    # public function and its callers refuse one column with one error
     x = random_dataset(np.random.default_rng(154), 20, 1)
     with pytest.raises(TooFewFeaturesError, match="need at least 2 features, got 1$"):
         entry(x)

@@ -19,7 +19,7 @@ import depcon.cli
 
 PUBLIC = [
     "BACKEND_NAME", "BenchmarkConfig", "BidirectedRepresentative", "ClusterAssignment",
-    "CriticalMatrix", "Dataset", "GramMatrix",
+    "Dataset", "GramMatrix",
     "IndependenceResult", "KpcaModel", "LabeledDataset", "LinearSem", "MixedGraph",
     "NonlinearPair", "NonlinearSem", "RandomDag", "SelectKResult", "SignMatrix",
     "StructureComparison", "adjusted_rand_index", "aggregate_statistic", "augment_nonlinear",
@@ -47,7 +47,6 @@ SIGNATURES = {
                        "seed amplitude max_pairs",
     "BidirectedRepresentative": "m connected",
     "ClusterAssignment": "labels k objective iterations converged objective_trace repairs",
-    "CriticalMatrix": "alpha values",
     "Dataset": "values feature_names",
     "GramMatrix": "values",
     "IndependenceResult": "statistic reject alpha",

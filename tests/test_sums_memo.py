@@ -31,7 +31,7 @@ def _flag_degenerate(monkeypatch, values):
     contribution norms count as degenerate."""
     n, m = values.shape
     phi = contribution_features(values).reshape(n, -1)
-    phi -= critical_matrix(m, 0.1).values.reshape(-1)
+    phi -= critical_matrix(m, 0.1).reshape(-1)
     sq_norms = np.sort(np.einsum("ij,ij->i", phi, phi))
     monkeypatch.setattr(kernel, "DEGENERATE_SQ_NORM", (sq_norms[2] + sq_norms[3]) / 2)
 
