@@ -48,7 +48,7 @@ CORPUS = {
     # the plain case: 2.1e-15 / 2.2e-15 / 8.1e-16
     "gaussian": (400, 0.1, _gaussian),
     # heavy tails: n alpha_i alpha_i^T dwarfs Z_i^T Z_i, so the rank-one term
-    # cancels many bits (the builder redoes those rows from Z_i itself):
+    # cancels many bits (the feature builder redoes those rows from Z_i itself):
     # 2.3e-15 / 2.2e-15 / 2.1e-15
     "pareto-0.5": (1000, 0.1, lambda rng, n: rng.pareto(0.5, (n, M))),
     # 4.9e-15 / 4.9e-15 / 4.2e-15
