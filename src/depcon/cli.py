@@ -157,25 +157,42 @@ def _csv_outputs(path, lines, provenance: dict):
     return (path, (line + b"\n" for line in lines)), sidecar
 
 
-def _gram_inputs(path):
-    """A Gram file's path, and its twin's when it has one: what ``_load_gram`` may read."""
-    twin = _twin_path(path)
-    return [path, twin] if os.path.exists(twin) else [path]
+def _inputs(args):
+    """The files the command of ``args`` may read, which no output may name: a
+    Gram's twin counts when it exists, since ``_load_gram`` may read it."""
+    named = ("data", "data_a", "data_b", "gram", "labels", "truth", "graph_a", "graph_b")
+    paths = [getattr(args, key, None) for key in named] + getattr(args, "predictions", [])
+    if getattr(args, "gram", None) is not None and os.path.exists(_twin_path(args.gram)):
+        paths.append(_twin_path(args.gram))
+    return [path for path in paths if path is not None]
+
+
+def _target(path):
+    """An output ``path``'s resolved directory and name; a symlink at the path
+    itself is replaced, so it is not followed."""
+    head, name = os.path.split(path)
+    return os.path.realpath(head), name
+
+
+def _refuse_inputs(paths, inputs):
+    """OSError for the first of the output ``paths`` that names the file one
+    of ``inputs`` resolves to."""
+    read = {os.path.split(os.path.realpath(path)) for path in inputs}
+    for path in paths:
+        if _target(path) in read:
+            raise OSError(f"{path}: names an input of the command")
 
 
 def _publish(*outputs, inputs=()):
     """Stream each ``(path, chunks of bytes)`` to a temporary beside ``path`` and
     move them all into place once all are complete; on any exception remove
-    them and raise it again, naming ``path``. Two paths with one resolved
-    directory and one name are refused before anything is written, and so is
-    an output path that names the file one of ``inputs`` resolves to."""
-    read = {os.path.split(os.path.realpath(path)) for path in inputs}
+    them and raise it again, naming ``path``. An output path that names the
+    file one of ``inputs`` resolves to is refused before anything is written,
+    and so are two paths with one resolved directory and one name."""
+    _refuse_inputs([path for path, _ in outputs], inputs)
     targets = set()
     for path, _ in outputs:
-        head, name = os.path.split(path)
-        target = (os.path.realpath(head), name)  # a symlink at the path itself is replaced
-        if target in read:
-            raise OSError(f"{path}: names an input of the command")
+        target = _target(path)
         if target in targets:
             raise OSError(f"{path}: named by two outputs of one command")
         targets.add(target)
@@ -212,7 +229,7 @@ def cmd_gram(args) -> int:
         outputs = list(_csv_outputs(args.output, _gram_rows(units, b","), prov))
     # the twin follows the file it digests, and a sidecar stays last
     outputs[:1] = _twin_outputs(outputs[0], units.shape[0], _gram_bands(units))
-    _publish(*outputs, inputs=[args.data])
+    _publish(*outputs, inputs=_inputs(args))
     return 0
 
 
@@ -224,7 +241,7 @@ def cmd_indep(args) -> int:
         "pairs": result.pairs(),
         "provenance": _provenance("indep", vars(args)),
     }
-    _publish((args.output, _json_chunks(payload)), inputs=[args.data])
+    _publish((args.output, _json_chunks(payload)), inputs=_inputs(args))
     return 0
 
 
@@ -239,7 +256,7 @@ def cmd_test(args) -> int:
         "alpha": args.alpha,
         "provenance": _provenance("test", vars(args)),
     }
-    _publish((args.output, _json_chunks(payload)), inputs=[args.data_a, args.data_b])
+    _publish((args.output, _json_chunks(payload)), inputs=_inputs(args))
     return 0
 
 
@@ -305,9 +322,7 @@ def cmd_cluster(args) -> int:
     }
     labels = (b"%d\n" % label for label in chosen.labels.tolist())
     report_path = f"{args.output}.report.json" if args.report is None else args.report
-    _publish(
-        (args.output, labels), (report_path, _json_chunks(report)), inputs=_gram_inputs(args.gram)
-    )
+    _publish((args.output, labels), (report_path, _json_chunks(report)), inputs=_inputs(args))
     return 0
 
 
@@ -324,8 +339,8 @@ def cmd_kpca(args) -> int:
         header.append("label")
         lines = (line + b",%d" % label for line, label in zip(lines, labels.tolist()))
     lines = [",".join(header).encode(), *lines]
-    inputs = _gram_inputs(args.gram) + ([] if args.labels is None else [args.labels])
-    _publish(*_csv_outputs(args.output, lines, _provenance("kpca", vars(args))), inputs=inputs)
+    outputs = _csv_outputs(args.output, lines, _provenance("kpca", vars(args)))
+    _publish(*outputs, inputs=_inputs(args))
     return 0
 
 
@@ -350,9 +365,8 @@ def cmd_eval(args) -> int:
         "k_histogram": {str(k): histogram[k] for k in sorted(histogram)},
         "provenance": _provenance("eval", vars(args)),
     }
-    inputs = [args.truth, *args.predictions]
     if _is_json(args.output):
-        _publish((args.output, _json_chunks(payload)), inputs=inputs)
+        _publish((args.output, _json_chunks(payload)), inputs=_inputs(args))
     else:
         buf = io.StringIO()  # csv quotes a name that holds a comma, quote or newline
         csv.writer(buf, lineterminator="\n").writerows(
@@ -360,7 +374,7 @@ def cmd_eval(args) -> int:
             + [[row["name"], repr(float(row["ari"])), row["k"]] for row in rows]
         )
         lines = [line.encode(errors="surrogateescape") for line in buf.getvalue().split("\n")[:-1]]
-        _publish(*_csv_outputs(args.output, lines, payload["provenance"]), inputs=inputs)
+        _publish(*_csv_outputs(args.output, lines, payload["provenance"]), inputs=_inputs(args))
     return 0
 
 
@@ -379,7 +393,7 @@ def cmd_graphdist(args) -> int:
         key: [_json_text(row).encode() for row in rep.connected.astype(int).tolist()]
         for key, rep in (("connected_a", rep_a), ("connected_b", rep_b))
     }
-    _publish((args.output, _json_chunks(payload, rows=rows)), inputs=[args.graph_a, args.graph_b])
+    _publish((args.output, _json_chunks(payload, rows=rows)), inputs=_inputs(args))
     return 0
 
 
@@ -509,8 +523,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    for name in (args.output, getattr(args, "report", None)):
-        if name is not None and os.path.basename(name) in ("", ".", ".."):
+    named = [name for name in (args.output, getattr(args, "report", None)) if name is not None]
+    for name in named:
+        if os.path.basename(name) in ("", ".", ".."):
             print(f"depcon {args.command}: output name {name!r} ends in no file name",
                   file=sys.stderr)
             return EXIT_USAGE
@@ -519,6 +534,9 @@ def main(argv=None) -> int:
               f"in .json", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # -o or --report naming an input is refused before any input is read;
+        # only _publish sees twins, sidecars and the default report name
+        _refuse_inputs(named, _inputs(args))
         with _one_blas_thread():
             return args.func(args)
     except DepconError as exc:

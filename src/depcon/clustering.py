@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _check_finite
+from .dataset import _as_seed_sequence, _check_finite
 from .errors import (
     DegenerateLabelsError,
     DimensionMismatchError,
-    EmptyClusterError,
     KTooLargeError,
     LengthMismatchError,
     NonFiniteValueError,
@@ -110,15 +109,6 @@ def _centred_points(points) -> np.ndarray:
     _check_finite(points, "points")
     # an empty set has no mean; each caller's own size check rejects it
     return points - points.mean(axis=0) if points.size else points
-
-
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` as a SeedSequence; OutOfRangeError for a negative integer."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise OutOfRangeError(f"need seed >= 0, got {seed}")
-    return np.random.SeedSequence(seed)
 
 
 def _check_labels(n, labels, k=None):
@@ -286,18 +276,17 @@ def _repair_empty(y, s, labels, k):
     """Fill each empty cluster with the point farthest from its own cluster mean.
 
     Only points of clusters with at least two members move, and the means
-    are recomputed after every move, so each move empties no cluster.
+    are recomputed after every move, so each move empties no cluster. With
+    k <= n (``_check_settings``) some cluster has two members while one is
+    empty, so every empty cluster is filled.
     """
     moves = 0
     counts = np.bincount(labels, minlength=k)
     while (counts == 0).any():
         residual = _residuals(y, s, labels, k)
         residual[counts[labels] < 2] = -np.inf
-        empty = int(np.flatnonzero(counts == 0)[0])
-        if not np.isfinite(residual).any():
-            raise EmptyClusterError(f"cannot repopulate cluster {empty}")
         labels = labels.copy()
-        labels[int(np.argmax(residual))] = empty
+        labels[int(np.argmax(residual))] = int(np.flatnonzero(counts == 0)[0])
         counts = np.bincount(labels, minlength=k)
         moves += 1
     return labels, moves

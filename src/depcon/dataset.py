@@ -8,8 +8,8 @@ Gram files through ``_load_gram``), ``_load_labels`` every labels file, and
 writers. A Gram file that ``depcon gram`` wrote has a binary twin beside it
 (``_twin_outputs`` writes it, ``_twin_gram`` reads it), which ``_load_gram``
 reads in place of the text whenever the twin's digest shows it is that
-text's. ``_check_finite``, ``_integer``, ``_blake2b`` and ``_mirror_rows``
-also serve the other modules.
+text's. ``_check_finite``, ``_integer``, ``_as_seed_sequence``, ``_blake2b``
+and ``_mirror_rows`` also serve the other modules.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteValueError,
     NonNumericCellError,
     NotSquareError,
+    OutOfRangeError,
     RaggedRowsError,
     TooFewFeaturesError,
     TooFewSamplesError,
@@ -93,6 +94,15 @@ def _integer(value):
         isinstance(value, float) and value.is_integer()
     )
     return int(value) if integral and not isinstance(value, bool) else None
+
+
+def _as_seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence; OutOfRangeError for a negative integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise OutOfRangeError(f"need seed >= 0, got {seed}")
+    return np.random.SeedSequence(seed)
 
 
 def _filled_rows(reader):

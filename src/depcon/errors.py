@@ -95,12 +95,6 @@ class KTooLargeError(DepconError):
     exit_code = 24
 
 
-class EmptyClusterError(DepconError):
-    """No reassignment could repopulate an empty cluster."""
-
-    exit_code = 25
-
-
 class AdjacentPairError(DepconError):
     """A nonlinear mechanism was requested for a pair already linked in the base DAG."""
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _as_seed_sequence
 from .errors import AdjacentPairError, OddModelCountError, OutOfRangeError
 from .graphs import MixedGraph
 
@@ -73,7 +73,7 @@ def random_dag(m: int, edge_probability: float, seed) -> RandomDag:
         raise OutOfRangeError(f"need at least 2 vertices, got {m}")
     if not (0.0 < edge_probability < 1.0):
         raise OutOfRangeError(f"edge probability must be in (0, 1), got {edge_probability}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed_sequence(seed))
     parent_sets = []
     for v in range(m):
         draws = rng.random(v)
@@ -84,7 +84,7 @@ def random_dag(m: int, edge_probability: float, seed) -> RandomDag:
 def random_linear_sem(dag: RandomDag, seed) -> LinearSem:
     """Random SEM parameters: weights with |w| ~ U(0.5, 1.5) and a random sign,
     per-vertex noise scales ~ U(0.5, 1.0)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed_sequence(seed))
     weights = {}
     for v in range(dag.m):
         for p in dag.parent_sets[v]:
@@ -98,7 +98,7 @@ def random_linear_sem(dag: RandomDag, seed) -> LinearSem:
 def _sample(sem: LinearSem, pairs, n: int, seed) -> Dataset:
     if n < 1:
         raise OutOfRangeError(f"need at least 1 sample, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed_sequence(seed))
     dag = sem.dag
     by_target = {}
     for pair in pairs:
@@ -145,6 +145,7 @@ def augment_nonlinear(
     with a seeded subset; a negative cap raises OutOfRangeError.
     """
     _check_max_pairs(max_pairs)
+    seed = _as_seed_sequence(seed)
     dag = sem.dag
     eligible = [
         (u, v)
@@ -210,10 +211,8 @@ def build_benchmark(config: BenchmarkConfig) -> LabeledDataset:
     """
     if config.num_models < 1 or config.samples_per_model < 1:
         raise OutOfRangeError("model and sample counts must be positive")
-    if config.seed < 0:
-        raise OutOfRangeError(f"need seed >= 0, got {config.seed}")
     _check_max_pairs(config.max_pairs)
-    root = np.random.SeedSequence(config.seed)
+    root = _as_seed_sequence(config.seed)
     models = []
     if config.nonlinear:
         if config.num_models % 2 != 0:

@@ -1243,6 +1243,30 @@ def test_output_naming_an_input_exit_code(bench, tmp_path, capsys, argv, path):
 
 
 @pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("gram", "bench.csv", "-o", "bench.csv"), "bench.csv"),
+        (("cluster", "gram.csv", "-o", "l.csv", "-k", 2, "--report", "gram.csv"), "gram.csv"),
+    ],
+    ids=["gram", "cluster-report"],
+)
+def test_output_naming_an_input_is_refused_before_any_read(
+    bench, tmp_path, monkeypatch, capsys, argv, path
+):
+    assert run("gram", bench, "-o", tmp_path / "gram.csv") == 0
+    capsys.readouterr()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for loader in ("_load_any_dataset", "_load_gram", "_load_labels"):
+        monkeypatch.setattr(depcon.cli, loader, unread)
+    assert run(*[tmp_path / a if str(a).endswith(".csv") else a for a in argv]) == 3
+    message = f"depcon {argv[0]}: {tmp_path / path}: names an input of the command\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
     "argv, link, target",
     [
         (("gram", "bench.csv", "-o", "out.csv"), "out.csv", "bench.csv"),

@@ -11,6 +11,7 @@ import pytest
 import depcon
 from depcon.clustering import (
     _factor,
+    _repair_empty,
     adjusted_rand_index,
     calinski_harabasz,
     kernel_kmeans,
@@ -199,6 +200,25 @@ def test_kernel_kmeans_linear_gram_matches_lloyd_with_repairs():
         assert np.array_equal(kernel_result.labels, lloyd_result.labels)
         assert kernel_result.iterations == lloyd_result.iterations
         assert kernel_result.objective == pytest.approx(lloyd_result.objective, rel=1e-9)
+
+
+def test_repair_fills_every_empty_cluster():
+    # k <= n and at least one empty cluster, under s = 1 and an indefinite s:
+    # one move per empty cluster, each moving a point no earlier move placed
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(2, n + 1))
+        r = int(rng.integers(1, 4))
+        y = rng.standard_normal((n, r)) * 10.0 ** rng.integers(-3, 4)
+        s = rng.choice([-1.0, 1.0], r) if rng.random() < 0.5 else np.ones(r)
+        used = rng.choice(k, int(rng.integers(1, min(k - 1, n) + 1)), replace=False)
+        labels = rng.choice(used, n)
+        labels[:used.size] = used  # every used cluster has a member
+        empty = k - used.size
+        repaired, moves = _repair_empty(y, s, labels, k)
+        assert (np.bincount(repaired, minlength=k) > 0).all()
+        assert moves == empty and (repaired != labels).sum() == empty
 
 
 def test_lloyd_kmeans_far_from_origin():

@@ -105,8 +105,24 @@ def test_adjacent_pair_rejected():
          r"pair \(2, 1\) must be a forward pair"),
         (lambda: sample_linear_sem(random_linear_sem(random_dag(3, 0.5, 0), 1), 0, 2),
          "need at least 1 sample, got 0"),
+        (lambda: random_dag(3, 0.5, -1), "need seed >= 0, got -1$"),
+        (lambda: random_linear_sem(random_dag(3, 0.5, 0), -1), "need seed >= 0, got -1$"),
+        (lambda: sample_linear_sem(random_linear_sem(random_dag(3, 0.5, 0), 1), 5, -1),
+         "need seed >= 0, got -1$"),
+        (lambda: sample_nonlinear_sem(
+            augment_nonlinear(random_linear_sem(random_dag(3, 0.5, 0), 1), 2), 5, -1),
+         "need seed >= 0, got -1$"),
+        # refused even where no pair is drawn
+        (lambda: augment_nonlinear(random_linear_sem(random_dag(3, 0.5, 0), 1), -1),
+         "need seed >= 0, got -1$"),
+        (lambda: augment_nonlinear(random_linear_sem(random_dag(6, 0.1, 0), 1), -1, max_pairs=1),
+         "need seed >= 0, got -1$"),
     ],
-    ids=["no-models", "no-samples", "negative-seed", "backward-pair", "no-samples-drawn"],
+    ids=[
+        "no-models", "no-samples", "negative-seed", "backward-pair", "no-samples-drawn",
+        "dag-seed", "sem-seed", "linear-sample-seed", "nonlinear-sample-seed",
+        "pairs-seed", "capped-pairs-seed",
+    ],
 )
 def test_out_of_range_arguments_rejected(make, message):
     with pytest.raises(OutOfRangeError, match=message):
