@@ -93,19 +93,27 @@ def _json_chunks(payload: dict, rows=None):
     yield text.encode() + b"\n"
 
 
+#: Rows of one ``orjson.dumps`` call in ``_matrix_rows``.
+_MATRIX_BLOCK_ROWS = 1024
+
+
+def _odd(values: np.ndarray) -> np.ndarray:
+    """Where orjson's text for ``values`` is not ``repr``'s: orjson writes the
+    same shortest round-trip digits and, for ±0 and every |x| in [1e-4, 1e16),
+    the same text; outside that range only its exponent is spelled otherwise
+    (``1e-5``, ``1e16``) and a NaN or infinity is ``null``."""
+    size = np.abs(values)
+    return ~((size >= 1e-4) & (size < 1e16)) & (values != 0.0)
+
+
 def _cells(row: np.ndarray, sep: bytes) -> bytes:
     """The cells of a C-contiguous float64 ``row`` as their shortest round-trip
     reprs joined by ``sep``: ``sep.join(map(repr, row.tolist())).encode()``.
-
-    orjson writes the same shortest round-trip digits as ``repr`` and, for
-    ±0 and every |x| in [1e-4, 1e16), the same text; outside that range only
-    its exponent is spelled otherwise (``1e-5``, ``1e16``) and a NaN or
-    infinity is ``null``, so those cells are ``repr``'d in its place."""
+    orjson formats the row, and each ``_odd`` cell is ``repr``'d in its place."""
     import orjson
 
     text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    size = np.abs(row)
-    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (row != 0.0))
+    odd = np.flatnonzero(_odd(row))
     if odd.size:
         cells = text.split(b",")
         for i in odd.tolist():
@@ -115,9 +123,23 @@ def _cells(row: np.ndarray, sep: bytes) -> bytes:
 
 
 def _matrix_rows(matrix: np.ndarray, sep: bytes):
-    """Each row of the float ``matrix`` as ``_cells`` joined by ``sep``."""
-    for row in np.ascontiguousarray(matrix, dtype=np.float64):
-        yield _cells(row, sep)
+    """Each row of the float ``matrix`` as ``_cells`` joined by ``sep``.
+
+    A block of ``_MATRIX_BLOCK_ROWS`` rows with no ``_odd`` cell is formatted
+    by one ``orjson.dumps`` and split between its rows, so a narrow row does
+    not pay ``_cells``' fixed cost; any other block goes row by row."""
+    import orjson
+
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    for start in range(0, matrix.shape[0], _MATRIX_BLOCK_ROWS):
+        block = matrix[start:start + _MATRIX_BLOCK_ROWS]
+        if _odd(block).any():
+            rows = (_cells(row, sep) for row in block)
+        else:
+            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            if sep != b",":
+                rows = (row.replace(b",", sep) for row in rows)
+        yield from rows
 
 
 def _gram_rows(u: np.ndarray, sep: bytes):

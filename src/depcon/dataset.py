@@ -7,9 +7,9 @@ Gram files through ``_load_gram``), ``_load_labels`` every labels file, and
 ``_is_json`` picks each CLI file's format by its name, for readers and
 writers. A Gram file that ``depcon gram`` wrote has a binary twin beside it
 (``_twin_outputs`` writes it, ``_twin_gram`` reads it), which ``_load_gram``
-reads in place of the text whenever the twin's digest shows it is that
-text's. ``_check_finite``, ``_integer``, ``_as_seed_sequence``, ``_blake2b``
-and ``_mirror_rows`` also serve the other modules.
+reads in place of the text whenever the twin's checksum shows it is that
+text's. ``_check_finite``, ``_integer``, ``_as_seed_sequence`` and
+``_mirror_rows`` also serve the other modules.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,19 +293,15 @@ def _load_any_dataset(path) -> Dataset:
     return Dataset(values, tuple(names) if names else None)
 
 
-#: A twin's first 8 bytes, as a native uint64: "DEPCONG" and version 1 on a
+#: A twin's first 8 bytes, as a native uint64: "DEPCONG" and version 2 on a
 #: little-endian machine. Another byte order reads another number.
-TWIN_MAGIC = int.from_bytes(b"DEPCONG\x01", "little")
+TWIN_MAGIC = int.from_bytes(b"DEPCONG\x02", "little")
+#: A twin's last bytes: the CRC32 of the text and the twin before it, a native uint32.
+_TWIN_CHECK_BYTES = 4
 
 
-def _blake2b(data=b""):
-    """A BLAKE2b hasher fed ``data``. hashlib's blake2b is this one; importing
-    hashlib itself would map OpenSSL (3.6 MB)."""
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
-    return blake2b(data)
+def _twin_check(crc) -> bytes:
+    return np.array(crc, dtype=np.uint32).tobytes()
 
 
 def _mirror_rows(square, start, stop):
@@ -324,18 +321,20 @@ def _twin_outputs(output, n, bands):
     pair streaming an n-row Gram as text, and for its twin at ``_twin_path``.
 
     The twin holds ``TWIN_MAGIC`` and n (native uint64), the Gram's upper
-    triangle row by row from the diagonal on (native float64), and a BLAKE2b
-    digest of the text's bytes as streamed followed by the twin's own header
-    and values. Its values come from ``bands``, ``(start, band)`` pairs as
-    ``kernel._gram_bands`` yields them, iterated only once the text is
-    written: they are the cells the text holds as reprs, bit for bit.
+    triangle row by row from the diagonal on (native float64), and the CRC32
+    of the text's bytes as streamed followed by the twin's own header and
+    values (``_twin_check``). Its values come from ``bands``, ``(start,
+    band)`` pairs as ``kernel._gram_bands`` yields them, iterated only once
+    the text is written: they are the cells the text holds as reprs, bit for
+    bit.
     """
     path, text = output
-    digest = _blake2b()
+    crc = 0
 
-    def hashed(chunks):
+    def checked(chunks):
+        nonlocal crc
         for chunk in chunks:
-            digest.update(chunk)
+            crc = zlib.crc32(chunk, crc)
             yield chunk
 
     def values():
@@ -344,17 +343,17 @@ def _twin_outputs(output, n, bands):
             yield b"".join(row[r:].tobytes() for r, row in enumerate(band))
 
     def twin():
-        yield from hashed(values())
-        yield digest.digest()
+        yield from checked(values())
+        yield _twin_check(crc)
 
-    return (path, hashed(text)), (_twin_path(path), twin())
+    return (path, checked(text)), (_twin_path(path), twin())
 
 
 def _twin_gram(path):
     """The Gram held by the twin of the Gram file at ``path``, or None when
     that twin is missing, not a regular file, not of its header's size or
-    does not digest together with the file's bytes. The size is checked
-    before anything is allocated or hashed."""
+    its CRC32 is not that of the file's bytes and its own. The size is
+    checked before anything is allocated or read."""
     twin_path = _twin_path(path)
     if not os.path.isfile(twin_path):  # opening a FIFO would block
         return None
@@ -364,21 +363,21 @@ def _twin_gram(path):
             if len(head) < 16:
                 return None
             magic, n = map(int, np.frombuffer(head, dtype=np.uint64))
-            size = 16 + 8 * (n * (n + 1) // 2) + 64  # header, values, BLAKE2b digest
+            size = 16 + 8 * (n * (n + 1) // 2) + _TWIN_CHECK_BYTES  # header, values, CRC32
             if magic != TWIN_MAGIC or os.fstat(twin.fileno()).st_size != size:
                 return None
-            digest = _blake2b()
+            crc = 0
             with open(path, "rb") as text:
                 for chunk in iter(lambda: text.read(1 << 20), b""):
-                    digest.update(chunk)
-            digest.update(head)
+                    crc = zlib.crc32(chunk, crc)
+            crc = zlib.crc32(head, crc)
             gram = np.empty((n, n))
             for i in range(n):
                 row = gram[i, i:]
                 if twin.readinto(row) != row.nbytes:
                     return None
-                digest.update(row)
-            if twin.read() != digest.digest():
+                crc = zlib.crc32(row, crc)
+            if twin.read() != _twin_check(crc):
                 return None
     except OSError:
         return None

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import critical_matrix
-from .dataset import Dataset, _blake2b, _check_finite, _matrix, _mirror_rows
+from .dataset import Dataset, _check_finite, _matrix, _mirror_rows
 from .errors import (
     ConstantFeatureError,
     DegenerateSampleWarning,
@@ -262,6 +262,16 @@ def _fold(total, rows):
     if total is not None:
         rows = np.concatenate((total[None], rows))
     return rows.sum(axis=0)
+
+
+def _blake2b(data=b""):
+    """A BLAKE2b hasher fed ``data``. hashlib's blake2b is this one; importing
+    hashlib itself would map OpenSSL (3.6 MB)."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    return blake2b(data)
 
 
 def _feature_sums(values, threads, critical):

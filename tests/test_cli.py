@@ -753,21 +753,45 @@ def test_write_matrix_csv_matches_csv_writer_repr(tmp_path):
             assert back.tobytes() == matrix.tobytes()  # bit-exact, sign of zero included
 
 
-@pytest.mark.parametrize("sep", [b",", b",\n      "], ids=["csv", "json"])
-def test_cells_are_the_joined_reprs(sep):
-    # orjson's text stands for repr's only for +-0 and |x| in [1e-4, 1e16);
-    # a future orjson that spells any of these otherwise fails here
-    rng = np.random.default_rng(35)
+# orjson's text stands for repr's only for +-0 and |x| in [1e-4, 1e16);
+# a future orjson that spells any of these otherwise fails the two tests below
+ODD_CELLS = [1e-5, 9.999999999999999e-05, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310,
+             1e16, 1e300, np.finfo(np.float64).max, np.nan, np.inf, -np.inf]
+
+
+def _cell_corpus(rng):
+    """Cells of every decade in [1e-4, 1e16), the powers of ten at its ends and
+    their neighbours, +-0 and ``ODD_CELLS``, each with its negation."""
     decades = [rng.uniform(1.0, 10.0, 200) * 10.0**e for e in range(-4, 16)]
     powers = [float(f"1e{e}") for e in range(-4, 17)]
     neighbours = [np.nextafter(p, to) for p in powers for to in (0.0, np.inf)]
-    kinds = [0.0, -0.0, 1e-5, 9.999999999999999e-05, 1e-300, 5e-324, 2.2250738585072014e-308,
-             1e-310, 1e16, 1e300, np.finfo(np.float64).max, np.nan, np.inf, -np.inf]
-    cells = np.concatenate([*decades, powers, neighbours, kinds])
-    cells = np.concatenate([cells, -cells])
+    cells = np.concatenate([*decades, powers, neighbours, [0.0, -0.0], ODD_CELLS])
+    return np.concatenate([cells, -cells])
+
+
+@pytest.mark.parametrize("sep", [b",", b",\n      "], ids=["csv", "json"])
+def test_cells_are_the_joined_reprs(sep):
+    rng = np.random.default_rng(35)
+    cells = _cell_corpus(rng)
     text = sep.decode()
     for row in (cells, rng.permutation(cells), *cells[:, None]):
         assert _cells(row, sep) == text.join(map(repr, row.tolist())).encode()
+
+
+@pytest.mark.parametrize("sep", [b",", b",\n      "], ids=["csv", "json"])
+def test_matrix_rows_are_the_joined_reprs(sep):
+    # 2,500 rows: blocks of 1,024, 1,024 and 452 rows; the first and the last
+    # hold only cells orjson spells as repr does, the second every odd cell
+    rng = np.random.default_rng(39)
+    cells = _cell_corpus(rng)
+    size = np.abs(cells)
+    clean = cells[((size >= 1e-4) & (size < 1e16)) | (cells == 0.0)]
+    matrix = rng.choice(clean, (2500, 2))
+    odd = np.concatenate([ODD_CELLS, np.negative(ODD_CELLS)])
+    matrix[1024 + rng.choice(1024, odd.size, replace=False), rng.integers(0, 2, odd.size)] = odd
+    text = sep.decode()
+    rows = list(_matrix_rows(matrix, sep))
+    assert rows == [text.join(map(repr, row)).encode() for row in matrix.tolist()]
 
 
 @pytest.mark.parametrize(

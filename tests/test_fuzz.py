@@ -20,6 +20,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from depcon.cli import main  # noqa: E402
+from depcon.dataset import _TWIN_CHECK_BYTES  # noqa: E402
 
 # success, missing file, other I/O, usage, and the validation errors
 DOCUMENTED = {0, 2, 3, 4, *range(10, 25), 26, 27}
@@ -124,10 +125,11 @@ def graph_files():
 
 def _numbers(path):
     """Every number an output file holds: a Gram twin's float64 values (between
-    its 16-byte header and 64-byte digest), JSON numbers, or CSV cells that
+    its 16-byte header and its checksum), JSON numbers, or CSV cells that
     parse as floats."""
     if path.suffix == ".twin":
-        return np.frombuffer(path.read_bytes()[16:-64], dtype=np.float64).tolist()
+        values = path.read_bytes()[16:-_TWIN_CHECK_BYTES]
+        return np.frombuffer(values, dtype=np.float64).tolist()
     text = path.read_text()
     try:
         stack = [json.loads(text)]  # json reads NaN and Infinity as floats

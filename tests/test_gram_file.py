@@ -1,5 +1,6 @@
 """The Gram file `depcon gram` streams from the unit vectors in row bands."""
 
+import hashlib
 import json
 import shutil
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 import depcon.cli
 import depcon.kernel
 from depcon.cli import _csv_outputs, _matrix_rows, _one_blas_thread, _publish, main
-from depcon.dataset import TWIN_MAGIC, _is_json, _load_gram, _read_table
+from depcon.dataset import _TWIN_CHECK_BYTES, TWIN_MAGIC, _is_json, _load_gram, _read_table
 from depcon.errors import NonFiniteValueError, NotSquareError
 from depcon.kernel import GRAM_BAND_ROWS, gram_matrix
 
@@ -165,10 +166,10 @@ def test_twin_is_the_gram_bit_for_bit(tmp_path, monkeypatch, name):
     out = tmp_path / name
     assert main(["gram", str(data), "-o", str(out)]) == 0
     twin = (tmp_path / f"{name}.twin").read_bytes()
-    assert len(twin) == 8 * n * (n + 1) // 2 + 80
+    assert len(twin) == 8 * n * (n + 1) // 2 + 16 + _TWIN_CHECK_BYTES
     assert np.frombuffer(twin[:16], dtype=np.uint64).tolist() == [TWIN_MAGIC, n]
     gram = _library_gram(x)
-    assert twin[16:-64] == gram[np.triu_indices(n)].tobytes()
+    assert twin[16:-_TWIN_CHECK_BYTES] == gram[np.triu_indices(n)].tobytes()
     assert _parsed(out).tobytes() == gram.tobytes()
     _no_parse(monkeypatch)  # a valid twin is read in place of the text
     assert _load_gram(out).tobytes() == gram.tobytes()
@@ -198,6 +199,17 @@ def _replace_by_directory(path):
     path.mkdir()
 
 
+def _version_1_twin(text, twin):
+    """Replace ``twin`` by the version-1 twin of ``text``: the same header and
+    values, magic version 1 and a 64-byte BLAKE2b digest of the text's bytes,
+    the header and the values."""
+    data = twin.read_bytes()
+    head = np.array(int.from_bytes(b"DEPCONG\x01", "little"), dtype=np.uint64).tobytes() + data[8:16]
+    values = data[16:-_TWIN_CHECK_BYTES]
+    digest = hashlib.blake2b(text.read_bytes() + head + values).digest()
+    twin.write_bytes(head + values + digest)
+
+
 # each spoils the twin of b.csv, a 40-row Gram (820 upper cells), or the file itself
 SPOILS = {
     "twin-of-another-gram": lambda a, b, twin: shutil.copy(f"{a}.twin", twin),
@@ -209,6 +221,8 @@ SPOILS = {
     "flipped-magic-bit": lambda a, b, twin: _flip_bit(twin, 0),
     "missing-twin": lambda a, b, twin: twin.unlink(),
     "twin-is-a-directory": lambda a, b, twin: _replace_by_directory(twin),
+    "version-1-twin": lambda a, b, twin: _version_1_twin(b, twin),
+    "flipped-checksum-bit": lambda a, b, twin: _flip_bit(twin, 16 + 8 * 820),
 }
 
 
